@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Any, Callable
 
 import numpy as np
@@ -28,6 +29,15 @@ __all__ = ["add_gate_arguments", "compare_rss", "gate", "log", "peak_rss_mib",
 def log(msg: str) -> None:
     """Progress/diagnostic line on stderr; stdout stays machine-readable."""
     print(msg, file=sys.stderr)
+
+
+def _wallclock() -> float:
+    """Monotonic seconds: the benchmark tree's one real-clock read.
+
+    ``bench_kernels`` and ``bench_scale`` time real kernel/build/query
+    wall time through it; RPL002 allowlists exactly this helper shape.
+    """
+    return time.perf_counter()
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

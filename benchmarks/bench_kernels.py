@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -40,7 +39,8 @@ from repro.queries.skyline import (distributed_skyline, k_skyband_of_array,
                                    merge_skylines, skyline_of_array,
                                    skyline_reference)
 
-from ._gate import add_gate_arguments, gate, log, seeded_rng, write_json
+from ._gate import (_wallclock, add_gate_arguments, gate, log, seeded_rng,
+                    write_json)
 from .conftest import bench_config
 
 BASELINE_PATH = "BENCH_kernels.json"
@@ -153,16 +153,6 @@ def legacy_mode():
 
 
 # -- timing helpers ----------------------------------------------------------
-
-
-def _wallclock():
-    """Monotonic seconds; this benchmark measures real kernel wall time.
-
-    The kernels-vs-legacy gate is the codebase's sanctioned wall-clock
-    consumer outside the experiment runner; RPL002 allowlists exactly
-    this helper shape.
-    """
-    return time.perf_counter()
 
 
 def best_of(fn, reps):

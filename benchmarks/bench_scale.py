@@ -32,7 +32,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -42,8 +41,8 @@ from repro.overlays.arena import wavefront_execute
 from repro.queries.skyline import distributed_skyline
 from repro.queries.topk import distributed_topk
 
-from ._gate import (add_gate_arguments, compare_rss, gate, log, peak_rss_mib,
-                    seeded_rng, write_json)
+from ._gate import (_wallclock, add_gate_arguments, compare_rss, gate, log,
+                    peak_rss_mib, seeded_rng, write_json)
 
 BASELINE_PATH = "BENCH_scale.json"
 
@@ -61,12 +60,6 @@ _K = 10
 #: Tuples per network: a few rows per peer, capped so the 1M-peer row
 #: measures substrate + engine scale rather than raw data volume.
 _TUPLE_CAP = 2_000_000
-
-
-def _wallclock():
-    """Monotonic seconds; this gate times real build/query wall time
-    (the RPL002-sanctioned helper shape)."""
-    return time.perf_counter()
 
 
 def _stats_dict(result):

@@ -12,8 +12,7 @@ Run with::
 
 import numpy as np
 
-from repro import MidasOverlay
-from repro.core import framework
+from repro import MidasOverlay, QueryTrace, run_fast
 from repro.overlays.patterns import matches_any_pattern
 from repro.queries.skyline import SkylineHandler
 
@@ -58,33 +57,22 @@ def main() -> None:
     data = np.random.default_rng(0).random((240, 2)) * 0.999
     overlay.load(data)
 
-    hops: list[tuple[int, str]] = []
-    original = framework._process
+    trace = QueryTrace()
+    result = run_fast(peers[-1], SkylineHandler(2),
+                      restriction=overlay.domain(), sink=trace)
 
-    def traced(ctx, handler, peer, state, restriction, r, **kwargs):
-        depth = kwargs.pop("_depth", 0)
-        hops.append((depth, peer.id_string()))
-        return original(ctx, handler, peer, state, restriction, r, **kwargs)
-
-    # wrap to track the recursion depth via the call structure
-    def depth_tracking(ctx, handler, peer, state, restriction, r, **kwargs):
-        hops.append((len(ctx.processed), peer.id_string()))
-        return original(ctx, handler, peer, state, restriction, r, **kwargs)
-
-    framework._process = depth_tracking
-    try:
-        result = framework.run_fast(peers[-1],
-                                    SkylineHandler(2),
-                                    restriction=overlay.domain())
-    finally:
-        framework._process = original
-
+    # One ``process`` span per visited peer, opened at the hop the query
+    # reached it; sorting by that hop lays out the wavefront.
+    by_id = {peer.peer_id: peer for peer in peers}
     print(f"query initiated at peer {peers[-1].id_string()}; "
           f"visit order (breadth across branches):")
-    for order, peer_id in hops:
-        flag = "*" if matches_any_pattern(
-            tuple(int(b) for b in peer_id), 2) else " "
-        print(f"  visit {order + 1:2d}: peer {peer_id or '(root)':8s}{flag}")
+    visits = sorted((span for span in trace.spans if span.kind == "process"),
+                    key=lambda span: span.begin)
+    for order, span in enumerate(visits, 1):
+        peer = by_id[span.peer]
+        flag = "*" if matches_any_pattern(peer.path, 2) else " "
+        print(f"  visit {order:2d}: hop {span.begin}, "
+              f"peer {peer.id_string() or '(root)':8s}{flag}")
     print(f"\nskyline of {len(data)} tuples: {len(result.answer)} points, "
           f"{result.stats.latency} hops of latency, "
           f"{result.stats.processed}/{len(overlay)} peers visited")

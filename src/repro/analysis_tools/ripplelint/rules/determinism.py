@@ -81,7 +81,7 @@ _DATETIME_FNS = frozenset({"now", "utcnow", "today"})
 
 #: The single sanctioned wall-clock shim: a module-private helper named
 #: ``_wallclock`` whose body is the only place the rule permits real
-#: clock reads (see ``repro/experiments/__main__.py``).
+#: clock reads (see ``repro/experiments/runner.py``).
 _WALLCLOCK_HELPER = "_wallclock"
 
 

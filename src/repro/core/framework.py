@@ -1,17 +1,22 @@
 """The RIPPLE query-processing templates (Algorithms 1–3).
 
-One routine, :func:`_process`, implements Algorithm 3 faithfully; ``fast``
+One step object, :class:`_Visit`, states Algorithm 3 once: what a peer
+does when the query arrives, which link it forwards over next, how it
+folds a child's response, and what it ships when done.  ``fast``
 (Algorithm 1) and ``slow`` (Algorithm 2) are its ``r = 0`` and
 ``r = infinity`` degenerations, exposed as :func:`run_fast`,
-:func:`run_slow` and :func:`run_ripple`.
+:func:`run_slow` and :func:`run_ripple`.  Every engine in the repo is a
+*driver* that only decides when those steps run: :func:`_process` here
+(depth-first), :mod:`repro.net.eventsim` (a discrete-event queue, plain
+or fault-supervised) and :func:`repro.overlays.arena.wavefront_execute`
+(level-synchronous waves).
 
 ``_process`` evaluates the depth-first traversal with an explicit work
-stack of :class:`_Frame` records rather than native recursion, so a
-sequential (``r = SLOW``) pass across a chain-shaped overlay — whose
-depth equals the network size — neither overflows the interpreter stack
-nor requires mutating the global recursion limit.  The evaluation order
-(and therefore every statistic) is identical to the recursive
-formulation.
+stack rather than native recursion, so a sequential (``r = SLOW``) pass
+across a chain-shaped overlay — whose depth equals the network size —
+neither overflows the interpreter stack nor requires mutating the global
+recursion limit.  The evaluation order (and therefore every statistic)
+is identical to the recursive formulation.
 
 The framework is overlay-agnostic: a peer is anything satisfying
 :class:`PeerLike` — an id, a :class:`~repro.common.store.LocalStore`, and a
@@ -95,6 +100,14 @@ def physical_id(peer: PeerLike) -> Hashable:
     return getattr(peer, "physical_id", peer.peer_id)
 
 
+def _checked_r(r: int) -> int:
+    """Every engine's ripple-parameter rule: negative is an error, and
+    anything past :data:`SLOW` means ``SLOW``."""
+    if r < 0:
+        raise ValueError(f"ripple parameter must be non-negative, got {r}")
+    return min(r, SLOW)
+
+
 def run_ripple(
     initiator: PeerLike,
     handler: QueryHandler,
@@ -151,14 +164,11 @@ def execute(
     start time of the ripple phase and ``parent_span`` nests its spans
     under the driver's query span.
     """
-    if r < 0:
-        raise ValueError(f"ripple parameter must be non-negative, got {r}")
     state = handler.initial_state() if initial_state is None else initial_state
     initiator_id = initiator.peer_id if answers_to is None else answers_to
-    _, latency = _process(ctx, handler, initiator, state,
-                          restriction, r, initiator_id=initiator_id,
-                          top_level=True, base_time=base_latency,
-                          parent_span=parent_span)
+    latency = _process(_Visit(ctx, handler, initiator, state, restriction,
+                              _checked_r(r), initiator_id, base_latency,
+                              parent_span), base_latency)
     answer = handler.finalize(ctx.collected_answers)
     return QueryResult(answer=answer, stats=ctx.stats(base_latency + latency))
 
@@ -179,38 +189,49 @@ def run_slow(initiator: PeerLike, handler: QueryHandler, *,
                       restriction=restriction, strict=strict, sink=sink)
 
 
-class _Frame:
-    """One peer's suspended execution of Algorithm 3 on the work stack.
+class _Visit:
+    """One peer's execution of Algorithm 3 — the only statement of it.
 
-    A frame is created when the query reaches a peer, advances one link at
-    a time (pushing a child frame per relevant link), and completes when
-    its link list is exhausted — at which point its local answer ships and
-    its upstream states flow into the parent frame.  Sequential frames
-    (``r > 0``) fold each child response into their state before examining
-    the next link (Alg. 3, lines 4-11); parallel frames (``r = 0``) keep
-    the state they fanned out with and simply accumulate subtree states
-    for the nearest sequential ancestor (lines 13-17 == Alg. 1).
+    Construction is the query arriving at the peer (``now``): the visit is
+    recorded, the local state computed from the peer's store (or the
+    neutral one on a deduplicated re-visit), the forwarding state derived,
+    the ``process`` span opened, and the links ordered — prioritised when
+    ``r > 0``.  From there the visit only *steps*; a driver decides when:
+
+    * :meth:`next_forward` — the next relevant link, as ``(target,
+      sub-region)``: the link test of both loops (Alg. 3, lines 4-11 and
+      13-17).  :meth:`note_forward` accounts an unsupervised forward of
+      it and :meth:`child` is the visit it starts.
+    * :meth:`fold` — a child subtree's states came back.  Sequential
+      visits (``r > 0``) merge them before looking at the next link
+      (lines 4-11); parallel visits (``r = 0``, lines 13-17 == Alg. 1)
+      keep the state they fanned out with and pass the subtree states on
+      to the nearest sequential ancestor.
+    * :meth:`finish` — ship the local answer, close the span, return the
+      states reported upstream (line 19).
+
+    Time is always an argument, so the step never knows who schedules it:
+    :func:`_process` (depth-first stack, analytic latency), the event
+    queue of :mod:`repro.net.eventsim` (message timestamps, with or
+    without fault supervision) or the arena's level-synchronous waves.
     """
 
-    __slots__ = ("peer", "received_state", "restriction", "r", "top_level",
-                 "processes", "local_state", "gstate", "links", "index",
-                 "latency", "upstream", "t0", "span")
+    __slots__ = ("ctx", "handler", "peer", "received_state", "restriction",
+                 "r", "initiator_id", "processes", "local_state", "gstate",
+                 "links", "index", "upstream", "span")
 
     def __init__(self, ctx: QueryContext, handler: QueryHandler,
                  peer: PeerLike, received_state: Any, restriction: Region,
-                 r: int, top_level: bool = False, t0: int = 0,
+                 r: int, initiator_id: Hashable, now: int,
                  parent_span: int | None = None) -> None:
+        self.ctx = ctx
+        self.handler = handler
         self.peer = peer
         self.received_state = received_state
         self.restriction = restriction
         self.r = r
-        self.top_level = top_level
+        self.initiator_id = initiator_id
         self.index = 0
-        self.latency = 0
-        #: Virtual arrival time of the query at this peer (hops since the
-        #: query began), deriving trace timestamps from the analytic
-        #: latency model; see :mod:`repro.obs.trace`.
-        self.t0 = t0
         self.processes = ctx.begin_processing(peer.peer_id)
         if self.processes:
             self.local_state = handler.compute_local_state(
@@ -221,121 +242,116 @@ class _Frame:
                                                    self.local_state)
         if ctx.sink.enabled:
             self.span = ctx.sink.begin_span(
-                "process", peer.peer_id, t0, parent=parent_span,
+                "process", peer.peer_id, now, parent=parent_span,
                 region=repr(restriction), r=r, processes=self.processes,
                 state_size=state_size(self.local_state))
         else:
             self.span = 0
         if r > 0:
-            self.links: list[Link] = sorted(
+            self.links: Sequence[Link] = sorted(
                 peer.links(),
                 key=lambda ln: handler.link_priority(ln.region))
             #: Parallel-mode accumulator of subtree states; sequential
-            #: frames fold children into ``local_state`` and leave this
-            #: empty (it was previously a ``None`` sentinel nothing read).
+            #: visits fold children into ``local_state`` and leave it empty.
             self.upstream: list[Any] = []
         else:
-            self.links = list(peer.links())
+            self.links = peer.links()
             self.upstream = [self.local_state] if self.processes else []
 
-    def next_child(self, ctx: QueryContext,
-                   handler: QueryHandler) -> "_Frame | None":
-        """The frame for the next relevant link, or None when exhausted."""
-        while self.index < len(self.links):
-            link = self.links[self.index]
+    def next_forward(self) -> "tuple[PeerLike, Region] | None":
+        """The next relevant link's target and sub-region, else None."""
+        links = self.links
+        while self.index < len(links):
+            link = links[self.index]
             self.index += 1
             sub = link.region.intersect(self.restriction)
-            if sub is None:
-                continue
-            if not handler.is_link_relevant(sub, self.gstate):
-                continue
-            ctx.on_forward()
-            # Sequential frames forward after folding earlier children
-            # (latency so far elapsed); parallel forwards all leave at t0.
-            send_t = self.t0 + (self.latency if self.r > 0 else 0)
-            if ctx.sink.enabled:
-                ctx.sink.event("forward", send_t, span=self.span,
-                               target=link.peer.peer_id)
-            return _Frame(ctx, handler, link.peer, self.gstate, sub,
-                          self.r - 1 if self.r > 0 else 0,
-                          t0=send_t + 1, parent_span=self.span or None)
+            if sub is not None and self.handler.is_link_relevant(
+                    sub, self.gstate):
+                return link.peer, sub
         return None
 
-    def receive(self, ctx: QueryContext, handler: QueryHandler,
-                child_states: list[Any], child_latency: int) -> None:
-        """Fold a completed child subtree into this frame."""
-        if self.r > 0:
-            ctx.on_response(len(child_states))
-            self.latency += 1 + child_latency
-            if ctx.sink.enabled:
-                ctx.sink.event("response", self.t0 + self.latency,
-                               span=self.span, count=len(child_states))
-            self.local_state = handler.update_local_state(
-                [self.local_state, *child_states])
-            self.gstate = handler.compute_global_state(self.received_state,
-                                                       self.local_state)
-        else:
-            self.latency = max(self.latency, 1 + child_latency)
-            self.upstream.extend(child_states)
+    def note_forward(self, target: PeerLike, now: int) -> None:
+        """Account one plain forward to ``target`` (supervised forwards
+        are accounted per transmission by their attempt instead)."""
+        self.ctx.on_forward()
+        if self.ctx.sink.enabled:
+            self.ctx.sink.event("forward", now, span=self.span,
+                                target=target.peer_id)
 
-    def finish(self, ctx: QueryContext, handler: QueryHandler,
-               initiator_id: Hashable) -> tuple[list[Any], int]:
+    @property
+    def child_r(self) -> int:
+        """The ripple parameter this visit forwards with."""
+        return self.r - 1 if self.r > 0 else 0
+
+    def child(self, target: PeerLike, sub: Region, now: int,
+              via_span: int = 0) -> "_Visit":
+        """The visit a forward of ``sub`` starts at ``target`` at ``now``,
+        nested under ``via_span`` (a supervising attempt) or this span."""
+        return _Visit(self.ctx, self.handler, target, self.gstate, sub,
+                      self.child_r, self.initiator_id, now,
+                      (via_span or self.span) or None)
+
+    def fold(self, states: list[Any], now: int) -> None:
+        """Take in the states a completed child subtree reported."""
+        if self.r == 0:
+            self.upstream.extend(states)
+            return
+        self.ctx.on_response(len(states))
+        if self.ctx.sink.enabled:
+            self.ctx.sink.event("response", now, span=self.span,
+                                count=len(states))
+        self.local_state = self.handler.update_local_state(
+            [self.local_state, *states])
+        self.gstate = self.handler.compute_global_state(
+            self.received_state, self.local_state)
+
+    def finish(self, now: int) -> list[Any]:
         """Ship the local answer; return the states reported upstream."""
+        ctx = self.ctx
         if self.processes:
-            answer = handler.compute_local_answer(self.peer.store,
-                                                  self.local_state)
-            if self.peer.peer_id == initiator_id:
+            answer = self.handler.compute_local_answer(self.peer.store,
+                                                       self.local_state)
+            if self.peer.peer_id == self.initiator_id:
                 # The initiator's own qualifying tuples never cross the
                 # network.
                 ctx.collected_answers.append(answer)
             else:
-                size = handler.answer_size(answer)
+                size = self.handler.answer_size(answer)
                 ctx.on_answer(answer, size)
                 if ctx.sink.enabled and size > 0:
-                    ctx.sink.event("answer", self.t0 + self.latency,
-                                   span=self.span, size=size)
+                    ctx.sink.event("answer", now, span=self.span, size=size)
         if ctx.sink.enabled:
-            ctx.sink.end_span(self.span, self.t0 + self.latency,
+            ctx.sink.end_span(self.span, now,
                               state_size=state_size(self.local_state))
-        if self.r > 0:
-            upstream = [self.local_state] \
-                if self.processes or not self.top_level else []
-        else:
-            upstream = self.upstream
-        return upstream, self.latency
+        return self.upstream if self.r == 0 else [self.local_state]
 
 
-def _process(
-    ctx: QueryContext,
-    handler: QueryHandler,
-    peer: PeerLike,
-    global_state: Any,
-    restriction: Region,
-    r: int,
-    *,
-    initiator_id: Hashable,
-    top_level: bool = False,
-    base_time: int = 0,
-    parent_span: int | None = None,
-) -> tuple[list[Any], int]:
-    """Algorithm 3, evaluated depth-first over an explicit work stack.
+def _process(root: _Visit, arrival: int) -> int:
+    """Drive ``root``'s subtree depth-first over an explicit work stack.
 
-    Returns the local states the root peer contributes upstream — a single
-    merged state in sequential mode, or every subtree state in parallel
-    mode (the paper has fast-mode peers report directly to their nearest
-    ``r = 1`` ancestor) — together with the critical-path latency of the
-    subtree rooted at ``peer``.
+    The driver owns the schedule and the analytic cost model, nothing
+    else: a sequential visit forwards after folding its earlier children
+    and waits ``1 + child latency`` for each; parallel forwards all leave
+    on arrival and the slowest dominates.  Returns the critical-path
+    latency of the subtree (``root`` arrived at ``arrival``).
     """
-    stack = [_Frame(ctx, handler, peer, global_state, restriction, r,
-                    top_level, t0=base_time, parent_span=parent_span)]
+    # One record per suspended visit: [visit, arrival time, latency so far].
+    stack: list[list[Any]] = [[root, arrival, 0]]
     while True:
-        frame = stack[-1]
-        child = frame.next_child(ctx, handler)
-        if child is not None:
-            stack.append(child)
+        visit, t0, latency = stack[-1]
+        forward = visit.next_forward()
+        if forward is not None:
+            sent = t0 + latency if visit.r > 0 else t0
+            visit.note_forward(forward[0], sent)
+            stack.append([visit.child(*forward, sent + 1), sent + 1, 0])
             continue
         stack.pop()
-        upstream, latency = frame.finish(ctx, handler, initiator_id)
+        upstream = visit.finish(t0 + latency)
         if not stack:
-            return upstream, latency
-        stack[-1].receive(ctx, handler, upstream, latency)
+            return latency
+        parent = stack[-1]
+        if parent[0].r > 0:
+            parent[2] += 1 + latency
+        else:
+            parent[2] = max(parent[2], 1 + latency)
+        parent[0].fold(upstream, parent[1] + parent[2])

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .analysis_figures import (ablation_link_policy, decreasing_stage,
                                lemmas_table)
 from .config import default_config, paper_config, smoke_config
 from .diversify_figures import (fig10_div_dims, fig11_div_k,
                                 fig12_div_lambda, fig9_div_scale)
-from .runner import ascii_chart, print_rows, rows_to_csv
+from .runner import _wallclock, ascii_chart, print_rows, rows_to_csv
 from .skyline_figures import fig7_skyline_scale, fig8_skyline_dims
 from .topk_figures import fig4_topk_scale, fig5_topk_dims, fig6_topk_k
 
@@ -42,18 +41,6 @@ FIGURES = {
 
 SCALES = {"smoke": smoke_config, "default": default_config,
           "paper": paper_config}
-
-
-def _wallclock() -> float:
-    """Real seconds since the epoch, for progress reporting only.
-
-    Experiments are the one sanctioned wall-clock consumer in the
-    codebase: figure regeneration reports how long each target took on
-    the operator's machine.  Everything measured *inside* a simulation
-    uses virtual time.  RPL002 allowlists exactly this helper; simulation
-    code must never grow one.
-    """
-    return time.time()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,8 +23,6 @@ table doubles as a substrate scaling profile.
 
 from __future__ import annotations
 
-import time
-
 from ..common.scoring import LinearScore
 from ..core.analysis import fast_latency, ripple_latency, slow_latency
 from ..core.framework import SLOW, run_ripple
@@ -32,6 +30,7 @@ from ..overlays.arena import run_wavefront
 from ..overlays.arena_build import midas_arena
 from ..queries.topk import TopKHandler
 from .config import ExperimentConfig
+from .runner import _wallclock
 
 __all__ = ["SEQUENTIAL_DEPTH_CAP", "print_scale_rows", "scale_profile"]
 
@@ -47,17 +46,6 @@ _MODES = (
     ("r=2", 2, lambda depth: ripple_latency(depth, 2)),
     ("slow", SLOW, slow_latency),
 )
-
-
-def _wallclock() -> float:
-    """Monotonic seconds for the profile's build/query columns.
-
-    This module reports *operator-facing* wall time (how long the arena
-    takes to build and traverse on the current machine) — the same
-    sanctioned consumer role as the experiment runner's progress clock;
-    all latencies in the table are virtual hop counts.
-    """
-    return time.perf_counter()
 
 
 def scale_profile(config: ExperimentConfig) -> list[dict[str, object]]:

@@ -1,14 +1,17 @@
 """An event-driven, message-level execution of Algorithm 3.
 
-The main simulator (:mod:`repro.core.framework`) evaluates the RIPPLE
-templates *recursively* and derives latency analytically (parallel
-branches take the max, sequential iterations the sum).  That is fast, but
-it bakes the cost model into the traversal.  This module provides an
-independent executable semantics: peers are actors exchanging timestamped
-messages through a discrete-event queue, each query forward taking one
-time unit.  Running the same query both ways and comparing answers,
-visited sets, and latencies is a strong cross-validation of the paper's
-cost model — `tests/net/test_eventsim.py` does exactly that.
+The depth-first driver (:func:`repro.core.framework._process`) derives
+latency analytically (parallel branches take the max, sequential
+iterations the sum) — fast, but the cost model is baked into the
+traversal.  This module drives the *same* per-peer step,
+:class:`~repro.core.framework._Visit`, from a discrete-event queue
+instead: peers are actors exchanging timestamped messages, each query
+forward taking one time unit, and latency falls out of the timestamps.
+What a peer does on a visit is therefore shared with the other engines
+by construction (and checked against the centralized oracles); what
+`tests/net/test_eventsim.py` cross-validates by running the same query
+both ways is the *schedule* and the paper's cost model — answers, visited
+sets, message counts and latencies must agree.
 
 Conventions matching Section 3.2's analysis (and the recursive engine):
 query forwards cost 1 hop; state responses and answer deliveries are
@@ -51,18 +54,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
-from ..core.framework import Link, PeerLike, SLOW, physical_id
+from ..core.framework import PeerLike, _checked_r, _Visit, physical_id
 from ..core.handler import QueryHandler
 from ..core.regions import Region, region_volume
-from ..obs.trace import TraceSink, state_size
+from ..obs.trace import TraceSink
 from .context import QueryContext, QueryResult, QueryStats
 from .routing import route_around
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (avoids an import cycle)
-    from ..overlays.replication import ReplicaDirectory
+    from ..overlays.replication import PromotedPeer, ReplicaDirectory
     from .detector import FailureDetector
     from .faults import FaultPlan
 
@@ -296,92 +299,58 @@ class _RequestEntry:
     result: list[Any] | None = None
 
 
-@dataclass
 class _Invocation:
-    """One peer's in-flight execution of Algorithm 3 (sequential mode).
+    """One :class:`~repro.core.framework._Visit` driven by the event queue.
 
-    Mirrors the loop of lines 4-11: examine prioritized links one at a
-    time, suspend on each forward, resume in :meth:`on_response`.  Under a
-    fault plan, forwards are wrapped in supervised :class:`_Attempt`
-    objects and the invocation checks its own peer's liveness before
-    resuming (crash-stop semantics: a crashed peer loses in-flight state).
+    Created when the query is *delivered* to the peer (so the visit's
+    arrival time is the delivery time).  A sequential visit forwards over
+    one link and suspends until :meth:`_settled` resumes it; a parallel
+    visit forwards over every relevant link at once and finishes when the
+    last one settles.  Under a fault plan each forward is a supervised
+    :class:`_Attempt` and the invocation checks its own peer's liveness
+    before resuming (crash-stop semantics: a crashed peer loses in-flight
+    state).
     """
 
-    sim: EventSimulator
-    ctx: QueryContext
-    handler: QueryHandler
-    peer: PeerLike
-    received_state: Any
-    restriction: Region
-    r: int
-    initiator_id: Hashable
-    on_done: Callable[[list[Any]], None]
-    local_state: Any = None
-    global_state: Any = None
-    pending: list[Link] = field(default_factory=list)
-    #: Cursor into :attr:`pending`; advancing an index is O(1) per link
-    #: where popping the list head would shift the whole tail.
-    pending_index: int = 0
-    #: How many times this subtree's lineage was already re-routed around
-    #: a failure; bounds recovery recursion (see FaultPlan.max_reroute_depth).
-    route_depth: int = 0
-    #: Crash-stop bookkeeping, initialized by :meth:`start` under a fault
-    #: plan: the executing machine's incarnation at start, whether the
-    #: peer has been observed dead, whether its local answer shipped, and
-    #: whether this invocation processed the peer's data.
-    _birth: int = 0
-    _gone: bool = False
-    _answered: bool = False
-    _processes: bool = False
-    #: Trace causality (see :mod:`repro.obs.trace`): the span this
-    #: invocation nests under, and its own ``process`` span id.
-    parent_span: int | None = None
-    span: int = 0
+    __slots__ = ("sim", "visit", "on_done", "route_depth", "outstanding",
+                 "_birth", "_gone", "_answered")
+
+    def __init__(self, sim: EventSimulator, visit: _Visit,
+                 on_done: Callable[[list[Any]], None],
+                 route_depth: int = 0) -> None:
+        self.sim = sim
+        self.visit = visit
+        self.on_done = on_done
+        #: How many times this subtree's lineage was already re-routed
+        #: around a failure; bounds recovery recursion (see
+        #: FaultPlan.max_reroute_depth).
+        self.route_depth = route_depth
+        #: Forwards not yet answered or abandoned.
+        self.outstanding = 0
+        #: Crash-stop bookkeeping (consulted only under a fault plan): the
+        #: executing machine's incarnation at start, whether the peer has
+        #: been observed dead, and whether its local answer shipped.
+        self._birth = 0
+        self._gone = False
+        self._answered = False
 
     def start(self) -> None:
-        faults = self.sim.faults
+        sim, visit = self.sim, self.visit
+        faults = sim.faults
         if faults is not None:
-            self.ctx.note_time(self.sim.now)
+            ctx, peer = visit.ctx, visit.peer
+            ctx.note_time(sim.now)
             # Liveness and incarnation track the *machine* doing the work:
             # a promoted replica holder executes under the dead owner's
             # logical peer_id but crashes (or not) as itself.
-            self._birth = faults.incarnation(physical_id(self.peer),
-                                             self.sim.now)
-            self._gone = False
-            self._answered = False
-        processes = self.ctx.begin_processing(self.peer.peer_id)
-        replica_read = (processes and faults is not None
-                        and physical_id(self.peer) != self.peer.peer_id)
-        if replica_read:
-            self.ctx.on_replica_read()
-        if processes:
-            self.local_state = self.handler.compute_local_state(
-                self.peer.store, self.received_state)
-        else:
-            self.local_state = self.handler.neutral_local_state()
-        self.global_state = self.handler.compute_global_state(
-            self.received_state, self.local_state)
-        self._processes = processes
-        sink = self.ctx.sink
-        if sink.enabled:
-            self.span = sink.begin_span(
-                "process", self.peer.peer_id, self.sim.now,
-                parent=self.parent_span, region=repr(self.restriction),
-                r=self.r, processes=processes,
-                state_size=state_size(self.local_state))
-            if replica_read:
-                sink.event("replica-read", self.sim.now, span=self.span,
-                           physical=physical_id(self.peer))
-
-        if self.r > 0:
-            self.pending = sorted(
-                self.peer.links(),
-                key=lambda ln: self.handler.link_priority(ln.region))
-            self._advance()
-        else:
-            self._fan_out(processes)
-
-    # -- crash-stop bookkeeping --------------------------------------------
+            machine = physical_id(peer)
+            self._birth = faults.incarnation(machine, sim.now)
+            if visit.processes and machine != peer.peer_id:
+                ctx.on_replica_read()
+                if ctx.sink.enabled:
+                    ctx.sink.event("replica-read", sim.now, span=visit.span,
+                                   physical=machine)
+        self._advance()
 
     def _dead(self) -> bool:
         """Whether this peer crashed since the invocation started.
@@ -396,128 +365,58 @@ class _Invocation:
         if self._gone:
             return True
         now = self.sim.now
-        pid = physical_id(self.peer)
+        pid = physical_id(self.visit.peer)
         if (not faults.alive(pid, now)
                 or faults.incarnation(pid, now) != self._birth):
             self._gone = True
-            if self._processes and not self._answered:
-                self.ctx.processed.discard(self.peer.peer_id)
+            if self.visit.processes and not self._answered:
+                self.visit.ctx.processed.discard(self.visit.peer.peer_id)
             return True
         return False
 
-    # -- parallel mode (lines 13-17) --------------------------------------
-
-    def _fan_out(self, processes: bool) -> None:
-        collected: list[Any] = [self.local_state] if processes else []
-        outstanding = 0
-
-        def settle() -> None:
-            nonlocal outstanding
-            outstanding -= 1
-            if outstanding == 0:
-                self._finish(collected)
-
-        def child_done(states: list[Any]) -> None:
-            collected.extend(states)
-            settle()
-
-        for link in self.peer.links():
-            sub = link.region.intersect(self.restriction)
-            if sub is None:
-                continue
-            if not self.handler.is_link_relevant(sub, self.global_state):
-                continue
-            outstanding += 1
-            if self.sim.faults is None:
-                self.ctx.on_forward()
-                if self.ctx.sink.enabled:
-                    self.ctx.sink.event("forward", self.sim.now,
-                                        span=self.span,
-                                        target=link.peer.peer_id)
-                child = _Invocation(self.sim, self.ctx, self.handler,
-                                    link.peer, self.global_state, sub, 0,
-                                    self.initiator_id, child_done,
-                                    parent_span=self.span or None)
-                self.sim.deliver(physical_id(link.peer), 1, child.start,
-                                 self.ctx)
-            else:
-                _Attempt(self, link.peer, sub, 0,
-                         on_states=child_done, on_give_up=settle).send()
-        if outstanding == 0:
-            self._finish(collected)
-
-    # -- sequential mode (lines 4-11) --------------------------------------
-
     def _advance(self) -> None:
-        while self.pending_index < len(self.pending):
-            link = self.pending[self.pending_index]
-            self.pending_index += 1
-            sub = link.region.intersect(self.restriction)
-            if sub is None:
-                continue
-            if not self.handler.is_link_relevant(sub, self.global_state):
-                continue
-            if self.sim.faults is None:
-                self.ctx.on_forward()
-                if self.ctx.sink.enabled:
-                    self.ctx.sink.event("forward", self.sim.now,
-                                        span=self.span,
-                                        target=link.peer.peer_id)
-                child = _Invocation(self.sim, self.ctx, self.handler,
-                                    link.peer, self.global_state, sub,
-                                    self.r - 1, self.initiator_id,
-                                    self._on_response,
-                                    parent_span=self.span or None)
-                self.sim.deliver(physical_id(link.peer), 1, child.start,
-                                 self.ctx)
-            else:
-                _Attempt(self, link.peer, sub, self.r - 1,
-                         on_states=self._on_response,
-                         on_give_up=self._resume_after_loss).send()
-            return  # suspended until the response arrives
-        self._finish([self.local_state])
+        """Forward over the next link (sequential) or all of them
+        (parallel); finish once nothing is outstanding."""
+        visit = self.visit
+        for target, sub in iter(visit.next_forward, None):
+            self.outstanding += 1
+            self._forward(target, sub)
+            if visit.r > 0:
+                return  # suspended until the response arrives
+        if self.outstanding == 0:
+            upstream = visit.finish(self.sim.now)
+            self._answered = True
+            # responses travel without propagation delay (see module doc)
+            self.on_done(upstream)
 
-    def _on_response(self, states: list[Any]) -> None:
-        if self.sim.faults is not None and self._dead():
+    def _forward(self, target: PeerLike, sub: Region) -> None:
+        """Send ``sub`` to ``target``: plain one-hop delivery, or a
+        supervised attempt when a fault plan is installed."""
+        if self.sim.faults is not None:
+            _Attempt(self, target, sub).send()
             return
-        self.ctx.on_response(len(states))
-        if self.ctx.sink.enabled:
-            self.ctx.sink.event("response", self.sim.now, span=self.span,
-                                count=len(states))
-        self.local_state = self.handler.update_local_state(
-            [self.local_state, *states])
-        self.global_state = self.handler.compute_global_state(
-            self.received_state, self.local_state)
-        self._advance()
+        self.visit.note_forward(target, self.sim.now)
+        self.sim.deliver(physical_id(target), 1,
+                         self.spawn(target, sub, self._settled),
+                         self.visit.ctx)
 
-    def _resume_after_loss(self) -> None:
-        """Continue past a link whose region was abandoned as unreachable."""
+    def spawn(self, target: PeerLike, sub: Region,
+              on_done: Callable[[list[Any]], None], via_span: int = 0,
+              route_depth: int = 0) -> Callable[[], None]:
+        """The delivery action that starts ``target``'s visit on arrival."""
+        return lambda: _Invocation(
+            self.sim, self.visit.child(target, sub, self.sim.now, via_span),
+            on_done, route_depth).start()
+
+    def _settled(self, states: list[Any] | None = None) -> None:
+        """A forward came back with ``states``, or (``None``) its region
+        was abandoned as unreachable; either way move on."""
         if self._dead():
             return
+        self.outstanding -= 1
+        if states is not None:
+            self.visit.fold(states, self.sim.now)
         self._advance()
-
-    # -- completion ----------------------------------------------------------
-
-    def _finish(self, upstream: list[Any]) -> None:
-        sink = self.ctx.sink
-        if self._processes:
-            answer = self.handler.compute_local_answer(self.peer.store,
-                                                       self.local_state)
-            if self.peer.peer_id == self.initiator_id:
-                self.ctx.collected_answers.append(answer)
-            else:
-                size = self.handler.answer_size(answer)
-                self.ctx.on_answer(answer, size)
-                if sink.enabled and size > 0:
-                    sink.event("answer", self.sim.now, span=self.span,
-                               size=size)
-            if self.sim.faults is not None:
-                self._answered = True
-        if sink.enabled:
-            sink.end_span(self.span, self.sim.now,
-                          state_size=state_size(self.local_state))
-        # responses travel without propagation delay (see module doc)
-        self.on_done(upstream)
 
 
 class _Attempt:
@@ -549,25 +448,21 @@ class _Attempt:
     processing per peer incarnation).
     """
 
-    __slots__ = ("parent", "sim", "ctx", "faults", "target", "sub", "r",
+    __slots__ = ("parent", "sim", "ctx", "faults", "target", "sub",
                  "route_depth", "request_id", "tries", "watchdogs", "gen",
-                 "acked", "done", "on_states", "on_give_up", "extra_delay",
-                 "tried", "span")
+                 "acked", "done", "extra_delay", "tried", "span")
 
     def __init__(self, parent: _Invocation, target: PeerLike, sub: Region,
-                 r: int, on_states: Callable[[list[Any]], None],
-                 on_give_up: Callable[[], None],
                  route_depth: int | None = None, extra_delay: int = 0,
                  tried: frozenset[Hashable] = frozenset()) -> None:
         faults = parent.sim.faults
         assert faults is not None, "attempts exist only under a fault plan"
         self.parent = parent
         self.sim = parent.sim
-        self.ctx = parent.ctx
+        self.ctx = parent.visit.ctx
         self.faults: "FaultPlan" = faults
         self.target = target
         self.sub = sub
-        self.r = r
         self.route_depth = parent.route_depth if route_depth is None \
             else route_depth
         self.request_id = self.sim.new_request_id()
@@ -576,8 +471,6 @@ class _Attempt:
         self.gen = 0  # bumped to invalidate stale timers
         self.acked = False
         self.done = False
-        self.on_states = on_states
-        self.on_give_up = on_give_up
         #: Relay hops a re-routed forward spends reaching its coordinator.
         self.extra_delay = extra_delay
         #: Physical ids of replica holders this region was already issued
@@ -586,27 +479,27 @@ class _Attempt:
         #: Trace span covering this attempt's whole supervised lifetime.
         self.span = 0
 
+    def _event(self, kind: str, **attrs: Any) -> None:
+        if self.ctx.sink.enabled:
+            self.ctx.sink.event(kind, self.sim.now, span=self.span, **attrs)
+
     # -- forward + ack ----------------------------------------------------
 
     def send(self) -> None:
-        sink = self.ctx.sink
         if self.tries == 0:
-            if sink.enabled:
-                self.span = sink.begin_span(
+            if self.ctx.sink.enabled:
+                visit = self.parent.visit
+                self.span = self.ctx.sink.begin_span(
                     "attempt", self.target.peer_id, self.sim.now,
-                    parent=self.parent.span or None, region=repr(self.sub),
-                    r=self.r, route_depth=self.route_depth)
+                    parent=visit.span or None, region=repr(self.sub),
+                    r=visit.child_r, route_depth=self.route_depth)
             self._maybe_redirect()
         self.tries += 1
         if self.tries > 1:
             self.ctx.on_retry()
-            if sink.enabled:
-                sink.event("retry", self.sim.now, span=self.span,
-                           attempt=self.tries)
+            self._event("retry", attempt=self.tries)
         self.ctx.on_forward()
-        if sink.enabled:
-            sink.event("forward", self.sim.now, span=self.span,
-                       target=self.target.peer_id)
+        self._event("forward", target=self.target.peer_id)
         self.acked = False
         self.gen += 1
         gen = self.gen
@@ -622,68 +515,64 @@ class _Attempt:
         """Patched-link fast path: the failure detector already declared
         the target dead, so forward straight to its promoted stand-in."""
         detector = self.sim.detector
+        if detector is None \
+                or not detector.is_dead(physical_id(self.target)):
+            return
+        promoted = self._promote(proactive=True)
+        if promoted is not None:
+            self.target = promoted
+            self.tried = self.tried | {promoted.physical_id}
+
+    def _promote(self, proactive: bool) -> "PromotedPeer | None":
+        """A live, not yet tried replica holder standing in for the
+        target (same logical peer_id, mirrored store, same link table)."""
         replicas = self.sim.replicas
-        if detector is None or replicas is None:
-            return
-        if not detector.is_dead(physical_id(self.target)):
-            return
+        if replicas is None:
+            return None
         now = self.sim.now
         promoted = replicas.promote(
             self.target.peer_id,
             lambda pid: self.faults.alive(pid, now),
             exclude=self.tried)
         if promoted is not None:
-            self.target = promoted
-            self.tried = self.tried | {promoted.physical_id}
             self.ctx.on_region_recovered()
-            if self.ctx.sink.enabled:
-                self.ctx.sink.event("region-recovered", self.sim.now,
-                                    span=self.span, proactive=True,
-                                    stand_in=promoted.physical_id)
+            self._event("region-recovered", proactive=proactive,
+                        stand_in=promoted.physical_id)
+        return promoted
+
+    def _drop(self, what: str) -> None:
+        self.ctx.on_drop()
+        self._event("drop", what=what)
 
     def _deliver(self, message: int) -> None:
         if self.done:
             return  # stale retransmission of an already-settled request
         faults = self.faults
-        sink = self.ctx.sink
         if faults.drops(message):
-            self.ctx.on_drop()
-            if sink.enabled:
-                sink.event("drop", self.sim.now, span=self.span,
-                           what="forward")
+            self._drop("forward")
             return
         now = self.sim.now
-        if not faults.alive(physical_id(self.target), now):
-            self.ctx.on_drop()  # swallowed by a dead peer
-            if sink.enabled:
-                sink.event("drop", self.sim.now, span=self.span,
-                           what="dead-target")
+        machine = physical_id(self.target)
+        if not faults.alive(machine, now):
+            self._drop("dead-target")  # swallowed by a dead peer
             return
         self._send_ack()
-        incarnation = faults.incarnation(physical_id(self.target), now)
+        incarnation = faults.incarnation(machine, now)
         entry = self.sim.requests.get(self.request_id)
         if entry is not None and entry.incarnation == incarnation:
             if entry.result is not None:
                 self._respond(entry.result)  # duplicate, already completed
             return  # in progress: the running invocation will respond
         self.sim.requests[self.request_id] = _RequestEntry(incarnation)
-        child = _Invocation(self.sim, self.ctx, self.parent.handler,
-                            self.target, self.parent.global_state, self.sub,
-                            self.r, self.parent.initiator_id,
-                            self._child_finished,
-                            route_depth=self.route_depth,
-                            parent_span=self.span or None)
-        self.sim.service(physical_id(self.target), child.start, self.ctx)
+        self.sim.service(machine, self.parent.spawn(
+            self.target, self.sub, self._child_finished, self.span,
+            self.route_depth), self.ctx)
 
     def _send_ack(self) -> None:
         self.ctx.on_ack()
-        sink = self.ctx.sink
-        if sink.enabled:
-            sink.event("ack", self.sim.now, span=self.span)
+        self._event("ack")
         if self.faults.drops(self.sim.new_message_id()):
-            self.ctx.on_drop()  # lost ack: the sender will retry, we dedup
-            if sink.enabled:
-                sink.event("drop", self.sim.now, span=self.span, what="ack")
+            self._drop("ack")  # lost ack: the sender will retry, we dedup
             return
         if self.done or self.acked or self.parent._dead():
             return
@@ -695,17 +584,18 @@ class _Attempt:
             return
         if self.parent._dead():
             return
+        self._retry_or_fail("ack")
+
+    def _retry_or_fail(self, what: str) -> None:
+        """The timeout ladder: a detector-confirmed-dead target fails at
+        once (retrying it is pointless), else resend while retries are
+        left, else fail."""
         self.ctx.on_timeout()
         detector = self.sim.detector
         confirmed_dead = (detector is not None
                           and detector.is_dead(physical_id(self.target)))
-        if self.ctx.sink.enabled:
-            self.ctx.sink.event("timeout", self.sim.now, span=self.span,
-                                what="ack", detector_dead=confirmed_dead)
-        if confirmed_dead:
-            # Confirmed dead: retrying the same target is pointless.
-            self._fail()
-        elif self.tries <= self.faults.max_retries:
+        self._event("timeout", what=what, detector_dead=confirmed_dead)
+        if not confirmed_dead and self.tries <= self.faults.max_retries:
             self.send()
         else:
             self._fail()
@@ -725,9 +615,7 @@ class _Attempt:
         self.watchdogs += 1
         if self.watchdogs > self.faults.max_watchdogs:
             self.ctx.on_timeout()
-            if self.ctx.sink.enabled:
-                self.ctx.sink.event("timeout", self.sim.now, span=self.span,
-                                    what="watchdog-exhausted")
+            self._event("timeout", what="watchdog-exhausted")
             self._fail()
             return
         faults = self.faults
@@ -738,19 +626,7 @@ class _Attempt:
                 or entry.incarnation != faults.incarnation(pid, now)):
             # The remote peer crashed (and possibly recovered with
             # amnesia): the in-flight execution is gone, start over.
-            self.ctx.on_timeout()
-            detector = self.sim.detector
-            confirmed_dead = detector is not None and detector.is_dead(pid)
-            if self.ctx.sink.enabled:
-                self.ctx.sink.event("timeout", self.sim.now, span=self.span,
-                                    what="remote-crash",
-                                    detector_dead=confirmed_dead)
-            if confirmed_dead:
-                self._fail()
-            elif self.tries <= faults.max_retries:
-                self.send()
-            else:
-                self._fail()
+            self._retry_or_fail("remote-crash")
             return
         if entry.result is not None:
             self._respond(entry.result)  # response was lost: retransmit
@@ -770,20 +646,21 @@ class _Attempt:
         if self.done:
             return
         if self.faults.drops(self.sim.new_message_id()):
-            self.ctx.on_drop()  # a watchdog will ask again
-            if self.ctx.sink.enabled:
-                self.ctx.sink.event("drop", self.sim.now, span=self.span,
-                                    what="response")
+            self._drop("response")  # a watchdog will ask again
             return
         if self.parent._dead():
             return
+        self.ctx.note_time(self.sim.now)
+        self._settle("ok")
+        self.parent._settled(list(states))
+
+    def _settle(self, status: str) -> None:
+        """This attempt is over: stale timers die with the generation."""
         self.done = True
         self.gen += 1
-        self.ctx.note_time(self.sim.now)
         if self.ctx.sink.enabled:
-            self.ctx.sink.end_span(self.span, self.sim.now, status="ok",
+            self.ctx.sink.end_span(self.span, self.sim.now, status=status,
                                    tries=self.tries)
-        self.on_states(list(states))
 
     # -- failure ----------------------------------------------------------
 
@@ -794,79 +671,55 @@ class _Attempt:
         if self.route_depth < faults.max_reroute_depth:
             now = self.sim.now
             alternate, hops = route_around(
-                self.parent.peer, self.sub,
+                self.parent.visit.peer, self.sub,
                 lambda pid: faults.alive(pid, now),
                 exclude=(self.target.peer_id,))
             if alternate is not None:
                 self.ctx.on_reroute()
-                self.done = True
-                self.gen += 1
-                if self.ctx.sink.enabled:
-                    self.ctx.sink.event("reroute", self.sim.now,
-                                        span=self.span,
-                                        via=alternate.peer_id,
-                                        relay_hops=max(0, hops - 1))
-                    self.ctx.sink.end_span(self.span, self.sim.now,
-                                           status="rerouted",
-                                           tries=self.tries)
-                relay = _Attempt(self.parent, alternate, self.sub, self.r,
-                                 self.on_states, self.on_give_up,
-                                 route_depth=self.route_depth + 1,
-                                 extra_delay=max(0, hops - 1),
-                                 tried=self.tried)
-                relay.send()
+                self._event("reroute", via=alternate.peer_id,
+                            relay_hops=max(0, hops - 1))
+                self._relay("rerouted", alternate, self.route_depth + 1,
+                            max(0, hops - 1), self.tried)
                 return
-        if self._recover_via_replica():
+        # ``tried`` accumulates every holder already consumed by this
+        # region's recovery lineage, so the promotion pool strictly
+        # shrinks and recovery terminates.
+        promoted = self._promote(proactive=False)
+        if promoted is not None:
+            self._relay("recovered-via-replica", promoted, self.route_depth,
+                        0, self.tried | {promoted.physical_id})
             return
-        self._give_up()
-
-    def _recover_via_replica(self) -> bool:
-        """Re-issue the stranded region against a live replica holder.
-
-        The promoted stand-in impersonates the dead target (same logical
-        peer_id, mirrored store, same link table), so the region is served
-        exactly as the target would have served it.  ``tried`` accumulates
-        every holder already consumed by this region's recovery lineage,
-        so the promotion pool strictly shrinks and recovery terminates.
-        """
-        replicas = self.sim.replicas
-        if replicas is None:
-            return False
-        now = self.sim.now
-        promoted = replicas.promote(
-            self.target.peer_id,
-            lambda pid: self.faults.alive(pid, now),
-            exclude=self.tried)
-        if promoted is None:
-            return False
-        self.ctx.on_region_recovered()
-        self.done = True
-        self.gen += 1
-        if self.ctx.sink.enabled:
-            self.ctx.sink.event("region-recovered", self.sim.now,
-                                span=self.span, proactive=False,
-                                stand_in=promoted.physical_id)
-            self.ctx.sink.end_span(self.span, self.sim.now,
-                                   status="recovered-via-replica",
-                                   tries=self.tries)
-        relay = _Attempt(self.parent, promoted, self.sub, self.r,
-                         self.on_states, self.on_give_up,
-                         route_depth=self.route_depth,
-                         tried=self.tried | {promoted.physical_id})
-        relay.send()
-        return True
-
-    def _give_up(self) -> None:
-        self.done = True
-        self.gen += 1
-        self.ctx.on_unreachable(region_volume(self.sub))
+        volume = region_volume(self.sub)
+        self.ctx.on_unreachable(volume)
         self.ctx.note_time(self.sim.now)
-        if self.ctx.sink.enabled:
-            self.ctx.sink.event("unreachable", self.sim.now, span=self.span,
-                                volume=region_volume(self.sub))
-            self.ctx.sink.end_span(self.span, self.sim.now,
-                                   status="abandoned", tries=self.tries)
-        self.on_give_up()
+        self._event("unreachable", volume=volume)
+        self._settle("abandoned")
+        self.parent._settled()
+
+    def _relay(self, status: str, target: PeerLike, route_depth: int,
+               extra_delay: int, tried: frozenset[Hashable]) -> None:
+        """Settle as ``status`` and re-issue the region against ``target``."""
+        self._settle(status)
+        _Attempt(self.parent, target, self.sub, route_depth, extra_delay,
+                 tried).send()
+
+
+def _launch_root(sim: EventSimulator, ctx: QueryContext, initiator: PeerLike,
+                 handler: QueryHandler, r: int, restriction: Region,
+                 on_done: Callable[[list[Any]], None], *,
+                 initial_state: Any | None = None,
+                 parent_span: int | None = None) -> None:
+    """Schedule one query's root invocation at the current time.
+
+    The one way a query enters the event engines — plain, supervised or
+    multiplexed — so a bad ``r`` is refused here, before anything is
+    queued.
+    """
+    r = _checked_r(r)
+    state = handler.initial_state() if initial_state is None else initial_state
+    sim.schedule(0, lambda: _Invocation(sim, _Visit(
+        ctx, handler, initiator, state, restriction, r, initiator.peer_id,
+        sim.now, parent_span), on_done).start(), ctx)
 
 
 def event_driven_ripple(
@@ -891,10 +744,8 @@ def event_driven_ripple(
     if sink is not None:
         ctx.sink = sink
     sim.context = ctx
-    root = _Invocation(sim, ctx, handler, initiator,
-                       handler.initial_state(), restriction,
-                       min(r, SLOW), initiator.peer_id, lambda states: None)
-    sim.schedule(0, root.start, ctx)
+    _launch_root(sim, ctx, initiator, handler, r, restriction,
+                 lambda states: None)
     latency = sim.run()
     answer = handler.finalize(ctx.collected_answers)
     return QueryResult(answer=answer, stats=ctx.stats(latency))

@@ -50,13 +50,13 @@ from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..common.hashing import mix
-from ..core.framework import SLOW, OverlayLike, PeerLike
+from ..core.framework import OverlayLike, PeerLike
 from ..core.handler import QueryHandler
 from ..core.regions import Region, region_volume
 from ..obs.trace import TraceSink
 from .context import QueryContext, QueryResult
 from .detector import FailureDetector
-from .eventsim import EventSimulator, _Invocation
+from .eventsim import EventSimulator, _launch_root
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (avoids an import cycle)
     from ..overlays.replication import ReplicaDirectory
@@ -299,10 +299,7 @@ def resilient_ripple(
         if detector is not None:
             detector.stop()
 
-    root = _Invocation(sim, ctx, handler, initiator,
-                       handler.initial_state(), restriction,
-                       min(r, SLOW), initiator.peer_id, finish)
-    sim.schedule(0, root.start, ctx)
+    _launch_root(sim, ctx, initiator, handler, r, restriction, finish)
     sim.run()
     answer = handler.finalize(ctx.collected_answers)
     return QueryResult(answer=answer, stats=ctx.stats(ctx.last_activity))

@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence
 
-from ..core.framework import SLOW, PeerLike
+from ..core.framework import PeerLike, _checked_r
 from ..core.handler import QueryHandler
 from ..core.regions import Region, region_volume
 from ..obs.metrics import MetricsRegistry
@@ -51,7 +51,7 @@ from ..obs.trace import TraceSink, state_size
 from .adaptive import AdaptiveFanout, EngineLoad
 from .context import QueryContext, QueryResult, QueryStats
 from .detector import FailureDetector
-from .eventsim import DEFAULT_MAX_EVENTS, EventSimulator, _Invocation
+from .eventsim import DEFAULT_MAX_EVENTS, EventSimulator, _launch_root
 from .resultcache import CacheDirectory
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (avoids an import cycle)
@@ -90,6 +90,9 @@ class QueryJob:
     deadline: int | None = None
     max_events: int | None = None
     strict: bool | None = None
+
+    def __post_init__(self) -> None:
+        _checked_r(self.r)  # refuse a bad job before it is queued
 
 
 @dataclass
@@ -466,13 +469,9 @@ class QueryEngine:
         def finish(states: list[Any]) -> None:
             self._complete(job.job_id)
 
-        initial = job.handler.initial_state() if seed_state is None \
-            else seed_state
-        root = _Invocation(self.sim, ctx, job.handler, job.initiator,
-                           initial, job.restriction,
-                           min(r, SLOW), job.initiator.peer_id, finish,
-                           parent_span=entry.span or None)
-        self.sim.schedule(0, root.start, ctx)
+        _launch_root(self.sim, ctx, job.initiator, job.handler, r,
+                     job.restriction, finish, initial_state=seed_state,
+                     parent_span=entry.span or None)
 
     def _complete(self, job_id: int) -> None:
         entry = self._running.pop(job_id, None)

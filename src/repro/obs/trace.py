@@ -5,10 +5,11 @@ counters; this module records the *structure* behind them.  A
 :class:`TraceSink` receives three kinds of signals while a query runs:
 
 * **spans** — intervals with parent causality.  A ``process`` span covers
-  one peer's execution of Algorithm 3 (a :class:`~repro.core.framework._Frame`
-  in the recursive engine, an ``_Invocation`` in the event-driven ones); an
-  ``attempt`` span covers one fault-supervised forward (the ``_Attempt``
-  ladder); a ``query`` span covers a seeded driver's whole route + ripple.
+  one peer's execution of Algorithm 3 (a :class:`~repro.core.framework._Visit`,
+  whichever driver schedules it — the time stamps are the driver's); an
+  ``attempt`` span covers one fault-supervised forward (the event
+  driver's ``_Attempt`` ladder); a ``query`` span covers a seeded driver's
+  whole route + ripple.
 * **point events** — ``forward`` / ``response`` / ``answer`` / ``ack`` /
   ``retry`` / ``reroute`` / ``drop`` / ``timeout`` / ``replica-read`` /
   ``region-recovered`` / ``unreachable`` marks, emitted adjacent to the
@@ -17,10 +18,10 @@ counters; this module records the *structure* behind them.  A
 * **stats** — the final :class:`~repro.net.context.QueryStats` emission.
 
 Timestamps are simulation clocks: the event-driven engines stamp
-``sim.now``; the recursive engine derives virtual hop times from its
-analytic latency model (a child forwarded by a sequential frame starts at
-``parent.t0 + parent.latency + 1``, by a parallel frame at
-``parent.t0 + 1``) so that both executions of the same query produce
+``sim.now``; the depth-first driver derives virtual hop times from its
+analytic latency model (a child forwarded by a sequential visit starts at
+``parent arrival + parent latency so far + 1``, by a parallel visit at
+``parent arrival + 1``) so that both executions of the same query produce
 time-compatible traces.
 
 The default sink is :data:`NULL_SINK`, whose class-level ``enabled=False``

@@ -29,10 +29,11 @@ On top of the substrate sits the *batched wavefront* executor
 Algorithm 3 is evaluated level-synchronously, and all local reductions of
 the peers touched in one expansion wave run as a single grouped kernel
 call (:func:`prime_topk_wave` / :func:`prime_skyline_wave`) that *primes*
-each store's computation cache — the handlers then hit the primed entries
-instead of reducing per peer.  See docs/SCALE.md for the proof sketch of
-why the wavefront's answers and ``QueryStats`` match the depth-first
-scalar engine exactly.
+each store's computation cache — the shared per-peer step
+(:class:`~repro.core.framework._Visit`) then hits the primed entries
+instead of reducing per peer.  See docs/SCALE.md for why running that
+step wave by wave yields the depth-first engine's answers and
+``QueryStats`` exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from ..common.geometry import Frustum, Rect, as_point, contains_batch
 from ..common.hashing import mix
 from ..common.scoring import ScoringFunction
 from ..common.store import LocalStore, Replica
-from ..core.framework import Link, PeerLike, execute
+from ..core.framework import Link, PeerLike, _Visit, execute
 from ..core.handler import QueryHandler
 from ..core.regions import (ArcRegion, FrustumRegion, RectRegion, Region,
                             domain_region)
@@ -678,24 +679,24 @@ def wavefront_execute(
     """Algorithm 1 (``r = 0``) evaluated level-synchronously in waves.
 
     A drop-in replacement for :func:`repro.core.framework.execute` (same
-    signature; pass it as the ``executor`` of the seeded drivers).  In
-    parallel mode the depth-first engine fixes every frame's forwarding
-    state at creation, never folds child responses into it, and composes
-    latency by ``max(1 + child)`` — so the traversal *is* a breadth-first
-    expansion in disguise, and evaluating it wave by wave reproduces the
-    exact answers, the exact processed set, and every ``QueryStats``
-    counter (see docs/SCALE.md for the argument).  The payoff: all local
-    reductions of one wave execute as a single grouped kernel call via
-    cache priming.
+    signature; pass it as the ``executor`` of the seeded drivers).  It
+    runs the same per-peer step as every other engine
+    (:class:`~repro.core.framework._Visit`), only on a different schedule:
+    a parallel visit fixes its forwarding state on arrival and never folds
+    child responses into it, and latency composes by ``max(1 + child)`` —
+    so running the visits wave by wave instead of depth-first reproduces
+    the exact answers, the exact processed set, and every ``QueryStats``
+    counter (see docs/SCALE.md for the argument).  The payoff: the stores
+    of a wave's not-yet-processed peers are primed by a single grouped
+    kernel call before their visits run.
 
     Falls back to the scalar engine whenever the wave evaluation cannot
     apply verbatim: sequential modes (``r > 0``), non-strict contexts
     (conservative region covers may process a peer under either of two
-    racing frames — traversal order becomes observable), or an attached
-    trace sink (spans are depth-first-shaped).
+    racing visits — traversal order becomes observable), or an attached
+    trace sink (a visit's span closes after its subtree's latency is
+    known, which waves would have to propagate back).
     """
-    if r < 0:
-        raise ValueError(f"ripple parameter must be non-negative, got {r}")
     if r != 0 or not ctx.strict or ctx.sink.enabled:
         return execute(initiator, handler, r, restriction=restriction,
                        ctx=ctx, initial_state=initial_state,
@@ -706,37 +707,24 @@ def wavefront_execute(
     initiator_id = initiator.peer_id if answers_to is None else answers_to
     wave: list[tuple[PeerLike, Any, Region]] = [(initiator, state,
                                                  restriction)]
-    latency = 0
-    while wave:
-        flags = [ctx.begin_processing(peer.peer_id)
-                 for peer, _, _ in wave]
-        _prime_wave(handler, [entry[0].store
-                              for entry, processes in zip(wave, flags)
-                              if processes])
+    now = base_latency
+    while True:
+        _prime_wave(handler, [peer.store for peer, _, _ in wave
+                              if peer.peer_id not in ctx.processed])
         next_wave: list[tuple[PeerLike, Any, Region]] = []
-        for (peer, received, area), processes in zip(wave, flags):
-            local = handler.compute_local_state(peer.store, received) \
-                if processes else handler.neutral_local_state()
-            gstate = handler.compute_global_state(received, local)
-            for link in peer.links():
-                sub = link.region.intersect(area)
-                if sub is None:
-                    continue
-                if not handler.is_link_relevant(sub, gstate):
-                    continue
-                ctx.on_forward()
-                next_wave.append((link.peer, gstate, sub))
-            if processes:
-                answer = handler.compute_local_answer(peer.store, local)
-                if peer.peer_id == initiator_id:
-                    ctx.collected_answers.append(answer)
-                else:
-                    ctx.on_answer(answer, handler.answer_size(answer))
-        if next_wave:
-            latency += 1
+        for peer, received, area in wave:
+            visit = _Visit(ctx, handler, peer, received, area, 0,
+                           initiator_id, now)
+            for target, sub in iter(visit.next_forward, None):
+                visit.note_forward(target, now)
+                next_wave.append((target, visit.gstate, sub))
+            visit.finish(now)
+        if not next_wave:
+            break
         wave = next_wave
+        now += 1
     answer = handler.finalize(ctx.collected_answers)
-    return QueryResult(answer=answer, stats=ctx.stats(base_latency + latency))
+    return QueryResult(answer=answer, stats=ctx.stats(now))
 
 
 def run_wavefront(

@@ -13,7 +13,9 @@ from repro import (
     run_slow,
     topk_reference,
 )
+from repro.net import QueryEngine, event_driven_ripple, resilient_ripple
 from repro.net.context import DuplicateVisitError
+from tests.netlib import midas_network
 
 
 @pytest.fixture(scope="module")
@@ -82,12 +84,17 @@ class TestCorrectness:
                        restriction=overlay.domain())
         assert len(res.answer) == 2
 
-    def test_negative_r_rejected(self, network):
-        overlay, _ = network
-        handler = TopKHandler(LinearScore([1, 1, 1]), 2)
-        with pytest.raises(ValueError):
-            run_ripple(overlay.random_peer(), handler, -1,
-                       restriction=overlay.domain())
+    @pytest.mark.parametrize("run", [
+        run_ripple, event_driven_ripple, resilient_ripple,
+        lambda *args, **kwargs: QueryEngine().submit(*args, **kwargs),
+    ], ids=["run_ripple", "event_driven_ripple", "resilient_ripple",
+            "QueryEngine.submit"])
+    def test_negative_r_rejected(self, run):
+        overlay = midas_network(0, peers=32)
+        handler = TopKHandler(LinearScore([1, 1]), 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            run(overlay.random_peer(), handler, -1,
+                restriction=overlay.domain())
 
 
 class TestCostModel:

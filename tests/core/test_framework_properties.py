@@ -6,13 +6,19 @@ arguments rest on: exact answers, single visits, message accounting, and
 the latency ordering of the r spectrum.
 """
 
+import random
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (LinearScore, MidasOverlay, NearestScore, run_ripple)
+from repro.core.framework import _Visit, execute
+from repro.net.context import QueryContext
 from repro.queries.skyline import SkylineHandler, skyline_reference
 from repro.queries.topk import TopKHandler, topk_reference
+from tests.netlib import DIMS, OVERLAYS, STRICT, build_network, handlers_for
 
 network_params = st.tuples(
     st.integers(0, 10 ** 6),       # seed
@@ -119,3 +125,46 @@ class TestSkylineProperties:
             point = tuple(row)
             assert point in sky_set or any(
                 dominates(s, point) or s == point for s in sky)
+
+
+def shuffled_driver(initiator, handler, restriction, seed):
+    """A fourth driver: run the pending ``r = 0`` visits in shuffled order.
+
+    Neither depth-first, timestamp nor wave order — so whatever it agrees
+    with ``run_ripple`` on cannot depend on who schedules the step.
+    """
+    rng = random.Random(seed)
+    ctx = QueryContext(strict=True)
+    pending = [partial(_Visit, ctx, handler, initiator,
+                       handler.initial_state(), restriction, 0,
+                       initiator.peer_id, 0)]
+    while pending:
+        visit = pending.pop(rng.randrange(len(pending)))()
+        for target, sub in iter(visit.next_forward, None):
+            visit.note_forward(target, 0)
+            pending.append(partial(visit.child, target, sub, 0))
+        visit.finish(0)
+    return handler.finalize(ctx.collected_answers), ctx
+
+
+class TestDriverAgnosticCore:
+    @given(st.sampled_from([kind for kind in OVERLAYS if STRICT[kind]]),
+           st.integers(0, 50), st.integers(0, 2), st.integers(0, 10 ** 6))
+    @relaxed
+    def test_any_visit_order_reproduces_run_ripple(self, kind, seed, which,
+                                                   order_seed):
+        overlay = build_network(kind, seed, peers=24, tuples=150)
+        handler = handlers_for(DIMS[kind])[which]
+        initiator = overlay.peers()[seed % 24]
+        # run_ripple is execute() over a fresh context; owning the context
+        # exposes the processed *set*, not just its size.
+        reference = QueryContext(strict=True)
+        expected = execute(initiator, handler, 0,
+                           restriction=overlay.domain(), ctx=reference)
+        answer, ctx = shuffled_driver(initiator, handler, overlay.domain(),
+                                      order_seed)
+        assert answer == expected.answer
+        assert ctx.processed == reference.processed
+        for counter in ("forward_messages", "answer_messages",
+                        "tuples_shipped"):
+            assert getattr(ctx, counter) == getattr(reference, counter)

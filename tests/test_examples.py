@@ -27,6 +27,18 @@ def test_example_runs(script):
     assert proc.stdout.strip(), "examples must print their findings"
 
 
+def test_midas_anatomy_lists_every_visited_peer():
+    """Figure 3 prints one ``visit`` line per peer the query processed."""
+    proc = subprocess.run(
+        [sys.executable, str(EXAMPLES / "midas_anatomy.py")],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    figure3 = proc.stdout.split("=== Figure 3")[1].splitlines()
+    visits = [line for line in figure3 if line.startswith("  visit ")]
+    summary = next(line for line in figure3 if "peers visited" in line)
+    assert len(visits) == int(summary.split("/")[0].split()[-1])
+
+
 def test_overlay_genericity_matches_readme_matrix():
     """The example's overlay roster stays consistent with the README.
 
