@@ -9,17 +9,14 @@ Once a single 1,100-line module, now a pipeline:
   simulation-reachability pass that scopes the determinism rules by
   "can this code run inside a simulation?" rather than by directory;
 * :mod:`.rules` — the RPL001-RPL015 catalogue;
-* :mod:`.baseline` / :mod:`.cli` — debt baselines and the command line
-  (``--baseline``, ``--changed``, ``--format github``).
+* :mod:`.cli` — the command line (``--changed``, ``--rule``,
+  ``--format github``).
 
 The public surface re-exported here is what the test-suite and the
 ``tools/ripplelint`` launcher consume; it is a strict superset of the
 old single-module API.
 """
 
-from .baseline import compare as baseline_compare
-from .baseline import load as baseline_load
-from .baseline import write as baseline_write
 from .cli import main
 from .engine import (Finding, ParsedModule, Project, Rule,
                      SIM_FALLBACK_SCOPE, iter_python_files, lint_module,
@@ -35,9 +32,6 @@ __all__ = [
     "RULES",
     "Rule",
     "SIM_FALLBACK_SCOPE",
-    "baseline_compare",
-    "baseline_load",
-    "baseline_write",
     "iter_python_files",
     "lint_module",
     "lint_paths",

@@ -1,9 +1,8 @@
-"""ripplelint's command line: scan, baseline, and changed-only modes.
+"""ripplelint's command line: full-scan and changed-only modes.
 
-Exit codes are part of the CI contract: ``0`` clean (or all findings
-baselined), ``1`` at least one (non-baselined) finding, ``2`` usage
-error (argparse).  ``--format github`` emits problem-matcher lines that
-annotate the PR diff.
+Exit codes are part of the CI contract: ``0`` clean, ``1`` at least one
+finding, ``2`` usage error (argparse).  ``--format github`` emits
+problem-matcher lines that annotate the PR diff.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import baseline as baseline_mod
 from .engine import Rule, iter_python_files, lint_paths
 from .rules import RULES
 
@@ -79,13 +77,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="restrict to specific rule ids (repeatable)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--baseline", metavar="FILE", type=Path,
-                        help="JSON baseline: with --write-baseline, record "
-                             "current findings; otherwise only findings "
-                             "absent from FILE fail the run")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="(re)record --baseline FILE from this run "
-                             "instead of comparing against it")
     parser.add_argument("--changed", nargs="?", const="", default=None,
                         metavar="BASE",
                         help="lint only files changed since BASE (default: "
@@ -97,8 +88,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         for rule in RULES:
             print(f"{rule.id}  {rule.summary}")
         return 0
-    if args.write_baseline and args.baseline is None:
-        parser.error("--write-baseline requires --baseline FILE")
 
     rules: Sequence[Rule] = RULES
     if args.rule:
@@ -118,21 +107,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
 
     findings = lint_paths(paths, rules)
-
-    if args.baseline is not None and args.write_baseline:
-        baseline_mod.write(args.baseline, findings)
-        print(f"ripplelint: baseline of {len(findings)} finding(s) "
-              f"written to {args.baseline}", file=sys.stderr)
-        return 0
-    if args.baseline is not None:
-        try:
-            known = baseline_mod.load(args.baseline)
-        except (OSError, ValueError, KeyError) as error:
-            parser.error(f"cannot read baseline {args.baseline}: {error}")
-        findings, baselined = baseline_mod.compare(findings, known)
-        if baselined:
-            print(f"ripplelint: {len(baselined)} known finding(s) excused "
-                  f"by {args.baseline}", file=sys.stderr)
 
     for finding in findings:
         print(finding.render(args.format))

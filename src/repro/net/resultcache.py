@@ -18,12 +18,12 @@ and exact: the directory subscribes to every store's version bumps
 load, zone split (``extract``) or merge (``take_all``) synchronously
 drops precisely the entries that touched the mutated store — and no
 others.  Overlay membership changes (MIDAS splits/merges, ring joins)
-are caught by comparing the overlay epoch on every access and
-reconciling the peer registry; a crash promoting a replica is reported
-through :meth:`invalidate_peer` (the scheduler wires it to the failure
-detector's ``on_dead``).  A stale answer is therefore structurally
-impossible: serving requires every touched ``(peer, version)`` pair to
-be live and current.
+are caught by comparing the overlay's ``epoch`` (every overlay exposes
+one) on every access and reconciling the peer registry; a crash
+promoting a replica is reported through :meth:`invalidate_peer` (the
+scheduler wires it to the failure detector's ``on_dead``).  A stale
+answer is therefore structurally impossible: serving requires every
+touched ``(peer, version)`` pair to be live and current.
 
 **Semantic reuse.**  A fresh entry whose scope *covers* the new query
 can help even when the keys differ:
@@ -206,7 +206,7 @@ class CacheDirectory:
         self._by_peer: dict[Hashable, set[Fingerprint]] = {}
         self._stores: dict[Hashable, LocalStore] = {}
         self._listeners: dict[Hashable, Callable[[], None]] = {}
-        self._epoch = self._overlay_epoch()
+        self._epoch = overlay.epoch
         for peer in overlay.peers():
             self._register(peer.peer_id, peer.store)
         self.hits = 0
@@ -216,12 +216,6 @@ class CacheDirectory:
         self.messages_saved = 0
 
     # -- membership bookkeeping -------------------------------------------
-
-    def _overlay_epoch(self) -> int:
-        tree = getattr(self._overlay, "tree", None)
-        if tree is not None and hasattr(tree, "epoch"):
-            return int(tree.epoch)
-        return int(getattr(self._overlay, "epoch", 0))
 
     def _register(self, peer_id: Hashable, store: LocalStore) -> None:
         self._stores[peer_id] = store
@@ -244,7 +238,7 @@ class CacheDirectory:
         peers lose their entries, joined peers get subscribed — and
         re-registration when a peer id is reused with a fresh store.
         """
-        epoch = self._overlay_epoch()
+        epoch = self._overlay.epoch
         if epoch == self._epoch:
             return
         self._epoch = epoch

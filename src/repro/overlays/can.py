@@ -3,9 +3,12 @@
 Peers own axis-aligned zones produced by CAN's join protocol (the hosting
 zone splits in half, cycling through dimensions); two peers are neighbors
 when their zones share a (d-1)-dimensional face.  Under uniform joins the
-zones form exactly the structure of a cyclic midpoint split tree, which we
-reuse (:class:`~repro.overlays.kdtree.SplitTree`) — the omniscient
-simulator view; peers themselves only see their neighbor lists.
+zones form exactly the structure of a cyclic midpoint split tree, so the
+registry, join/leave hand-off and ``load`` are the split-tree substrate's
+(:class:`~repro.overlays.substrate.SplitTreeOverlay`, shared with MIDAS) —
+the omniscient simulator view; peers themselves only see their neighbor
+lists, and CAN adds only those: adjacencies, frustum regions and
+zone-neighbor replica placement.
 
 For RIPPLE-over-CAN (the Section 3.1 genericity argument) each neighbor is
 assigned a pyramidal-frustum region: its top is the shared face with the
@@ -22,19 +25,16 @@ use the plain neighbor graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
 from ..common.geometry import Frustum, Point, Rect
-from ..common.store import LocalStore, Replica
 from ..core.framework import Link
-from ..core.regions import FrustumRegion, RectRegion, domain_region
-from .kdtree import Node, SplitTree
+from ..core.regions import FrustumRegion
+from .kdtree import Node
+from .substrate import JoinPolicy, SplitTreeOverlay, TreePeer
 
 __all__ = ["CanPeer", "CanOverlay", "Adjacency"]
-
-JoinPolicy = Literal["uniform", "data"]
 
 
 @dataclass(frozen=True)
@@ -52,49 +52,30 @@ class Adjacency:
     face: Rect
 
 
-class CanPeer:
+class CanPeer(TreePeer):
     """A CAN peer: one zone plus links to all face-adjacent zones."""
 
-    __slots__ = ("peer_id", "overlay", "leaf", "store", "anchor", "alive",
-                 "replicas", "_neighbors", "_links")
+    __slots__ = ("_neighbors",)
+    overlay: "CanOverlay"
 
     def __init__(self, peer_id: int, overlay: "CanOverlay", leaf: Node,
                  anchor: Point) -> None:
-        self.peer_id = peer_id
-        self.overlay = overlay
-        self.leaf = leaf
-        self.store = LocalStore(overlay.dims)
-        self.anchor = anchor
-        #: Liveness flag for fault scenarios (see FaultPlan.from_overlay).
-        self.alive = True
-        #: Replicas of other peers' stores hosted here, keyed by owner id;
-        #: maintained by :class:`~repro.overlays.replication.ReplicaDirectory`.
-        self.replicas: dict[int, "Replica"] = {}
+        super().__init__(peer_id, overlay, leaf, anchor)
         self._neighbors: tuple[int, list[Adjacency]] | None = None
-        self._links: tuple[int, list[Link]] | None = None
-
-    @property
-    def zone(self) -> Rect:
-        return self.leaf.rect
 
     def neighbors(self) -> list[Adjacency]:
         """Face-adjacent peers, recomputed lazily after churn."""
-        epoch = self.overlay.tree.epoch
+        epoch = self.overlay.epoch
         if self._neighbors is not None and self._neighbors[0] == epoch:
             return self._neighbors[1]
         found = self.overlay.adjacencies(self)
         self._neighbors = (epoch, found)
         return found
 
-    def links(self) -> list[Link]:
+    def _build_links(self) -> list[Link]:
         """RIPPLE links: one frustum region per neighbor (Section 3.1)."""
-        epoch = self.overlay.tree.epoch
-        if self._links is not None and self._links[0] == epoch:
-            return self._links[1]
-        links = [Link(peer=adj.peer, region=FrustumRegion(
-            self._frustum(adj))) for adj in self.neighbors()]
-        self._links = (epoch, links)
-        return links
+        return [Link(peer=adj.peer, region=FrustumRegion(self._frustum(adj)))
+                for adj in self.neighbors()]
 
     def _frustum(self, adj: Adjacency) -> Frustum:
         """The frustum between a domain-boundary slice and the shared face.
@@ -131,133 +112,20 @@ class CanPeer:
         return f"CanPeer(id={self.peer_id}, zone={self.zone.lo}-{self.zone.hi})"
 
 
-class CanOverlay:
-    """An omniscient simulation of a CAN network."""
+class CanOverlay(SplitTreeOverlay[CanPeer]):
+    """An omniscient simulation of a CAN network.
+
+    CAN's join (land on a random key, split the hosting zone in half) and
+    departure (a mergeable neighbor takes the zone over) are the
+    split-tree substrate's defaults.
+    """
+
+    peer_class = CanPeer
 
     def __init__(self, dims: int, *, size: int = 1, seed: int = 0,
                  join_policy: JoinPolicy = "uniform") -> None:
-        self.dims = dims
-        self.seed = seed
-        self.join_policy: JoinPolicy = join_policy
-        self.tree = SplitTree(dims)
-        self.rng = np.random.default_rng(seed ^ 0xCA17)
-        self._peers: list[CanPeer] = []
-        self._next_id = 0
-        self._data_pool: list[np.ndarray] = []
-        self._pool_sizes: list[int] = []
-        first = self._new_peer(self.tree.root)
-        self.tree.root.payload = first
-        self.grow_to(size)
-
-    # -- registry -----------------------------------------------------------
-
-    def _new_peer(self, leaf: Node) -> CanPeer:
-        peer = CanPeer(self._next_id, self, leaf, leaf.rect.sample(self.rng))
-        self._next_id += 1
-        self._peers.append(peer)
-        return peer
-
-    def __len__(self) -> int:
-        return len(self._peers)
-
-    def peers(self) -> Sequence[CanPeer]:
-        return self._peers
-
-    def iter_peers(self) -> Iterator[CanPeer]:
-        return iter(self._peers)
-
-    def random_peer(self, rng: np.random.Generator | None = None) -> CanPeer:
-        rng = rng or self.rng
-        return self._peers[int(rng.integers(len(self._peers)))]
-
-    def locate(self, point: Sequence[float]) -> CanPeer:
-        return self.tree.locate(point).payload
-
-    def domain(self) -> RectRegion:
-        return domain_region(self.dims)
-
-    # -- churn --------------------------------------------------------------
-
-    def join(self) -> CanPeer:
-        """CAN join: land on a random key, split the hosting zone in half."""
-        point = self._join_point()
-        leaf = self.tree.locate(point)
-        host: CanPeer = leaf.payload
-        dim = leaf.depth % self.dims
-        value = (leaf.rect.lo[dim] + leaf.rect.hi[dim]) / 2.0
-        left, right = self.tree.split_leaf(leaf, dim, value)
-        host_child = left if host.anchor[dim] < value else right
-        new_child = right if host_child is left else left
-        host.leaf = host_child
-        host_child.payload = host
-        joiner = self._new_peer(new_child)
-        if new_child.rect.contains(point):
-            joiner.anchor = point
-        new_child.payload = joiner
-        joiner.store.bulk_load(host.store.extract(new_child.rect))
-        return joiner
-
-    def _join_point(self) -> Point:
-        if self.join_policy == "data" and self._pool_sizes:
-            total = self._pool_sizes[-1]
-            pick = int(self.rng.integers(total))
-            for block, cumulative in zip(self._data_pool, self._pool_sizes):
-                if pick < cumulative:
-                    row = block[pick - (cumulative - len(block))]
-                    return tuple(float(v) for v in row)
-        return tuple(float(v) for v in self.rng.random(self.dims))
-
-    def leave(self, peer: CanPeer | None = None) -> None:
-        """CAN departure: a mergeable neighbor takes the zone over."""
-        if len(self._peers) <= 1:
-            raise ValueError("cannot remove the last peer")
-        peer = peer or self.random_peer()
-        leaf = peer.leaf
-        parent = leaf.parent
-        assert parent is not None
-        sibling = parent.child(1 - leaf.path[-1])
-        if sibling.is_leaf:
-            survivor: CanPeer = sibling.payload
-            survivor.store.bulk_load(peer.store.take_all())
-            merged = self.tree.merge_children(parent)
-            merged.payload = survivor
-            survivor.leaf = merged
-        else:
-            pair = self.tree.find_leaf_pair(sibling)
-            mover: CanPeer = pair.child(1).payload
-            absorber: CanPeer = pair.child(0).payload
-            absorber.store.bulk_load(mover.store.take_all())
-            merged = self.tree.merge_children(pair)
-            merged.payload = absorber
-            absorber.leaf = merged
-            leaf.payload = mover
-            mover.leaf = leaf
-            mover.store = peer.store
-            mover.anchor = leaf.rect.sample(self.rng)
-        self._peers.remove(peer)
-
-    def grow_to(self, size: int) -> None:
-        while len(self._peers) < size:
-            self.join()
-
-    def shrink_to(self, size: int) -> None:
-        if size < 1:
-            raise ValueError("network size must stay positive")
-        while len(self._peers) > size:
-            self.leave()
-
-    # -- data ---------------------------------------------------------------
-
-    def load(self, array: np.ndarray) -> None:
-        array = np.asarray(array, dtype=float)
-        self.tree.partition(
-            array, lambda leaf, rows: leaf.payload.store.bulk_load(rows))
-        self._data_pool.append(array)
-        previous = self._pool_sizes[-1] if self._pool_sizes else 0
-        self._pool_sizes.append(previous + len(array))
-
-    def total_tuples(self) -> int:
-        return sum(len(peer.store) for peer in self._peers)
+        super().__init__(dims, size=size, seed=seed, join_policy=join_policy,
+                         rng=np.random.default_rng(seed ^ 0xCA17))
 
     # -- replication --------------------------------------------------------
 

@@ -6,7 +6,10 @@ to its successor's id.  Fingers point at the successors of
 stretching from the beginning of that finger's zone to the beginning of
 the next finger's zone (and back to the peer's own id for the last one),
 so the finger regions partition the ring outside the peer's own zone —
-exactly what RIPPLE requires.
+exactly what RIPPLE requires.  The ring itself (sorted keys, arc hand-off
+on join/leave, ``load``, the clockwise arc builder) is the ring substrate
+(:class:`~repro.overlays.substrate.RingOverlay`, shared with the skip
+graph); Chord adds the finger rule and successor-list replicas.
 
 Chord is hash-organized and one-dimensional, so the genericity
 demonstration runs rank queries over 1-d datasets (the key *is* the
@@ -16,147 +19,42 @@ DHT; the multidimensional guarantees come from MIDAS.
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..common.geometry import Interval
-from ..common.store import LocalStore, Replica
-from ..core.framework import Link
-from ..core.regions import ArcRegion, RectRegion, domain_region
 from ..common.hashing import mix
+from ..core.framework import Link
+from .substrate import RingOverlay, RingPeer
 
 __all__ = ["ChordPeer", "ChordOverlay"]
 
 
-class ChordPeer:
+class ChordPeer(RingPeer):
     """A Chord peer: a ring id, the arc up to its successor, fingers."""
 
-    __slots__ = ("peer_id", "overlay", "ring_id", "store", "alive",
-                 "replicas", "_links")
-
-    def __init__(self, peer_id: int, overlay: "ChordOverlay", ring_id: float) -> None:
-        self.peer_id = peer_id
-        self.overlay = overlay
-        self.ring_id = ring_id
-        self.store = LocalStore(1)
-        #: Liveness flag for fault scenarios (see FaultPlan.from_overlay).
-        self.alive = True
-        #: Replicas of other peers' stores hosted here, keyed by owner id;
-        #: maintained by :class:`~repro.overlays.replication.ReplicaDirectory`.
-        self.replicas: dict[int, "Replica"] = {}
-        self._links: tuple[int, list[Link]] | None = None
+    __slots__ = ()
+    overlay: "ChordOverlay"
 
     @property
-    def zone(self) -> Interval:
-        return Interval(self.ring_id, self.overlay.successor_id(self.ring_id))
+    def ring_id(self) -> float:
+        return self.key
 
-    def links(self) -> list[Link]:
-        epoch = self.overlay.epoch
-        if self._links is not None and self._links[0] == epoch:
-            return self._links[1]
-        links = self.overlay.finger_links(self)
-        self._links = (epoch, links)
-        return links
+    def _build_links(self) -> list[Link]:
+        return self.overlay.finger_links(self)
 
     def __repr__(self) -> str:
-        return f"ChordPeer(id={self.peer_id}, ring={self.ring_id:.4f})"
+        return f"ChordPeer(id={self.peer_id}, ring={self.key:.4f})"
 
 
-class ChordOverlay:
+class ChordOverlay(RingOverlay[ChordPeer]):
     """An omniscient simulation of a Chord ring."""
 
+    peer_class = ChordPeer
+
     def __init__(self, *, size: int = 1, seed: int = 0) -> None:
-        self.rng = np.random.default_rng(mix(seed, 0xC0D))
-        self.epoch = 0
-        self._peers: list[ChordPeer] = []   # kept sorted by ring_id
-        self._next_id = 0
-        self.grow_to(max(1, size))
-
-    # -- ring bookkeeping ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._peers)
-
-    def peers(self) -> Sequence[ChordPeer]:
-        return self._peers
-
-    def iter_peers(self) -> Iterator[ChordPeer]:
-        return iter(self._peers)
-
-    def random_peer(self, rng: np.random.Generator | None = None) -> ChordPeer:
-        rng = rng or self.rng
-        return self._peers[int(rng.integers(len(self._peers)))]
-
-    def domain(self) -> RectRegion:
-        return domain_region(1)
-
-    def _ring_ids(self) -> list[float]:
-        return [p.ring_id for p in self._peers]
-
-    def successor_id(self, ring_id: float) -> float:
-        """The ring id of the next peer clockwise (itself if alone)."""
-        ids = self._ring_ids()
-        index = bisect.bisect_right(ids, ring_id)
-        return ids[index % len(ids)]
-
-    def owner(self, key: float) -> ChordPeer:
-        """The peer whose arc contains ``key``."""
-        ids = self._ring_ids()
-        index = bisect.bisect_right(ids, key % 1.0) - 1
-        return self._peers[index % len(self._peers)]
-
-    # -- churn -------------------------------------------------------------------
-
-    def join(self) -> ChordPeer:
-        ring_id = float(self.rng.random())
-        while any(p.ring_id == ring_id for p in self._peers):
-            ring_id = float(self.rng.random())
-        peer = ChordPeer(self._next_id, self, ring_id)
-        self._next_id += 1
-        if self._peers:
-            predecessor = self.owner(ring_id)
-            bisect.insort(self._peers, peer, key=lambda p: p.ring_id)
-            self.epoch += 1
-            # the new peer takes over the tail of its predecessor's arc
-            moved = [(k,) for (k,) in predecessor.store.iter_points()
-                     if peer.zone.contains(k)]
-            if moved:
-                remaining = [(k,) for (k,) in predecessor.store.iter_points()
-                             if not peer.zone.contains(k)]
-                predecessor.store = LocalStore(1, remaining)
-                peer.store = LocalStore(1, moved)
-        else:
-            self._peers.append(peer)
-            self.epoch += 1
-        return peer
-
-    def leave(self, peer: ChordPeer | None = None) -> None:
-        if len(self._peers) <= 1:
-            raise ValueError("cannot remove the last peer")
-        peer = peer or self.random_peer()
-        index = self._peers.index(peer)
-        predecessor = self._peers[index - 1]
-        predecessor.store.bulk_load(peer.store.take_all())
-        self._peers.pop(index)
-        self.epoch += 1
-
-    def grow_to(self, size: int) -> None:
-        while len(self._peers) < size:
-            self.join()
-
-    # -- data ---------------------------------------------------------------------
-
-    def load(self, array: np.ndarray) -> None:
-        """Distribute 1-d tuples: the key of a tuple is its value."""
-        array = np.asarray(array, dtype=float).reshape(-1, 1)
-        for row in array:
-            self.owner(float(row[0])).store.insert((float(row[0]),))
-
-    def total_tuples(self) -> int:
-        return sum(len(p.store) for p in self._peers)
+        super().__init__(size=size, seed=seed,
+                         rng=np.random.default_rng(mix(seed, 0xC0D)))
 
     # -- replication -----------------------------------------------------------------
 
@@ -167,11 +65,9 @@ class ChordOverlay:
         successor list, so when it fails the immediate successor (which
         takes over the arc by ring stitching) already holds the tuples.
         """
-        if count <= 0 or len(self._peers) <= 1:
-            return []
-        index = self._peers.index(peer)
-        return [self._peers[(index + step) % len(self._peers)]
-                for step in range(1, min(count, len(self._peers) - 1) + 1)]
+        index, ring = self._rank(peer), len(self._peers)
+        return [self._peers[(index + step) % ring]
+                for step in range(1, min(count, ring - 1) + 1)]
 
     # -- fingers --------------------------------------------------------------------
 
@@ -180,29 +76,16 @@ class ChordOverlay:
 
     def finger_links(self, peer: ChordPeer) -> list[Link]:
         """Distinct fingers plus their ring-arc regions (Section 3.1)."""
-        if len(self._peers) == 1:
-            return []
         # Chord peers always hold an explicit successor pointer; the
         # remaining fingers are the successors of id + 2^-i.
-        successor = self.owner(peer.zone.end)
-        targets: list[ChordPeer] = [successor]
-        seen: set[int] = {peer.peer_id, successor.peer_id}
+        targets = [self.owner(peer.zone.end)]
         for i in range(self.finger_resolution(), 0, -1):
-            finger = self.owner((peer.ring_id + 2.0 ** -i) % 1.0)
+            point = (peer.key + 2.0 ** -i) % 1.0
+            finger = self.owner(point)
             # Chord fingers are the successors *at or after* the target
             # point; owner() returns the arc owner, whose successor is the
             # textbook finger when the target is mid-arc.
-            if finger.ring_id != (peer.ring_id + 2.0 ** -i) % 1.0:
+            if finger.key != point:
                 finger = self.owner(finger.zone.end)
-            if finger.peer_id not in seen:
-                seen.add(finger.peer_id)
-                targets.append(finger)
-        # order fingers clockwise starting just after the peer's own zone
-        targets.sort(key=lambda p: (p.ring_id - peer.ring_id) % 1.0)
-        links: list[Link] = []
-        nexts: list[ChordPeer | None] = [*targets[1:], None]
-        for current, nxt in zip(targets, nexts):
-            end = peer.ring_id if nxt is None else nxt.ring_id
-            region = ArcRegion.from_interval(Interval(current.ring_id, end))
-            links.append(Link(peer=current, region=region))
-        return links
+            targets.append(finger)
+        return self._arc_links(peer, targets)

@@ -15,58 +15,41 @@ Which peer inside a sibling subtree becomes the link target is a *policy*:
   :mod:`repro.overlays.patterns`), i.e. one whose zone hugs the lower
   domain boundary where skyline tuples live.
 
-Churn: joins route to a uniformly random key and split the hosting leaf
-(alternating split dimension, midpoint or data-median split value);
+Churn and data hand-off live in the split-tree substrate
+(:class:`~repro.overlays.substrate.SplitTreeOverlay`): joins route to a
+random key and split the hosting leaf along alternating dimensions;
 departures contract the tree, promoting a peer from the sibling subtree
-when the sibling is not a leaf — the replacement scheme of the MIDAS paper.
+when the sibling is not a leaf — the replacement scheme of the MIDAS
+paper.  MIDAS adds the link policy above, the midpoint or data-median
+split value, and sibling-subtree replica placement.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Iterator, Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 from ..common.geometry import Point, Rect
 from ..common.hashing import mix, path_key
-from ..common.store import LocalStore, Replica
 from ..core.framework import Link
-from ..core.regions import RectRegion, domain_region
-from .kdtree import Node, SplitTree
+from ..core.regions import RectRegion
+from .kdtree import Node
 from .patterns import alive_patterns
+from .substrate import JoinPolicy, SplitTreeOverlay, TreePeer
 
 __all__ = ["MidasPeer", "MidasOverlay"]
 
 LinkPolicy = Literal["random", "boundary"]
 SplitRule = Literal["midpoint", "median"]
-JoinPolicy = Literal["uniform", "data"]
 
 
-class MidasPeer:
+class MidasPeer(TreePeer):
     """A MIDAS peer: one leaf of the virtual k-d tree."""
 
-    __slots__ = ("peer_id", "overlay", "leaf", "store", "anchor", "alive",
-                 "replicas", "_links")
-
-    def __init__(self, peer_id: int, overlay: "MidasOverlay", leaf: Node,
-                 anchor: Point) -> None:
-        self.peer_id = peer_id
-        self.overlay = overlay
-        self.leaf = leaf
-        self.store = LocalStore(overlay.dims)
-        self.anchor = anchor
-        #: Liveness flag for fault scenarios; FaultPlan.from_overlay freezes
-        #: these into a crash schedule.  Fault-free engines ignore it.
-        self.alive = True
-        #: Replicas of other peers' stores hosted here, keyed by owner id;
-        #: maintained by :class:`~repro.overlays.replication.ReplicaDirectory`.
-        self.replicas: dict[int, "Replica"] = {}
-        self._links: tuple[int, list[Link]] | None = None
-
-    @property
-    def zone(self) -> Rect:
-        return self.leaf.rect
+    __slots__ = ()
+    overlay: "MidasOverlay"
 
     @property
     def depth(self) -> int:
@@ -79,28 +62,20 @@ class MidasPeer:
     def id_string(self) -> str:
         return self.leaf.id_string()
 
-    def links(self) -> list[Link]:
-        """One link per depth; regions are the sibling subtree rectangles.
-
-        The link table is recomputed lazily after churn (the overlay's
-        epoch counter invalidates the cache).
-        """
-        epoch = self.overlay.tree.epoch
-        if self._links is not None and self._links[0] == epoch:
-            return self._links[1]
-        links = []
-        for subtree in self.overlay.tree.sibling_subtrees(self.leaf):
-            target = self.overlay.representative(subtree, self)
-            links.append(Link(peer=target, region=RectRegion(subtree.rect)))
-        self._links = (epoch, links)
-        return links
+    def _build_links(self) -> list[Link]:
+        """One link per depth; regions are the sibling subtree rectangles."""
+        return [Link(peer=self.overlay.representative(subtree, self),
+                     region=RectRegion(subtree.rect))
+                for subtree in self.overlay.tree.sibling_subtrees(self.leaf)]
 
     def __repr__(self) -> str:
         return f"MidasPeer(id={self.peer_id}, path={self.id_string() or 'root'})"
 
 
-class MidasOverlay:
+class MidasOverlay(SplitTreeOverlay[MidasPeer]):
     """An omniscient simulation of a MIDAS network."""
+
+    peer_class = MidasPeer
 
     def __init__(
         self,
@@ -112,157 +87,27 @@ class MidasOverlay:
         split_rule: SplitRule = "midpoint",
         join_policy: JoinPolicy = "uniform",
     ) -> None:
-        self.dims = dims
-        self.seed = seed
         self.link_policy: LinkPolicy = link_policy
         self.split_rule: SplitRule = split_rule
-        self.join_policy: JoinPolicy = join_policy
-        self._data_pool: list[np.ndarray] = []
-        self._pool_sizes: list[int] = []
-        self.tree = SplitTree(dims)
-        self.rng = np.random.default_rng(mix(seed, 0xD147))
-        self._peers: list[MidasPeer] = []
-        self._next_id = 0
-        first = self._new_peer(self.tree.root)
-        self.tree.root.payload = first
-        self.grow_to(size)
-
-    # -- registry ---------------------------------------------------------
-
-    def _new_peer(self, leaf: Node) -> MidasPeer:
-        peer = MidasPeer(self._next_id, self, leaf, leaf.rect.sample(self.rng))
-        self._next_id += 1
-        self._peers.append(peer)
-        return peer
-
-    def __len__(self) -> int:
-        return len(self._peers)
-
-    def peers(self) -> Sequence[MidasPeer]:
-        return self._peers
-
-    def iter_peers(self) -> Iterator[MidasPeer]:
-        return iter(self._peers)
-
-    def random_peer(self, rng: np.random.Generator | None = None) -> MidasPeer:
-        rng = rng or self.rng
-        return self._peers[int(rng.integers(len(self._peers)))]
-
-    def locate(self, point: Sequence[float]) -> MidasPeer:
-        return self.tree.locate(point).payload
-
-    def domain(self) -> RectRegion:
-        return domain_region(self.dims)
+        super().__init__(dims, size=size, seed=seed, join_policy=join_policy,
+                         rng=np.random.default_rng(mix(seed, 0xD147)))
 
     def max_links(self) -> int:
         """The paper's Delta: the largest link count of any peer."""
         return max(peer.depth for peer in self._peers)
 
-    # -- churn ------------------------------------------------------------
-
-    def join(self) -> MidasPeer:
-        """A new physical peer joins.
-
-        Under the ``"uniform"`` policy the joiner lands at a uniformly
-        random key.  Under ``"data"`` it lands at the key of a random
-        stored tuple, so peer density tracks data density — the effect of
-        MIDAS' load-driven splitting, and the balanced setting the paper's
-        experiments presume.
-        """
-        point = self._join_point()
-        host_leaf = self.tree.locate(point)
-        return self._split_host(host_leaf, point)
-
-    def _join_point(self) -> Point:
-        if self.join_policy == "data" and self._pool_sizes:
-            total = self._pool_sizes[-1]
-            pick = int(self.rng.integers(total))
-            for block, cumulative in zip(self._data_pool, self._pool_sizes):
-                if pick < cumulative:
-                    row = block[pick - (cumulative - len(block))]
-                    return tuple(float(v) for v in row)
-        return tuple(float(v) for v in self.rng.random(self.dims))
-
-    def _split_host(self, host_leaf: Node, point: Point) -> MidasPeer:
-        host: MidasPeer = host_leaf.payload
-        dim = host_leaf.depth % self.dims
-        value = self._split_value(host_leaf, dim)
-        left, right = self.tree.split_leaf(host_leaf, dim, value)
-        host_child = left if host.anchor[dim] < value else right
-        new_child = right if host_child is left else left
-        host.leaf = host_child
-        host_child.payload = host
-        joining_anchor = point if new_child.rect.contains(point) \
-            else new_child.rect.sample(self.rng)
-        joiner = self._new_peer(new_child)
-        joiner.anchor = joining_anchor
-        new_child.payload = joiner
-        joiner.store.bulk_load(host.store.extract(new_child.rect))
-        return joiner
+    # -- split-tree hooks ---------------------------------------------------
 
     def _split_value(self, leaf: Node, dim: int) -> float:
-        lo, hi = leaf.rect.lo[dim], leaf.rect.hi[dim]
+        """The midpoint, or under ``"median"`` the host's data median."""
         if self.split_rule == "median" and len(leaf.payload.store) >= 2:
             median = float(np.median(leaf.payload.store.array[:, dim]))
-            if lo < median < hi:
+            if leaf.rect.lo[dim] < median < leaf.rect.hi[dim]:
                 return median
-        return (lo + hi) / 2.0
+        return super()._split_value(leaf, dim)
 
-    def leave(self, peer: MidasPeer | None = None) -> None:
-        """A peer departs; its zone is absorbed per the MIDAS protocol."""
-        if len(self._peers) <= 1:
-            raise ValueError("cannot remove the last peer")
-        peer = peer or self.random_peer()
-        leaf = peer.leaf
-        parent = leaf.parent
-        assert parent is not None
-        sibling = parent.child(1 - leaf.path[-1])
-        if sibling.is_leaf:
-            survivor: MidasPeer = sibling.payload
-            survivor.store.bulk_load(peer.store.take_all())
-            merged = self.tree.merge_children(parent)
-            merged.payload = survivor
-            survivor.leaf = merged
-        else:
-            # Promote a peer from a deepest leaf pair of the sibling
-            # subtree: its twin absorbs its zone, and it adopts the
-            # departing peer's zone and tuples.
-            pair = self.tree.find_leaf_pair(sibling)
-            mover: MidasPeer = pair.child(1).payload
-            absorber: MidasPeer = pair.child(0).payload
-            absorber.store.bulk_load(mover.store.take_all())
-            merged = self.tree.merge_children(pair)
-            merged.payload = absorber
-            absorber.leaf = merged
-            leaf.payload = mover
-            mover.leaf = leaf
-            mover.store = peer.store
-            mover.anchor = leaf.rect.sample(self.rng)
-        self._peers.remove(peer)
-
-    def grow_to(self, size: int) -> None:
-        while len(self._peers) < size:
-            self.join()
-
-    def shrink_to(self, size: int) -> None:
-        if size < 1:
-            raise ValueError("network size must stay positive")
-        while len(self._peers) > size:
-            self.leave()
-
-    # -- data -------------------------------------------------------------
-
-    def load(self, array: np.ndarray) -> None:
-        """Distribute a dataset to the peers owning each tuple's key."""
-        array = np.asarray(array, dtype=float)
-        self.tree.partition(
-            array, lambda leaf, rows: leaf.payload.store.bulk_load(rows))
-        self._data_pool.append(array)
-        previous = self._pool_sizes[-1] if self._pool_sizes else 0
-        self._pool_sizes.append(previous + len(array))
-
-    def total_tuples(self) -> int:
-        return sum(len(peer.store) for peer in self._peers)
+    def _joiner_anchor(self, zone: Rect, point: Point) -> Point:
+        return point if zone.contains(point) else zone.sample(self.rng)
 
     # -- replication --------------------------------------------------------
 

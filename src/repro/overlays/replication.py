@@ -66,11 +66,13 @@ class ReplicatedPeer(Protocol):
 class ReplicatedOverlay(Protocol):
     """What the directory needs from an overlay.
 
-    Enumerable peers that can hold replicas, plus the overlay-specific
-    structural placement rule (``replica_targets``).  The epoch counter
-    is read dynamically — tree-shaped overlays keep it on ``.tree``,
-    flat ones on the overlay itself — see ``_overlay_epoch``.
+    Enumerable peers that can hold replicas, the overlay-specific
+    structural placement rule (``replica_targets``), and the ``epoch``
+    counter every overlay exposes (moved by each join and departure; see
+    :class:`~repro.overlays.substrate.Substrate`).
     """
+
+    epoch: int
 
     def peers(self) -> Sequence[ReplicatedPeer]:  # pragma: no cover
         ...
@@ -153,17 +155,9 @@ class ReplicaDirectory:
 
     # -- maintenance -------------------------------------------------------
 
-    def _overlay_epoch(self) -> int:
-        # Tree-shaped overlays (MIDAS, CAN) version their SplitTree; flat
-        # ones (Chord, BATON) version themselves.
-        tree = getattr(self.overlay, "tree", None)
-        if tree is not None:
-            return int(tree.epoch)
-        return int(getattr(self.overlay, "epoch"))
-
     def refresh(self) -> None:
         """Bring placement and mirrors up to date; clears promotions."""
-        epoch = self._overlay_epoch()
+        epoch = self.overlay.epoch
         if epoch != self._epoch:
             self._install()
             self._epoch = epoch

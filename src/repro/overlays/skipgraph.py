@@ -40,24 +40,24 @@ module reproduces that shape as RIPPLE's fourth substrate:
   structure would re-route around a failure.
 
 The overlay is an omniscient simulation like its MIDAS/Chord/CAN
-siblings: joins draw a uniform key and split the hosting arc, departures
-hand the arc to the predecessor, and the epoch counter invalidates the
-per-peer link caches and the derived tower index.
+siblings, and the ring under the towers is the ring substrate it shares
+with Chord (:class:`~repro.overlays.substrate.RingOverlay`): joins draw a
+uniform key and split the hosting arc, departures hand the arc to the
+predecessor, and the epoch counter invalidates the per-peer link caches
+and the derived tower index.  The skip graph adds the towers, a one-pass
+bulk first build, and tower-first replica placement.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..common.geometry import Interval
 from ..common.hashing import mix
-from ..common.store import LocalStore, Replica
 from ..core.framework import Link
-from ..core.regions import ArcRegion, RectRegion, domain_region
+from .substrate import RingOverlay, RingPeer
 
 __all__ = ["SkipGraphOverlay", "SkipGraphPeer"]
 
@@ -65,36 +65,14 @@ _KEY_SALT = 0x5C1B
 _VECTOR_SALT = 0x7074
 
 
-class SkipGraphPeer:
+class SkipGraphPeer(RingPeer):
     """A skip-graph peer: one key on the ring, one tower membership."""
 
-    __slots__ = ("peer_id", "overlay", "key", "store", "alive", "replicas",
-                 "_links")
+    __slots__ = ()
+    overlay: "SkipGraphOverlay"
 
-    def __init__(self, peer_id: int, overlay: "SkipGraphOverlay",
-                 key: float) -> None:
-        self.peer_id = peer_id
-        self.overlay = overlay
-        self.key = key
-        self.store = LocalStore(1)
-        #: Liveness flag for fault scenarios (see FaultPlan.from_overlay).
-        self.alive = True
-        #: Replicas of other peers' stores hosted here, keyed by owner id;
-        #: maintained by :class:`~repro.overlays.replication.ReplicaDirectory`.
-        self.replicas: dict[int, "Replica"] = {}
-        self._links: tuple[int, list[Link]] | None = None
-
-    @property
-    def zone(self) -> Interval:
-        return Interval(self.key, self.overlay.successor_key(self.key))
-
-    def links(self) -> list[Link]:
-        epoch = self.overlay.epoch
-        if self._links is not None and self._links[0] == epoch:
-            return self._links[1]
-        links = self.overlay.peer_links(self)
-        self._links = (epoch, links)
-        return links
+    def _build_links(self) -> list[Link]:
+        return self.overlay.peer_links(self)
 
     def __repr__(self) -> str:
         return f"SkipGraphPeer(id={self.peer_id}, key={self.key:.4f})"
@@ -111,14 +89,10 @@ class _TowerIndex:
     is a ring, to close the key space.
     """
 
-    __slots__ = ("keys", "rank", "towers", "position", "neighbors")
+    __slots__ = ("towers", "position", "neighbors")
 
     def __init__(self, peers: Sequence[SkipGraphPeer], tower_size: int,
                  seed: int) -> None:
-        #: Sorted peer keys and each peer's rank in key order.
-        self.keys: list[float] = [p.key for p in peers]
-        self.rank: dict[int, int] = {p.peer_id: i
-                                     for i, p in enumerate(peers)}
         #: Tower members in key order, towers in key order.
         self.towers: list[list[SkipGraphPeer]] = [
             list(peers[base:base + tower_size])
@@ -150,7 +124,7 @@ class _TowerIndex:
                     self.neighbors[(t, level)] = (left, right)
 
 
-class SkipGraphOverlay:
+class SkipGraphOverlay(RingOverlay[SkipGraphPeer]):
     """An omniscient simulation of a rainbow skip graph.
 
     ``tower_size`` defaults to ``max(1, ceil(log2 n))`` — the
@@ -165,37 +139,32 @@ class SkipGraphOverlay:
     #: right pointers.  Independent of the network size by construction.
     MAX_DEGREE = 6
 
+    peer_class = SkipGraphPeer
+
     def __init__(self, *, size: int = 1, seed: int = 0,
                  tower_size: int | None = None) -> None:
         if tower_size is not None and tower_size < 1:
             raise ValueError(f"tower_size must be positive, got {tower_size}")
-        self.seed = seed
-        self.rng = np.random.default_rng(mix(seed, _KEY_SALT))
-        self.epoch = 0
         self._tower_size_override = tower_size
-        self._peers: list[SkipGraphPeer] = []   # kept sorted by key
-        self._next_id = 0
         self._towers: tuple[int, _TowerIndex] | None = None
-        self.grow_to(max(1, size))
+        super().__init__(size=size, seed=seed,
+                         rng=np.random.default_rng(mix(seed, _KEY_SALT)))
 
-    # -- registry ----------------------------------------------------------
+    def grow_to(self, size: int) -> None:
+        if not self._peers and size > 1:
+            # Bulk first build: draw all keys in one pass (same generator,
+            # so a given seed still yields one deterministic network),
+            # then register the peers in key order.
+            keys: set[float] = set()
+            while len(keys) < size:
+                keys.add(float(self.rng.random()))
+            self._keys = sorted(keys)
+            self._peers = [SkipGraphPeer(next(self._ids), self, key)
+                           for key in self._keys]
+            self.epoch += 1
+        super().grow_to(size)
 
-    def __len__(self) -> int:
-        return len(self._peers)
-
-    def peers(self) -> Sequence[SkipGraphPeer]:
-        return self._peers
-
-    def iter_peers(self) -> Iterator[SkipGraphPeer]:
-        return iter(self._peers)
-
-    def random_peer(self, rng: np.random.Generator | None = None
-                    ) -> SkipGraphPeer:
-        rng = rng or self.rng
-        return self._peers[int(rng.integers(len(self._peers)))]
-
-    def domain(self) -> RectRegion:
-        return domain_region(1)
+    # -- towers ------------------------------------------------------------
 
     def tower_size(self) -> int:
         """The current tower height: ``~log2 n``, floor 1."""
@@ -214,86 +183,6 @@ class SkipGraphOverlay:
     def max_links(self) -> int:
         """The realized Delta — never exceeds :data:`MAX_DEGREE`."""
         return max(len(peer.links()) for peer in self._peers)
-
-    # -- key space ---------------------------------------------------------
-
-    def successor_key(self, key: float) -> float:
-        """The key of the next peer clockwise (itself if alone)."""
-        keys = self.tower_index().keys
-        index = bisect.bisect_right(keys, key)
-        return keys[index % len(keys)]
-
-    def owner(self, key: float) -> SkipGraphPeer:
-        """The peer whose arc contains ``key``."""
-        keys = self.tower_index().keys
-        index = bisect.bisect_right(keys, key % 1.0) - 1
-        return self._peers[index % len(self._peers)]
-
-    # -- churn -------------------------------------------------------------
-
-    def _draw_key(self, taken: set[float]) -> float:
-        key = float(self.rng.random())
-        while key in taken:
-            key = float(self.rng.random())
-        return key
-
-    def join(self) -> SkipGraphPeer:
-        key = self._draw_key({p.key for p in self._peers})
-        peer = SkipGraphPeer(self._next_id, self, key)
-        self._next_id += 1
-        if self._peers:
-            predecessor = self.owner(key)
-            bisect.insort(self._peers, peer, key=lambda p: p.key)
-            self.epoch += 1
-            # the joiner takes over the tail of its predecessor's arc
-            moved = [(k,) for (k,) in predecessor.store.iter_points()
-                     if peer.zone.contains(k)]
-            if moved:
-                remaining = [(k,) for (k,) in predecessor.store.iter_points()
-                             if not peer.zone.contains(k)]
-                predecessor.store = LocalStore(1, remaining)
-                peer.store = LocalStore(1, moved)
-        else:
-            self._peers.append(peer)
-            self.epoch += 1
-        return peer
-
-    def leave(self, peer: SkipGraphPeer | None = None) -> None:
-        if len(self._peers) <= 1:
-            raise ValueError("cannot remove the last peer")
-        peer = peer or self.random_peer()
-        index = self._peers.index(peer)
-        predecessor = self._peers[index - 1]
-        predecessor.store.bulk_load(peer.store.take_all())
-        self._peers.pop(index)
-        self.epoch += 1
-
-    def grow_to(self, size: int) -> None:
-        if not self._peers and size > 1:
-            # Bulk build: draw all keys in one pass (same generator, so a
-            # given seed still yields one deterministic network), then
-            # register the peers in key order.
-            keys: set[float] = set()
-            while len(keys) < size:
-                keys.add(float(self.rng.random()))
-            for key in sorted(keys):
-                self._peers.append(SkipGraphPeer(self._next_id, self, key))
-                self._next_id += 1
-            self.epoch += 1
-            return
-        while len(self._peers) < size:
-            self.join()
-
-    # -- data --------------------------------------------------------------
-
-    def load(self, array: np.ndarray) -> None:
-        """Distribute 1-d tuples: the key of a tuple is its value."""
-        array = np.asarray(array, dtype=float).reshape(-1, 1)
-        for row in array:
-            self.owner(float(row[0])).store.insert((float(row[0]),))
-
-    def total_tuples(self) -> int:
-        return sum(len(p.store) for p in self._peers)
 
     # -- replication -------------------------------------------------------
 
@@ -351,34 +240,19 @@ class SkipGraphOverlay:
         outside the peer's own zone because the successor is always a
         target.
         """
-        if len(self._peers) <= 1:
-            return []
         index = self.tower_index()
         t, j = index.position[peer.peer_id]
-        position = index.rank[peer.peer_id]
+        position = self._rank(peer)
         count = len(self._peers)
         targets: list[SkipGraphPeer] = [
             self._peers[(position + 1) % count],     # base successor
             self._peers[(position - 1) % count],     # base predecessor
         ]
         members = index.towers[t]
-        if len(members) > 1:
-            targets.append(members[(j + 1) % len(members)])
-            targets.append(members[(j - 1) % len(members)])
+        targets.append(members[(j + 1) % len(members)])
+        targets.append(members[(j - 1) % len(members)])
         for side in index.neighbors.get((t, j), (None, None)):
             if side is not None:
                 neighbor = index.towers[side]
                 targets.append(neighbor[j % len(neighbor)])
-        distinct: dict[int, SkipGraphPeer] = {}
-        for target in targets:
-            if target.peer_id != peer.peer_id:
-                distinct.setdefault(target.peer_id, target)
-        ordered = sorted(distinct.values(),
-                         key=lambda p: (p.key - peer.key) % 1.0)
-        links: list[Link] = []
-        nexts: list[SkipGraphPeer | None] = [*ordered[1:], None]
-        for current, nxt in zip(ordered, nexts):
-            end = peer.key if nxt is None else nxt.key
-            region = ArcRegion.from_interval(Interval(current.key, end))
-            links.append(Link(peer=current, region=region))
-        return links
+        return self._arc_links(peer, targets)

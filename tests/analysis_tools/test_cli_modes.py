@@ -1,18 +1,16 @@
-"""Tests for the CLI's baseline and changed-only modes.
+"""Tests for the CLI's changed-only mode and its exit-code contract.
 
-Both modes wrap the same lint pipeline, so the tests pin the *contract*:
-exit codes, which findings fail the run, and that ``--changed`` narrows
-reporting without narrowing the whole-program analysis.
+``--changed`` wraps the same lint pipeline as a full scan, so the tests
+pin the *contract*: exit codes, which findings fail the run, and that
+``--changed`` narrows reporting without narrowing the whole-program
+analysis.
 """
 
-import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-from repro.analysis_tools import ripplelint
-from repro.analysis_tools.ripplelint import baseline
 from repro.analysis_tools.ripplelint.cli import main
 
 CLEAN = "def f(sim):\n    return sim.now\n"
@@ -25,68 +23,6 @@ def write_tree(root: Path, text: str, name: str = "mod.py") -> Path:
     path = target / name
     path.write_text(text, encoding="utf-8")
     return path
-
-
-# -- baselines -------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_write_then_compare_is_clean(self, tmp_path, capsys):
-        write_tree(tmp_path, DIRTY)
-        base = tmp_path / "lint-baseline.json"
-        src = str(tmp_path / "src")
-        assert main([src, "--baseline", str(base),
-                     "--write-baseline"]) == 0
-        payload = json.loads(base.read_text())
-        assert payload["version"] == 1
-        assert [e["rule"] for e in payload["findings"]] == ["RPL001"]
-        # The recorded finding is excused; the run is green.
-        assert main([src, "--baseline", str(base)]) == 0
-        err = capsys.readouterr().err
-        assert "1 known finding(s)" in err
-
-    def test_new_finding_still_fails(self, tmp_path):
-        write_tree(tmp_path, DIRTY)
-        base = tmp_path / "lint-baseline.json"
-        src = str(tmp_path / "src")
-        assert main([src, "--baseline", str(base),
-                     "--write-baseline"]) == 0
-        write_tree(tmp_path, DIRTY + "import time\nt = time.time()\n")
-        assert main([src, "--baseline", str(base)]) == 1
-
-    def test_matching_is_line_insensitive(self, tmp_path):
-        write_tree(tmp_path, DIRTY)
-        base = tmp_path / "lint-baseline.json"
-        src = str(tmp_path / "src")
-        assert main([src, "--baseline", str(base),
-                     "--write-baseline"]) == 0
-        # Shift the known finding down two lines: still excused.
-        write_tree(tmp_path, "\n\n" + DIRTY)
-        assert main([src, "--baseline", str(base)]) == 0
-
-    def test_duplicate_findings_consume_allowances(self):
-        finding = ripplelint.Finding(path="p.py", line=1, col=1,
-                                     rule="RPL001", message="m")
-        twin = ripplelint.Finding(path="p.py", line=9, col=1,
-                                  rule="RPL001", message="m")
-        known = baseline.compare([finding], {("p.py", "RPL001", "m"): 1})
-        assert known == ([], [finding])
-        new, old = baseline.compare([finding, twin],
-                                    {("p.py", "RPL001", "m"): 1})
-        assert (len(new), len(old)) == (1, 1)
-
-    def test_write_baseline_requires_file(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main([str(tmp_path), "--write-baseline"])
-        assert excinfo.value.code == 2
-
-    def test_unreadable_baseline_is_a_usage_error(self, tmp_path):
-        bad = tmp_path / "nope.json"
-        bad.write_text("{\"version\": 99}")
-        write_tree(tmp_path, CLEAN)
-        with pytest.raises(SystemExit) as excinfo:
-            main([str(tmp_path / "src"), "--baseline", str(bad)])
-        assert excinfo.value.code == 2
 
 
 # -- changed-only mode -----------------------------------------------------
@@ -154,4 +90,11 @@ class TestContract:
     def test_unknown_rule_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main([str(tmp_path), "--rule", "RPL999"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flags", (["--baseline", "debt.json"],
+                                       ["--write-baseline"]))
+    def test_baseline_options_are_gone(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path), *flags])
         assert excinfo.value.code == 2
