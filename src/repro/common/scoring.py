@@ -24,7 +24,12 @@ __all__ = ["ScoringFunction", "LinearScore", "NearestScore"]
 
 
 class ScoringFunction(ABC):
-    """A unimodal scoring function with a per-region upper bound."""
+    """A unimodal scoring function with a per-region upper bound.
+
+    Implementations compare and hash by value (their parameters): the
+    per-store score index is keyed on the function, and two functions
+    built from equal parameters score identically.
+    """
 
     @abstractmethod
     def score(self, point: Sequence[float]) -> float:
@@ -59,6 +64,14 @@ class LinearScore(ScoringFunction):
         self.weights = tuple(float(w) for w in weights)
         self._w = np.asarray(self.weights, dtype=float)
         self._maximize = tuple(w >= 0 for w in self.weights)
+        self._hash = hash((LinearScore, self.weights))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LinearScore) \
+            and other.weights == self.weights
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def score(self, point: Sequence[float]) -> float:
         return float(np.dot(self._w, np.asarray(point, dtype=float)))
@@ -88,6 +101,14 @@ class NearestScore(ScoringFunction):
         self.query: Point = tuple(float(v) for v in query)
         self.p = p
         self._q = np.asarray(self.query, dtype=float)
+        self._hash = hash((NearestScore, self.query, p))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, NearestScore) \
+            and other.query == self.query and other.p == self.p
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def score(self, point: Sequence[float]) -> float:
         diff = np.abs(np.asarray(point, dtype=float) - self._q)

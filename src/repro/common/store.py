@@ -24,7 +24,8 @@ memo table: every mutation bumps :attr:`LocalStore.version` and drops all
 cached entries, so a cached value is always consistent with the live
 array.  The built-in :meth:`top_scoring` / :meth:`scoring_at_least` scans
 share one cached *score index* (scores plus descending sort order) per
-scoring function.
+scoring function; scoring functions compare by value, so equal weights
+built twice share it.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ __all__ = ["LocalStore", "Replica"]
 
 _GROWTH = 1.6
 
-#: Entries kept per store before the memo table is wiped wholesale.  The
+#: Entries kept per store; one more evicts the least recently used.  The
 #: cap bounds memory on static networks serving many distinct queries
-#: (each scoring function / handler is its own key); it is far above what
-#: a single query needs, so the per-query double-work elimination is never
-#: affected.
+#: (each scoring function / constraint is its own key); it is far above
+#: what a single query needs, so the per-query double-work elimination is
+#: never affected.
 _CACHE_CAP = 64
 
 _T = TypeVar("_T")
@@ -180,15 +181,21 @@ class LocalStore:
         if not self.cache_enabled:
             return compute()
         try:
-            value = self._cache[key]
+            # Popped and re-inserted: dict order is recency order.
+            value = self._cache.pop(key)
         except KeyError:
             self.cache_misses += 1
-            if len(self._cache) >= _CACHE_CAP:
-                self._cache.clear()
-            value = self._cache[key] = compute()
+            value = compute()
+            self._evict_for_one()
         else:
             self.cache_hits += 1
+        self._cache[key] = value
         return value
+
+    def _evict_for_one(self) -> None:
+        """Make room for one entry: drop the least recently used."""
+        if len(self._cache) >= _CACHE_CAP:
+            del self._cache[next(iter(self._cache))]
 
     def prime(self, key: Hashable, value: Any) -> None:
         """Seed the computation cache with an externally computed value.
@@ -207,22 +214,22 @@ class LocalStore:
         """
         if not self.cache_enabled or key in self._cache:
             return
-        if len(self._cache) >= _CACHE_CAP:
-            self._cache.clear()
+        self._evict_for_one()
         self._cache[key] = value
 
     def _score_index(self, fn: ScoringFunction
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(scores, order, sorted_desc)`` for ``fn``, cached per version.
+        """``(scores, order, negated)`` for ``fn``, cached per version.
 
         ``order`` is the stable descending argsort of ``scores`` (ties
-        keep insertion order) and ``sorted_desc = scores[order]``, which
-        turns every threshold scan into a binary search over a prefix.
+        keep insertion order) and ``negated = -scores[order]``, ascending,
+        which turns every threshold scan into a binary search over a
+        prefix.
         """
         def compute() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             scores = fn.score_batch(self.array)
             order = np.argsort(-scores, kind="stable")
-            return scores, order, scores[order]
+            return scores, order, -scores[order]
 
         return self.cached(("score-index", fn), compute)
 
@@ -299,13 +306,14 @@ class LocalStore:
         """
         if self._size == 0 or limit <= 0:
             return []
-        scores, order, sorted_desc = self._score_index(fn)
+        scores, order, negated = self._score_index(fn)
         # Entries scoring >= above form a prefix of the descending order.
-        cut = int(np.searchsorted(-sorted_desc, -above, side="right"))
+        cut = int(np.searchsorted(negated, -above, side="right"))
         if cut == 0:
             return []
-        return [(float(scores[i]), as_point(self._buf[i]))
-                for i in order[: min(cut, limit)]]
+        best = order[: min(cut, limit)]
+        return list(zip(scores[best].tolist(),
+                        map(tuple, self._buf[best].tolist())))
 
     def scoring_at_least(self, fn: ScoringFunction, tau: float) -> list[Point]:
         """Every local tuple with score >= ``tau`` (Algorithm 6)."""

@@ -37,13 +37,16 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Hashable, Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
+from ..common.geometry import Rect
 from ..common.store import LocalStore
 from ..net.context import QueryContext, QueryResult
 from ..obs.trace import TraceSink, state_size
 from .handler import QueryHandler
-from .regions import Region
+from .regions import RectRegion, Region
 
-__all__ = ["Link", "OverlayLike", "PeerLike", "physical_id", "run_fast",
+__all__ = ["Link", "LinkTable", "OverlayLike", "PeerLike", "physical_id", "run_fast",
            "run_slow", "run_ripple", "SLOW"]
 
 #: Ripple parameter value that never runs out: every peer uses the
@@ -57,6 +60,49 @@ class Link:
 
     peer: "PeerLike"
     region: Region
+
+
+class LinkTable(list[Link]):
+    """A peer's links plus, on first use, their regions as box bounds.
+
+    Overlays memoise one table per peer and epoch; a visit asks it for
+    :meth:`bounds` to intersect every link with its restriction area in
+    one array pass.  Tables of arcs or frustums carry none, and so does
+    any plain sequence of links — those are intersected link by link.
+    """
+
+    __slots__ = ("_bounds",)
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(lo, hi)``, each ``(L, d)``, when every region is a box."""
+        try:
+            return self._bounds
+        except AttributeError:
+            pass
+        rects = [link.region.rect for link in self
+                 if isinstance(link.region, RectRegion)]
+        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
+        if rects and len(rects) == len(self):
+            self._bounds = (np.array([rect.lo for rect in rects]),
+                            np.array([rect.hi for rect in rects]))
+        return self._bounds
+
+
+def _overlaps(links: Sequence[Link], restriction: Region
+              ) -> list[tuple[Link, Region]]:
+    """The links whose region meets ``restriction``, each with the
+    overlap, in table order (the geometric half of the link test)."""
+    bounds = links.bounds() if isinstance(links, LinkTable) else None
+    if bounds is None or not isinstance(restriction, RectRegion):
+        return [(link, sub) for link in links
+                if (sub := link.region.intersect(restriction)) is not None]
+    lo = np.maximum(bounds[0], restriction.rect.lo)
+    hi = np.minimum(bounds[1], restriction.rect.hi)
+    # Zero-volume overlaps count as empty, as in Rect.intersection.
+    keep = np.logical_and.reduce(lo < hi, axis=1).nonzero()[0]
+    return [(links[i], RectRegion(Rect(tuple(l), tuple(h))))
+            for i, l, h in zip(keep.tolist(), lo[keep].tolist(),
+                               hi[keep].tolist())]
 
 
 @runtime_checkable
@@ -195,8 +241,9 @@ class _Visit:
     Construction is the query arriving at the peer (``now``): the visit is
     recorded, the local state computed from the peer's store (or the
     neutral one on a deduplicated re-visit), the forwarding state derived,
-    the ``process`` span opened, and the links ordered — prioritised when
-    ``r > 0``.  From there the visit only *steps*; a driver decides when:
+    the ``process`` span opened, and the links that overlap the
+    restriction area lined up — prioritised when ``r > 0``.  From there
+    the visit only *steps*; a driver decides when:
 
     * :meth:`next_forward` — the next relevant link, as ``(target,
       sub-region)``: the link test of both loops (Alg. 3, lines 4-11 and
@@ -218,7 +265,7 @@ class _Visit:
 
     __slots__ = ("ctx", "handler", "peer", "received_state", "restriction",
                  "r", "initiator_id", "processes", "local_state", "gstate",
-                 "links", "index", "upstream", "span")
+                 "pending", "index", "upstream", "span")
 
     def __init__(self, ctx: QueryContext, handler: QueryHandler,
                  peer: PeerLike, received_state: Any, restriction: Region,
@@ -247,26 +294,27 @@ class _Visit:
                 state_size=state_size(self.local_state))
         else:
             self.span = 0
+        self.pending = _overlaps(peer.links(), restriction)
         if r > 0:
-            self.links: Sequence[Link] = sorted(
-                peer.links(),
-                key=lambda ln: handler.link_priority(ln.region))
+            self.pending.sort(
+                key=lambda pair: handler.link_priority(pair[0].region))
             #: Parallel-mode accumulator of subtree states; sequential
             #: visits fold children into ``local_state`` and leave it empty.
             self.upstream: list[Any] = []
         else:
-            self.links = peer.links()
             self.upstream = [self.local_state] if self.processes else []
 
     def next_forward(self) -> "tuple[PeerLike, Region] | None":
-        """The next relevant link's target and sub-region, else None."""
-        links = self.links
-        while self.index < len(links):
-            link = links[self.index]
+        """The next relevant link's target and sub-region, else None.
+
+        Relevance is judged against the state as it stands now, so a
+        sequential visit prunes with everything its earlier children
+        reported."""
+        pending = self.pending
+        while self.index < len(pending):
+            link, sub = pending[self.index]
             self.index += 1
-            sub = link.region.intersect(self.restriction)
-            if sub is not None and self.handler.is_link_relevant(
-                    sub, self.gstate):
+            if self.handler.is_link_relevant(sub, self.gstate):
                 return link.peer, sub
         return None
 

@@ -52,6 +52,7 @@ overlay × handler × engine matrix.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable
 
@@ -62,7 +63,7 @@ from ..core.handler import QueryHandler
 from ..core.regions import ArcRegion, RectRegion, Region
 from ..obs.metrics import MetricsRegistry
 from ..queries.rangeq import RangeHandler
-from ..queries.skyline import SkylineHandler, SkylineState
+from ..queries.skyline import SkylineHandler
 from ..queries.topk import TopKHandler, TopKState
 from .context import QueryResult
 
@@ -182,6 +183,13 @@ class CacheLookup:
 _MISS = CacheLookup("miss")
 
 
+def _unsubscribe(stores: dict[Hashable, LocalStore],
+                 listeners: dict[Hashable, Callable[[], None]]) -> None:
+    """Detach a collected directory's listeners from its stores."""
+    for peer_id, listener in listeners.items():
+        stores[peer_id].unsubscribe(listener)
+
+
 class CacheDirectory:
     """Query-result cache over one overlay, with exact invalidation.
 
@@ -207,6 +215,7 @@ class CacheDirectory:
         self._stores: dict[Hashable, LocalStore] = {}
         self._listeners: dict[Hashable, Callable[[], None]] = {}
         self._epoch = overlay.epoch
+        weakref.finalize(self, _unsubscribe, self._stores, self._listeners)
         for peer in overlay.peers():
             self._register(peer.peer_id, peer.store)
         self.hits = 0
@@ -219,8 +228,17 @@ class CacheDirectory:
 
     def _register(self, peer_id: Hashable, store: LocalStore) -> None:
         self._stores[peer_id] = store
-        listener = store.subscribe(lambda: self._drop_peer(peer_id))
-        self._listeners[peer_id] = listener
+        # Stores outlive directories, so the listener holds this one
+        # weakly: a directory nobody uses any more is collected with its
+        # entries instead of living as long as the network.
+        directory = weakref.ref(self)
+
+        def listener() -> None:
+            live = directory()
+            if live is not None:
+                live._drop_peer(peer_id)
+
+        self._listeners[peer_id] = store.subscribe(listener)
 
     def _detach(self, peer_id: Hashable) -> None:
         store = self._stores.pop(peer_id, None)
@@ -467,8 +485,7 @@ class CacheDirectory:
         # Subset scope means fewer competitors: each seed stays
         # non-dominated, i.e. is a true member of the new skyline, so
         # the seeded antichain never prunes another member's region.
-        state: SkylineState = seeds
-        return CacheLookup("seed", state=state)
+        return CacheLookup("seed", state=seeds)
 
     def _match_range(self, entry: CacheEntry, cached: RangeHandler,
                      handler: RangeHandler,

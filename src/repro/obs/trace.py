@@ -46,6 +46,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Mapping, Protocol, runtime_checkable
 
+import numpy as np
+
 __all__ = [
     "ACTIVITY_EVENTS",
     "NULL_SINK",
@@ -71,13 +73,16 @@ ACTIVITY_EVENTS = frozenset({"response", "unreachable"})
 def state_size(state: Any) -> int:
     """Number of scalar entries a handler state snapshot carries.
 
-    Handler states are nested tuples / dataclasses of floats (a partial
-    skyline is a tuple of points, a top-k certificate a dataclass holding
-    a score tuple); the count of scalar leaves is a representation-free
-    proxy for the bytes a state message would occupy on the wire.
+    Handler states are arrays or nested tuples / dataclasses of floats (a
+    partial skyline is an ``(m, d)`` array, a top-k certificate a
+    dataclass holding a score tuple); the count of scalar leaves is a
+    representation-free proxy for the bytes a state message would occupy
+    on the wire.
     """
     if state is None:
         return 0
+    if isinstance(state, np.ndarray):
+        return int(state.size)
     if isinstance(state, (str, bytes)):
         return 1
     if isinstance(state, Mapping):

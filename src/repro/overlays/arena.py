@@ -46,7 +46,7 @@ from ..common.geometry import Frustum, Rect, as_point, contains_batch
 from ..common.hashing import mix
 from ..common.scoring import ScoringFunction
 from ..common.store import LocalStore, Replica
-from ..core.framework import Link, PeerLike, _Visit, execute
+from ..core.framework import Link, LinkTable, PeerLike, _Visit, execute
 from ..core.handler import QueryHandler
 from ..core.regions import (ArcRegion, FrustumRegion, RectRegion, Region,
                             domain_region)
@@ -89,7 +89,7 @@ class ArenaPeer:
         self.index = index
         self.peer_id: int = int(arena.peer_ids[index])
         self._store: LocalStore | None = None
-        self._links: list[Link] | None = None
+        self._links: LinkTable | None = None
         self._replicas: dict[int, Replica] | None = None
 
     @property
@@ -99,9 +99,9 @@ class ArenaPeer:
                 self.arena.store_rows(self.index))
         return self._store
 
-    def links(self) -> list[Link]:
+    def links(self) -> LinkTable:
         if self._links is None:
-            self._links = self.arena.decode_links(self.index)
+            self._links = LinkTable(self.arena.decode_links(self.index))
         return self._links
 
     @property
@@ -508,7 +508,7 @@ def prime_topk_wave(fn: ScoringFunction, stores: Sequence[LocalStore]
         local_order = order[lo:hi] - lo
         local_scores = scores[lo:hi]
         store.prime(("score-index", fn),
-                    (local_scores, local_order, local_scores[local_order]))
+                    (local_scores, local_order, -local_scores[local_order]))
 
 
 def prime_skyline_wave(constraint: Rect | None,
@@ -521,7 +521,7 @@ def prime_skyline_wave(constraint: Rect | None,
     one adjacent-dedup pass, and padded all-pairs dominance tensors per
     group-size bucket (oversized groups fall back to the blocked kernel).
     Each store's ``("local-skyline", constraint)`` entry is primed with
-    its survivor tuple, bit-identical to the scalar computation.
+    its survivor rows, lexsorted, bit-identical to the scalar computation.
     """
     live = [s for s in stores if s.cache_enabled]
     if len(live) < 2:
@@ -543,7 +543,7 @@ def prime_skyline_wave(constraint: Rect | None,
     key = ("local-skyline", constraint)
     if not len(concat):
         for store in live:
-            store.prime(key, ())
+            store.prime(key, concat)
         return
     # Grouped dominance order: per group, sort by coordinate sum then
     # lexicographically (``skyline._dominance_order``).
@@ -563,10 +563,11 @@ def prime_skyline_wave(constraint: Rect | None,
     out_counts = np.where(keep, counts, 0)
     rows = np.repeat(uniq, out_counts, axis=0)
     row_group = np.repeat(ug, out_counts)
+    # The handler keeps a local skyline lexsorted, not in dominance order.
+    rows = rows[np.lexsort(tuple(rows.T[::-1]) + (row_group,))]
     cuts = np.searchsorted(row_group, np.arange(len(live) + 1))
     for g, store in enumerate(live):
-        seg = rows[cuts[g]:cuts[g + 1]]
-        store.prime(key, tuple(as_point(row) for row in seg))
+        store.prime(key, rows[cuts[g]:cuts[g + 1]])
 
 
 def _grouped_skyline_keep(uniq: np.ndarray, ug: np.ndarray,

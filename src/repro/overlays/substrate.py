@@ -41,7 +41,7 @@ import numpy as np
 
 from ..common.geometry import Interval, Point, Rect
 from ..common.store import LocalStore, Replica
-from ..core.framework import Link
+from ..core.framework import Link, LinkTable
 from ..core.regions import ArcRegion, RectRegion, domain_region
 from .kdtree import Node, SplitTree
 
@@ -66,14 +66,14 @@ class SubstratePeer(ABC):
         #: Replicas of other peers' stores hosted here, keyed by owner id;
         #: maintained by :class:`~repro.overlays.replication.ReplicaDirectory`.
         self.replicas: dict[int, Replica] = {}
-        self._links: tuple[int, list[Link]] | None = None
+        self._links: tuple[int, LinkTable] | None = None
 
-    def links(self) -> list[Link]:
+    def links(self) -> LinkTable:
         """The link table, rebuilt lazily once churn moves the epoch."""
         epoch = self.overlay.epoch
         if self._links is not None and self._links[0] == epoch:
             return self._links[1]
-        links = self._build_links()
+        links = LinkTable(self._build_links())
         self._links = (epoch, links)
         return links
 

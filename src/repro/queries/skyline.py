@@ -18,11 +18,16 @@ of being re-copied per insertion.  The per-peer local skyline is cached
 on the :class:`~repro.common.store.LocalStore` (keyed by constraint,
 invalidated by store version), so one query reduces each peer's array at
 most once and repeated queries over a static network not at all.
+
+A state is one lexsorted ``(m, d)`` float array from the store memo to
+``finalize``; every fold is the cross-dominance pass of
+:func:`_merge_antichains`, which hands back its inputs untouched when a
+side contributes nothing — the common case at a peer.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +45,11 @@ __all__ = [
     "SkylineHandler",
 ]
 
-SkylineState = tuple[Point, ...]
+#: Lexsorted rows, none dominating another.
+SkylineState = np.ndarray
+#: What the handler callbacks take for a state: also a sequence of points
+#: (a cache seed, a harness replaying an answer).
+_StateLike = Union[np.ndarray, Sequence[Point]]
 
 #: Candidate rows folded into the survivor set per vectorized dominance
 #: test.  Large enough to amortize NumPy call overhead, small enough that
@@ -178,51 +187,70 @@ def k_skyband_of_array(array: np.ndarray, k: int, *,
     return array[(dominators < k)[inverse]]
 
 
+def _lexsorted(rows: np.ndarray) -> np.ndarray:
+    """``rows`` in lexicographic order, first column most significant."""
+    return rows[np.lexsort(rows.T[::-1])] if len(rows) > 1 else rows
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Lexsorted ``rows`` without repeats (``rows`` itself if it has none)."""
+    if len(rows) < 2:
+        return rows
+    fresh = np.empty(len(rows), dtype=bool)
+    fresh[0] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    return rows if fresh.all() else rows[fresh]
+
+
+def _merge_antichains(state: np.ndarray, other: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """One cross-dominance pass between two lexsorted antichains.
+
+    Returns ``(survivors, merged)``: the rows of ``other`` no row of
+    ``state`` dominates (a row equal to one of ``state`` survives), and
+    the lexsorted skyline of the union without repeats.  ``state`` holds
+    distinct rows; ``other`` may repeat one (a store can hold a tuple
+    twice).  Because each side is an antichain, dominance only occurs
+    across them, so both answers read off the same two comparisons — and
+    a side that changes nothing comes back as the object passed in.
+    """
+    if not len(other):
+        return other, state
+    if not len(state):
+        return other, _distinct(other)
+    pair = state[:, None, :]
+    le = (pair <= other).all(2)
+    ge = (pair >= other).all(2)
+    beaten = (le & ~ge).any(0)
+    survivors = other[~beaten] if beaten.any() else other
+    fresh = ~le.any(0)
+    if not fresh.any():
+        return survivors, state
+    kept = state[~(ge & ~le).any(1)]
+    return survivors, _lexsorted(
+        np.concatenate((kept, _distinct(other[fresh]))))
+
+
+def _dominates_corner(state: np.ndarray, corner: Point) -> bool:
+    """Whether some row of ``state`` Pareto-dominates ``corner``."""
+    le = np.logical_and.reduce(state <= corner, axis=1)
+    return np.count_nonzero(le) > 0 and bool((state[le] < corner).any())
+
+
 def merge_skylines(*collections: Sequence[Point]) -> list[Point]:
     """Skyline of the union of point collections, each an antichain.
 
     Accepts any number of collections (every caller's inputs are already
     individually dominance-free: local skylines and previously merged
-    states), so a peer folding the states of all its children pays one
-    vectorized union-skyline instead of a chain of pairwise merges.
-
-    Because each input is an antichain, dominance can only occur *across*
-    collections, and among deduplicated rows componentwise ``<=`` already
-    implies strict dominance.  When the cross-collection comparison work
-    is well below the all-pairs work of a union reduction — the common
-    per-hop shape of one large global state against one small local
-    skyline — each collection is tested directly against the others and
-    the surviving tuples pass through without an ndarray round-trip.
-    Otherwise (many similar-sized parts) one union-skyline kernel call
-    wins and handles the general case.
+    states) and folds them through :func:`_merge_antichains`, the kernel
+    the handler states run on.  Returns the sorted distinct points.
     """
-    seen: set[Point] = set()
-    groups: list[list[Point]] = []
+    merged = np.empty((0, 0))
     for collection in collections:
-        fresh = []
-        for point in collection:
-            if point not in seen:
-                seen.add(point)
-                fresh.append(point)
-        if fresh:
-            groups.append(fresh)
-    total = len(seen)
-    if total <= 1 or len(groups) == 1:
-        return sorted(seen)
-    cross = sum(len(group) * (total - len(group)) for group in groups)
-    if 3 * cross >= total * total:
-        union = [point for group in groups for point in group]
-        survivors = skyline_of_array(np.asarray(union, dtype=float))
-        return sorted(as_point(row) for row in survivors)
-    arrays = [np.asarray(group, dtype=float) for group in groups]
-    kept: list[Point] = []
-    for i, (group, block) in enumerate(zip(groups, arrays)):
-        rest = [other for j, other in enumerate(arrays) if j != i]
-        other = rest[0] if len(rest) == 1 else np.concatenate(rest)
-        dominated = (other[None, :, :] <= block[:, None, :]).all(2).any(1)
-        kept.extend(point for point, dead in zip(group, dominated)
-                    if not dead)
-    return sorted(kept)
+        if len(collection):
+            merged = _merge_antichains(merged, _lexsorted(
+                np.asarray(collection, dtype=float)))[1]
+    return [tuple(row) for row in merged.tolist()]
 
 
 def skyline_reference(array: np.ndarray,
@@ -305,6 +333,26 @@ class SkylineHandler(QueryHandler):
             self.origin = constraint.lo
         else:
             self.origin = (0.0,) * dims
+        self._empty = np.empty((0, dims))
+        #: The last sequence-of-points state seen and its rows: callers
+        #: that hold such a state hand the same object to every callback.
+        self._coerced: tuple[object, np.ndarray] = ((), self._empty)
+        #: ``(received, local, forwarded)`` of the last
+        #: ``compute_local_state``: its pass already produced the state
+        #: ``compute_global_state`` is asked for next.
+        self._passed: tuple[object, object, np.ndarray] = (
+            None, None, self._empty)
+
+    def _rows(self, state: _StateLike) -> np.ndarray:
+        """``state`` as rows; a sequence of points is converted once."""
+        if isinstance(state, np.ndarray):
+            return state
+        seen, rows = self._coerced
+        if state is not seen:
+            rows = _distinct(_lexsorted(np.asarray(state, dtype=float))) \
+                if len(state) else self._empty
+            self._coerced = (state, rows)
+        return rows
 
     # -- local skylines -----------------------------------------------------
 
@@ -315,6 +363,7 @@ class SkylineHandler(QueryHandler):
         (Algorithm 12) need this reduction; the store memoizes it per
         constraint and store version, so each peer runs the kernel at most
         once per query — and not at all on re-queries of a static network.
+        Lexsorted; a tuple the store holds twice appears twice.
         """
         return store.cached(("local-skyline", self.constraint),
                             lambda: self._compute_local_skyline(store))
@@ -325,59 +374,71 @@ class SkylineHandler(QueryHandler):
             inside = np.all((array >= self.constraint.lo)
                             & (array < self.constraint.hi), axis=1)
             array = array[inside]
-        return tuple(as_point(row) for row in skyline_of_array(array))
+        return _lexsorted(skyline_of_array(array))
 
     # -- states (Algorithms 10, 11, 13) -------------------------------------
 
     def initial_state(self) -> SkylineState:
-        return ()
+        return self._empty
 
     def compute_local_state(self, store: LocalStore,
-                            global_state: SkylineState) -> SkylineState:
+                            global_state: _StateLike) -> SkylineState:
         """Algorithm 10: local skyline points that survive the global view."""
-        local = self._local_skyline(store)
-        merged = set(merge_skylines(global_state, local))
-        return tuple(sorted(p for p in local if p in merged))
+        local, forwarded = _merge_antichains(self._rows(global_state),
+                                             self._local_skyline(store))
+        self._passed = (global_state, local, forwarded)
+        return local
 
-    def compute_global_state(self, global_state: SkylineState,
-                             local_state: SkylineState) -> SkylineState:
+    def compute_global_state(self, global_state: _StateLike,
+                             local_state: _StateLike) -> SkylineState:
         """Algorithm 11: skyline of the received view plus local survivors."""
-        return tuple(merge_skylines(global_state, local_state))
+        received, local, forwarded = self._passed
+        if global_state is received and local_state is local:
+            return forwarded
+        return _merge_antichains(self._rows(global_state),
+                                 self._rows(local_state))[1]
 
-    def update_local_state(self, states: Sequence[SkylineState]) -> SkylineState:
+    def update_local_state(self, states: Sequence[_StateLike]
+                           ) -> SkylineState:
         """Algorithm 13: skyline of the union of the received states."""
-        return tuple(merge_skylines(*states))
+        merged = self._empty
+        for state in states:
+            merged = _merge_antichains(merged, self._rows(state))[1]
+        return merged
 
     # -- answers (Algorithm 12) ----------------------------------------------
 
     def compute_local_answer(self, store: LocalStore,
-                             local_state: SkylineState) -> list[Point]:
+                             local_state: _StateLike) -> np.ndarray:
         """The locally stored tuples among the state's survivors."""
-        if not local_state:
-            return []
-        local = set(self._local_skyline(store))
-        return [point for point in local_state if point in local]
+        rows = self._rows(local_state)
+        local = self._local_skyline(store)
+        if not len(rows) or rows is local:
+            return rows
+        if not len(local):
+            return local
+        mine = (rows[:, None, :] == local).all(2).any(1)
+        return rows if mine.all() else rows[mine]
 
-    def finalize(self, answers: Sequence[Sequence[Point]]) -> list[Point]:
-        return sorted(skyline_of(
-            [point for answer in answers for point in answer]))
+    def answer_size(self, answer: np.ndarray) -> int:
+        return len(answer)
+
+    def finalize(self, answers: Sequence[np.ndarray]) -> list[Point]:
+        rows = skyline_of_array(np.concatenate([self._empty, *answers]))
+        return [tuple(row) for row in _distinct(_lexsorted(rows)).tolist()]
 
     # -- link decisions (Algorithms 14, 15) -----------------------------------
 
     def is_link_relevant(self, region: Region,
-                         global_state: SkylineState) -> bool:
+                         global_state: _StateLike) -> bool:
+        cover = region.cover()
         if self.constraint is not None and not any(
-                rect.intersects(self.constraint) for rect in region.cover()):
+                rect.intersects(self.constraint) for rect in cover):
             return False
-        return self._not_dominated(region, global_state)
-
-    def _not_dominated(self, region: Region,
-                       global_state: SkylineState) -> bool:
-        """False iff known tuples dominate every reachable part of the region."""
-        for rect in region.cover():
-            if not any(rect.dominated_by(s) for s in global_state):
-                return True
-        return False
+        state = self._rows(global_state)
+        # Irrelevant iff known tuples dominate every reachable part of
+        # the region, i.e. the best corner of each rectangle of its cover.
+        return not all(_dominates_corner(state, rect.lo) for rect in cover)
 
     def link_priority(self, region: Region) -> float:
         return min(mindist(self.origin, rect) for rect in region.cover())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.geometry import Rect
-from repro.common.scoring import LinearScore
+from repro.common.scoring import LinearScore, NearestScore
 from repro.common.store import LocalStore, _CACHE_CAP
 from repro.overlays.midas import MidasOverlay
 from repro.queries.skyline import distributed_skyline, skyline_reference
@@ -74,6 +74,63 @@ class TestCached:
         for i in range(3 * _CACHE_CAP):
             store.cached(("key", i), lambda: i)
         assert len(store._cache) <= _CACHE_CAP
+
+    def test_one_more_than_cap_evicts_the_oldest_untouched_key(self):
+        store = LocalStore(2)
+        for i in range(_CACHE_CAP):
+            store.cached(("key", i), lambda: i)
+        store.cached(("key", 0), lambda: "recomputed")  # touch the oldest
+        store.cached(("key", _CACHE_CAP), lambda: "new")
+        assert ("key", 1) not in store._cache
+        assert set(store._cache) == {("key", i)
+                                     for i in range(_CACHE_CAP + 1)} \
+            - {("key", 1)}
+        assert store.cached(("key", 0), lambda: "recomputed") == 0
+
+    def test_prime_at_cap_evicts_one_entry(self):
+        store = LocalStore(2)
+        for i in range(_CACHE_CAP):
+            store.cached(("key", i), lambda: i)
+        store.prime("primed", "value")
+        assert len(store._cache) == _CACHE_CAP
+        assert ("key", 0) not in store._cache and "primed" in store._cache
+
+    def test_mutation_still_drops_every_entry(self):
+        store = LocalStore(2)
+        for i in range(_CACHE_CAP):
+            store.cached(("key", i), lambda: i)
+        store.insert((0.5, 0.5))
+        assert not store._cache
+
+    def test_equal_scoring_functions_share_one_index(self):
+        rng = np.random.default_rng(4)
+        store = LocalStore(3)
+        store.bulk_load(rng.random((50, 3)))
+        first = store.top_scoring(LinearScore([0.5, 0.3, 0.2]), 5)
+        hits, misses = store.cache_hits, store.cache_misses
+        again = store.top_scoring(LinearScore([0.5, 0.3, 0.2]), 5)
+        assert again == first
+        assert (store.cache_hits, store.cache_misses) == (hits + 1, misses)
+        near = NearestScore((0.5, 0.5, 0.5), p=1)
+        store.top_scoring(near, 5)
+        misses = store.cache_misses
+        store.top_scoring(NearestScore((0.5, 0.5, 0.5), p=1), 5)
+        store.top_scoring(NearestScore((0.5, 0.5, 0.5), p=2), 5)
+        assert store.cache_misses == misses + 1  # only p=2 is another function
+
+    def test_top_scoring_prefix_and_tie_order(self):
+        store = LocalStore(2, [(0.2, 0.2), (0.4, 0.0), (0.1, 0.1), (0.0, 0.4)])
+        fn = LinearScore((1.0, 1.0))
+        expected = [(0.4, (0.2, 0.2)), (0.4, (0.4, 0.0)), (0.4, (0.0, 0.4)),
+                    (0.2, (0.1, 0.1))]
+        for _ in range(2):  # cold index, then the memo hit
+            assert store.top_scoring(fn, 10) == expected
+            assert store.top_scoring(fn, 2) == expected[:2]
+            assert store.top_scoring(fn, 10, above=0.4) == expected[:3]
+            assert store.top_scoring(fn, 10, above=0.5) == []
+        assert all(type(score) is float and type(value) is float
+                   for score, point in store.top_scoring(fn, 10)
+                   for value in point)
 
     def test_score_index_reused_across_scans(self):
         rng = np.random.default_rng(3)

@@ -154,6 +154,23 @@ class TestInvalidation:
         assert warm.answer == run_cold(overlay, handler).answer
         assert warm.stats.total_messages > 0
 
+    def test_an_abandoned_directory_is_not_kept_alive_by_its_stores(self):
+        import gc
+        import weakref
+
+        overlay = midas_network(7, peers=12)
+        before = [len(p.store._listeners) for p in overlay.peers()]
+        cache = CacheDirectory(overlay)
+        run_warm(overlay, cache, TopKHandler(LinearScore([1.0, 1.0]), 4))
+        assert [len(p.store._listeners) for p in overlay.peers()] == \
+            [n + 1 for n in before]
+        gone = weakref.ref(cache)
+        del cache
+        gc.collect()
+        assert gone() is None  # stores held it only weakly
+        assert [len(p.store._listeners) for p in overlay.peers()] == before
+        overlay.peers()[0].store.insert(np.array([0.5, 0.5]))  # no listener left
+
     def test_split_then_merge_stays_sound(self):
         overlay = midas_network(7, peers=12)
         cache = CacheDirectory(overlay)

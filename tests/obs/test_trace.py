@@ -166,7 +166,12 @@ class TestStateSize:
         assert state_size(TopKState(scores=(5.0, 4.0), floor=4.0)) == 3
 
     def test_numpy_array(self):
-        assert state_size(np.zeros((4, 2))) == 8
+        rows = np.arange(8.0).reshape(4, 2)
+        # An (m, d) array counts what a tuple of m d-tuples counts.
+        assert state_size(rows) == 8
+        assert state_size(tuple(map(tuple, rows.tolist()))) == 8
+        assert type(state_size(rows)) is int
+        assert state_size(np.empty((0, 3))) == 0
 
 
 def test_span_is_plain_data():

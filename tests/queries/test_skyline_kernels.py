@@ -1,9 +1,11 @@
 """The vectorized skyline kernels: brute-force oracles and caching.
 
 Covers the k-skyband kernel against a literal dominance-counting oracle,
-the antichain merge against a union-skyline oracle, and the regression
-guarantee the store cache provides: one local-skyline reduction per peer
-per query, none on a repeat query over a static network.
+the antichain merge against a union-skyline oracle, the array-state
+handler callbacks against the tuple-state ones they replaced, and the
+regression guarantee the store cache provides: one local-skyline
+reduction per peer per query, none on a repeat query over a static
+network.
 """
 
 import numpy as np
@@ -11,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.queries.skyline as sky
-from repro.common.geometry import as_point, dominates
+from repro.common.geometry import Rect, as_point, dominates
 from repro.common.store import LocalStore
+from repro.core.regions import RectRegion
+from repro.overlays.arena import prime_skyline_wave
 from repro.overlays.midas import MidasOverlay
 from repro.queries.skyline import (SkylineHandler, distributed_skyline,
                                    k_skyband_of_array, merge_skylines,
@@ -131,6 +135,187 @@ class TestMergeSkylines:
         assert merge_skylines([(0.3, 0.1)]) == [(0.3, 0.1)]
         assert merge_skylines([(0.2, 0.2)], [(0.2, 0.2)]) == [(0.2, 0.2)]
         assert merge_skylines((), [(0.1, 0.9)], ()) == [(0.1, 0.9)]
+
+
+# -- the tuple-state handler this file's array one replaced ------------------
+# Kept as the reference: states are sorted tuples of points, every fold a
+# set-dedupe plus an all-pairs or cross-collection dominance reduction.
+
+def reference_merge(*collections):
+    seen, groups = set(), []
+    for collection in collections:
+        fresh = [p for p in dict.fromkeys(collection) if p not in seen]
+        seen.update(fresh)
+        if fresh:
+            groups.append(fresh)
+    total = len(seen)
+    if total <= 1 or len(groups) == 1:
+        return sorted(seen)
+    cross = sum(len(group) * (total - len(group)) for group in groups)
+    if 3 * cross >= total * total:
+        union = [point for group in groups for point in group]
+        survivors = skyline_of_array(np.asarray(union, dtype=float))
+        return sorted(as_point(row) for row in survivors)
+    arrays = [np.asarray(group, dtype=float) for group in groups]
+    kept = []
+    for i, (group, block) in enumerate(zip(groups, arrays)):
+        other = np.concatenate([a for j, a in enumerate(arrays) if j != i])
+        dominated = (other[None, :, :] <= block[:, None, :]).all(2).any(1)
+        kept.extend(p for p, dead in zip(group, dominated) if not dead)
+    return sorted(kept)
+
+
+def reference_local_skyline(store, constraint):
+    array = store.array
+    if constraint is not None and len(array):
+        array = array[np.all((array >= constraint.lo)
+                             & (array < constraint.hi), axis=1)]
+    return tuple(as_point(row) for row in skyline_of_array(array))
+
+
+def reference_local_state(local, global_state):
+    merged = set(reference_merge(global_state, local))
+    return tuple(sorted(p for p in local if p in merged))
+
+
+def reference_local_answer(local, local_state):
+    return [p for p in local_state if p in set(local)]
+
+
+def point_set(state):
+    """A state (rows or points) as its sorted set of points."""
+    return sorted({as_point(row) for row in state})
+
+
+#: Few distinct values per axis: equal points across collections, equal
+#: coordinate sums and ties on single axes all occur constantly.
+coords = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75])
+
+
+@st.composite
+def worlds(draw):
+    """``(dims, received antichain, stored tuples, child states, box)``."""
+    dims = draw(st.sampled_from([1, 2, 3]))
+    cloud = st.lists(st.tuples(*[coords] * dims), max_size=12)
+    received = tuple(sorted(skyline_of(draw(cloud))))
+    stored = draw(cloud)
+    children = [tuple(sorted(skyline_of(draw(cloud))))
+                for _ in range(draw(st.integers(0, 3)))]
+    box = draw(st.one_of(
+        st.none(), st.just(Rect((0.8,) * dims, (1.0,) * dims)),
+        st.just(Rect((0.0,) * dims, (0.5,) * dims))))
+    return dims, received, stored, children, box
+
+
+class TestArrayStateEqualsTupleState:
+    @given(worlds(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_callbacks_match_the_reference(self, world, as_rows):
+        dims, received, stored, children, box = world
+        store = LocalStore(dims, stored)
+        handler = SkylineHandler(dims, constraint=box)
+        take = (lambda s: np.asarray(s, dtype=float).reshape(-1, dims)) \
+            if as_rows else (lambda s: s)
+        local = reference_local_skyline(store, box)
+        assert point_set(handler._local_skyline(store)) == sorted(set(local))
+
+        local_state = handler.compute_local_state(store, take(received))
+        expected_local = reference_local_state(local, received)
+        assert point_set(local_state) == sorted(set(expected_local))
+        assert len(local_state) == len(expected_local)  # repeats survive
+
+        forwarded = handler.compute_global_state(take(received), local_state)
+        expected_forwarded = reference_merge(received, expected_local)
+        assert [as_point(row) for row in forwarded] == expected_forwarded
+        # ... and without the memo of the pass above
+        assert [as_point(row) for row in SkylineHandler(dims)
+                .compute_global_state(take(received), take(expected_local))
+                ] == expected_forwarded
+
+        folded = handler.update_local_state(
+            [local_state, *map(take, children)])
+        expected_folded = reference_merge(expected_local, *children)
+        assert [as_point(row) for row in folded] == expected_folded
+
+        for state, expected in ((local_state, expected_local),
+                                (folded, expected_folded)):
+            answer = handler.compute_local_answer(store, state)
+            assert [as_point(row) for row in answer] == \
+                reference_local_answer(local, expected)
+            assert handler.answer_size(answer) == len(answer)
+
+        # answers are what compute_local_answer ships: rows
+        shipped = [np.asarray(c, dtype=float).reshape(-1, dims)
+                   for c in children]
+        assert handler.finalize([local_state, *shipped]) == \
+            sorted(skyline_of(list(expected_local)
+                              + [p for c in children for p in c]))
+        assert handler.finalize([]) == []
+
+    @given(worlds())
+    @settings(max_examples=100, deadline=None)
+    def test_merge_skylines_matches_the_reference(self, world):
+        _, received, _, children, _ = world
+        merged = merge_skylines(received, *children)
+        assert merged == reference_merge(received, *children)
+        assert all(type(v) is float for p in merged for v in p)
+
+    def test_a_local_point_equal_to_a_received_one_survives(self):
+        handler = SkylineHandler(2)
+        store = LocalStore(2, [(0.2, 0.6), (0.6, 0.2)])
+        received = np.array([[0.2, 0.6], [0.4, 0.1]])
+        local_state = handler.compute_local_state(store, received)
+        assert point_set(local_state) == [(0.2, 0.6)]
+        # nothing new to tell: the received state goes on as it came
+        assert handler.compute_global_state(received, local_state) is received
+
+    def test_nothing_stored_inside_the_box_leaves_the_state_alone(self):
+        handler = SkylineHandler(2, constraint=Rect((0.0, 0.0), (0.1, 0.1)))
+        store = LocalStore(2, [(0.5, 0.5), (0.3, 0.7)])
+        received = np.array([[0.05, 0.05]])
+        local_state = handler.compute_local_state(store, received)
+        assert local_state.shape == (0, 2)
+        assert handler.compute_global_state(received, local_state) is received
+        assert handler.update_local_state([local_state, received]) is received
+        assert len(handler.compute_local_answer(store, local_state)) == 0
+
+    def test_empty_received_state_forwards_the_local_skyline(self):
+        handler = SkylineHandler(2)
+        store = LocalStore(2, [(0.5, 0.5), (0.3, 0.7), (0.5, 0.5), (0.9, 0.9)])
+        local_state = handler.compute_local_state(
+            store, handler.initial_state())
+        assert [as_point(r) for r in local_state] == [
+            (0.3, 0.7), (0.5, 0.5), (0.5, 0.5)]
+        assert [as_point(r) for r in handler.compute_global_state(
+            handler.initial_state(), local_state)] == [(0.3, 0.7), (0.5, 0.5)]
+
+    def test_a_tuple_state_is_converted_once_per_object(self, monkeypatch):
+        calls = []
+        original = sky._lexsorted
+        monkeypatch.setattr(sky, "_lexsorted",
+                            lambda rows: calls.append(1) or original(rows))
+        handler = SkylineHandler(2)
+        state = ((0.2, 0.2),)
+        for corner in (0.5, 0.1, 0.3):
+            handler.is_link_relevant(
+                RectRegion(Rect((corner, corner), (1.0, 1.0))), state)
+        assert len(calls) == 1
+
+    def test_wave_priming_equals_the_scalar_local_skyline(self):
+        rng = np.random.default_rng(8)
+        box = Rect((0.1, 0.1, 0.1), (0.7, 0.7, 0.7))
+        for constraint in (None, box, Rect((0.9,) * 3, (0.95,) * 3)):
+            blocks = [np.round(rng.random((n, 3)), 1) for n in (0, 1, 7, 40)]
+            primed = [LocalStore.view_of(block) for block in blocks]
+            prime_skyline_wave(constraint, primed)
+            handler = SkylineHandler(3, constraint=constraint)
+            for store, block in zip(primed, blocks):
+                misses = store.cache_misses
+                got = handler._local_skyline(store)
+                assert store.cache_misses == misses  # served by the prime
+                want = handler._compute_local_skyline(
+                    LocalStore.view_of(block))
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestOneReductionPerPeer:
