@@ -20,7 +20,9 @@ the NumPy arrays used *inside* peers for bulk scans.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -266,10 +268,12 @@ def mindist_batch(point: Sequence[float], lo: "np.ndarray",
 
     ``lo``/``hi`` are ``(m, d)`` stacked box bounds; returns the ``(m,)``
     minimum L_p distances.  The clamp is computed exactly like
-    :meth:`Rect.clamp` (min/max per coordinate), so for the metrics the
-    handlers use (``p`` in {1, 2, inf}) each row is bit-identical to the
-    scalar ``mindist(point, Rect(lo[i], hi[i]), p)``; for other ``p`` the
-    vectorized ``x ** (1/p)`` root may differ from libm by one ulp.
+    :meth:`Rect.clamp` (min/max per coordinate) and coordinates are
+    added left to right, so for ``p`` in {1, inf} each row is
+    bit-identical to the scalar ``mindist(point, Rect(lo[i], hi[i]), p)``.
+    For ``p = 2`` about one row in a thousand differs by an ulp (the
+    scalar squares through libm ``pow``, NumPy multiplies), and for other
+    ``p`` the vectorized ``x ** (1/p)`` root may as well.
     """
     import numpy as np
 
@@ -278,12 +282,19 @@ def mindist_batch(point: Sequence[float], lo: "np.ndarray",
     q = np.asarray(tuple(float(v) for v in point))
     delta = np.abs(np.minimum(np.maximum(q, lo), hi) - q)
     if p == 1:
-        return delta.sum(axis=-1)
+        return _row_sums(delta)
     if math.isinf(p):
         return delta.max(axis=-1)
     if p == 2:
-        return np.sqrt((delta * delta).sum(axis=-1))
-    return (delta ** p).sum(axis=-1) ** (1.0 / p)
+        return np.sqrt(_row_sums(delta * delta))
+    return _row_sums(delta ** p) ** (1.0 / p)
+
+
+def _row_sums(values: "np.ndarray") -> "np.ndarray":
+    """Sums over the last axis, added left to right as Python's ``sum``
+    adds (``ndarray.sum`` pairs terms up from eight on)."""
+    return functools.reduce(operator.add, (
+        values[..., j] for j in range(values.shape[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,24 @@ can scan their local store in bulk.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, Rect, mindist
+from .geometry import Point, Rect, mindist, mindist_batch
 
 __all__ = ["ScoringFunction", "LinearScore", "NearestScore"]
+
+
+def _finite_vector(name: str, values: Sequence[float]) -> Point:
+    """``values`` as a non-empty tuple of finite floats, else ValueError."""
+    vector = tuple(float(v) for v in values)
+    if not vector or not all(math.isfinite(v) for v in vector):
+        raise ValueError(f"{name} must be a non-empty sequence of finite "
+                         f"numbers, got {list(vector)!r}")
+    return vector
 
 
 class ScoringFunction(ABC):
@@ -30,6 +40,9 @@ class ScoringFunction(ABC):
     per-store score index is keyed on the function, and two functions
     built from equal parameters score identically.
     """
+
+    #: Dimensionality of the tuples the function scores.
+    dims: int
 
     @abstractmethod
     def score(self, point: Sequence[float]) -> float:
@@ -42,6 +55,16 @@ class ScoringFunction(ABC):
     @abstractmethod
     def upper_bound(self, rect: Rect) -> float:
         """The paper's ``f^+``: max possible score of any tuple in ``rect``."""
+
+    def upper_bound_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``f^+`` of ``S`` boxes given as ``(S, d)`` bounds, as ``(S,)``.
+
+        Row ``i`` equals ``upper_bound(Rect(lo[i], hi[i]))`` bit for bit:
+        pruning and link order must not depend on which form a visit
+        happened to ask.  The default loops over the scalar bound.
+        """
+        return np.array([self.upper_bound(Rect(tuple(l), tuple(h)))
+                         for l, h in zip(lo.tolist(), hi.tolist())])
 
     @abstractmethod
     def peak(self, rect: Rect) -> Point:
@@ -61,9 +84,11 @@ class LinearScore(ScoringFunction):
     """
 
     def __init__(self, weights: Sequence[float]) -> None:
-        self.weights = tuple(float(w) for w in weights)
+        self.weights = _finite_vector("weights", weights)
+        self.dims = len(self.weights)
         self._w = np.asarray(self.weights, dtype=float)
         self._maximize = tuple(w >= 0 for w in self.weights)
+        self._maximize_mask = self._w >= 0
         self._hash = hash((LinearScore, self.weights))
 
     def __eq__(self, other: object) -> bool:
@@ -82,6 +107,12 @@ class LinearScore(ScoringFunction):
     def upper_bound(self, rect: Rect) -> float:
         return self.score(rect.corner(self._maximize))
 
+    def upper_bound_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        corner = np.where(self._maximize_mask, hi, lo)
+        # One dot product per row, as ``score`` computes it; ``corner @ w``
+        # (gemv) rounds differently in the last place.
+        return np.matmul(corner[:, None, :], self._w[:, None])[:, 0, 0]
+
     def peak(self, rect: Rect) -> Point:
         return rect.corner(self._maximize)
 
@@ -98,7 +129,10 @@ class NearestScore(ScoringFunction):
     """
 
     def __init__(self, query: Sequence[float], p: float = 2) -> None:
-        self.query: Point = tuple(float(v) for v in query)
+        self.query: Point = _finite_vector("query", query)
+        if not p > 0:
+            raise ValueError(f"p must be positive, got {p}")
+        self.dims = len(self.query)
         self.p = p
         self._q = np.asarray(self.query, dtype=float)
         self._hash = hash((NearestScore, self.query, p))
@@ -120,6 +154,13 @@ class NearestScore(ScoringFunction):
 
     def upper_bound(self, rect: Rect) -> float:
         return -mindist(self.query, rect, self.p)
+
+    def upper_bound_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # Only sums and maxima vectorise bit for bit: the scalar L2 squares
+        # through libm ``pow`` and other roots differ by an ulp as well.
+        if self.p == 1 or math.isinf(self.p):
+            return -mindist_batch(self.query, lo, hi, self.p)
+        return super().upper_bound_batch(lo, hi)
 
     def peak(self, rect: Rect) -> Point:
         return rect.clamp(self.query)

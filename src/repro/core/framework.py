@@ -20,7 +20,9 @@ is identical to the recursive formulation.
 
 The framework is overlay-agnostic: a peer is anything satisfying
 :class:`PeerLike` — an id, a :class:`~repro.common.store.LocalStore`, and a
-list of :class:`Link` objects pairing a neighbor with its region.  It is
+sequence of :class:`Link` objects pairing a neighbor with its region
+(a :class:`LinkTable` when the overlay can hand the regions over as
+arrays).  It is
 also query-agnostic: all query logic lives in a
 :class:`~repro.core.handler.QueryHandler`.
 
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Hashable, Protocol, Sequence, runtime_checkable
+from typing import (Any, Callable, Hashable, Iterable, Iterator, Protocol,
+                    Sequence, overload, runtime_checkable)
 
 import numpy as np
 
@@ -62,47 +65,129 @@ class Link:
     region: Region
 
 
-class LinkTable(list[Link]):
-    """A peer's links plus, on first use, their regions as box bounds.
+class LinkTable(Sequence[Link]):
+    """A peer's links: ``Link`` objects, or arrays until one is asked for.
 
-    Overlays memoise one table per peer and epoch; a visit asks it for
-    :meth:`bounds` to intersect every link with its restriction area in
-    one array pass.  Tables of arcs or frustums carry none, and so does
-    any plain sequence of links — those are intersected link by link.
+    Overlays memoise one table per peer and epoch.  A table of box
+    regions keeps them as ``(L, d)`` ``lo`` / ``hi`` arrays beside its
+    targets' ``peer_ids`` (:meth:`bounds`), so a visit intersects every
+    link with its restriction area in one array pass and a handler with
+    :meth:`~repro.core.handler.QueryHandler.box_bounds` decides them all
+    in one call.  Built from ``Link`` objects the arrays appear on first
+    use; built :meth:`from_boxes` the arrays come first and ``table[i]``
+    builds its ``Link`` on first access — only the links a query is
+    forwarded over ever exist.  Tables of arcs or frustums carry no
+    bounds, and neither does a plain sequence of links: those are
+    intersected link by link.
     """
 
-    __slots__ = ("_bounds",)
+    __slots__ = ("_links", "_peer_of", "_targets", "_bounds", "peer_ids")
+
+    _peer_of: "Callable[[int], PeerLike]"
+
+    def __init__(self, links: Iterable[Link]) -> None:
+        #: ``Link``s; ``None`` where :meth:`from_boxes` has built none yet.
+        self._links: list[Any] = list(links)
+        #: What ``_peer_of`` turns into link targets; none when the table
+        #: was built from ``Link`` objects.
+        self._targets: list[int] = []
+
+    @classmethod
+    def from_boxes(cls, peer_of: "Callable[[int], PeerLike]",
+                   targets: list[int], peer_ids: list[Hashable],
+                   lo: np.ndarray, hi: np.ndarray) -> "LinkTable":
+        """The table of ``peer_of(targets[i])`` over boxes ``lo[i], hi[i]``
+        (``peer_ids[i]`` is that peer's id), links built on access."""
+        table = cls([None] * len(targets))
+        table._peer_of, table._targets = peer_of, targets
+        table.peer_ids, table._bounds = peer_ids, (lo, hi)
+        return table
+
+    def __len__(self) -> int:
+        return len(self._links)
+
+    @overload
+    def __getitem__(self, index: int) -> Link: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Link]: ...
+
+    def __getitem__(self, index: int | slice) -> Link | list[Link]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._links)))]
+        link = self._links[index]
+        if link is None:
+            lo, hi = self._bounds
+            link = self._links[index] = Link(
+                self._peer_of(self._targets[index]),
+                RectRegion(Rect(tuple(lo[index].tolist()),
+                                tuple(hi[index].tolist()))))
+        return link
+
+    def __iter__(self) -> Iterator[Link]:
+        if self._targets:
+            return map(self.__getitem__, range(len(self._links)))
+        return iter(self._links)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(lo, hi)``, each ``(L, d)``, when every region is a box."""
+        """``(lo, hi)``, each ``(L, d)``, when every region is a box;
+        :attr:`peer_ids` then lists the targets' ids in table order."""
         try:
             return self._bounds
         except AttributeError:
             pass
-        rects = [link.region.rect for link in self
+        rects = [link.region.rect for link in self._links
                  if isinstance(link.region, RectRegion)]
         self._bounds: tuple[np.ndarray, np.ndarray] | None = None
-        if rects and len(rects) == len(self):
+        if rects and len(rects) == len(self._links):
             self._bounds = (np.array([rect.lo for rect in rects]),
                             np.array([rect.hi for rect in rects]))
+            self.peer_ids: list[Hashable] = [link.peer.peer_id
+                                             for link in self._links]
         return self._bounds
 
 
-def _overlaps(links: Sequence[Link], restriction: Region
-              ) -> list[tuple[Link, Region]]:
-    """The links whose region meets ``restriction``, each with the
-    overlap, in table order (the geometric half of the link test)."""
+def _candidates(links: Sequence[Link], restriction: Region,
+                handler: QueryHandler, r: int
+                ) -> list[tuple[int, Any, float | None]]:
+    """The links whose region meets ``restriction`` (the geometric half of
+    the link test), in forwarding order: table order, by ``link_priority``
+    of the link's own region when ``r > 0`` (stable).
+
+    One ``(link index, overlap, bound)`` each.  A bounded table under a
+    box restriction is cut in one array pass, and a handler with
+    ``box_bounds`` then bounds every overlap in one call: ``overlap``
+    stays a ``(lo, hi)`` pair until the link is forwarded over.  Else
+    ``bound`` is None and ``overlap`` the region the handler is asked
+    about; arcs, frustums and plain lists get there link by link.
+    """
     bounds = links.bounds() if isinstance(links, LinkTable) else None
     if bounds is None or not isinstance(restriction, RectRegion):
-        return [(link, sub) for link in links
-                if (sub := link.region.intersect(restriction)) is not None]
+        pending = [(i, sub, None) for i, link in enumerate(links)
+                   if (sub := link.region.intersect(restriction)) is not None]
+        if r > 0:
+            pending.sort(key=lambda candidate: handler.link_priority(
+                links[candidate[0]].region))
+        return pending
     lo = np.maximum(bounds[0], restriction.rect.lo)
     hi = np.minimum(bounds[1], restriction.rect.hi)
     # Zero-volume overlaps count as empty, as in Rect.intersection.
     keep = np.logical_and.reduce(lo < hi, axis=1).nonzero()[0]
-    return [(links[i], RectRegion(Rect(tuple(l), tuple(h))))
-            for i, l, h in zip(keep.tolist(), lo[keep].tolist(),
-                               hi[keep].tolist())]
+    if not keep.size:
+        return []
+    if r > 0:
+        own = handler.box_bounds(bounds[0][keep], bounds[1][keep])
+        priority = [handler.link_priority(links[i].region)
+                    for i in keep.tolist()] if own is None \
+            else (-own).tolist()
+        keep = keep[sorted(range(len(keep)), key=priority.__getitem__)]
+    lo, hi = lo[keep], hi[keep]
+    boxes = zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()))
+    overlap = handler.box_bounds(lo, hi)
+    if overlap is None:
+        return [(i, RectRegion(Rect(*box)), None)
+                for i, box in zip(keep.tolist(), boxes)]
+    return list(zip(keep.tolist(), boxes, overlap.tolist()))
 
 
 @runtime_checkable
@@ -265,7 +350,7 @@ class _Visit:
 
     __slots__ = ("ctx", "handler", "peer", "received_state", "restriction",
                  "r", "initiator_id", "processes", "local_state", "gstate",
-                 "pending", "index", "upstream", "span")
+                 "links", "pending", "index", "upstream", "span")
 
     def __init__(self, ctx: QueryContext, handler: QueryHandler,
                  peer: PeerLike, received_state: Any, restriction: Region,
@@ -294,10 +379,9 @@ class _Visit:
                 state_size=state_size(self.local_state))
         else:
             self.span = 0
-        self.pending = _overlaps(peer.links(), restriction)
+        self.links = peer.links()
+        self.pending = _candidates(self.links, restriction, handler, r)
         if r > 0:
-            self.pending.sort(
-                key=lambda pair: handler.link_priority(pair[0].region))
             #: Parallel-mode accumulator of subtree states; sequential
             #: visits fold children into ``local_state`` and leave it empty.
             self.upstream: list[Any] = []
@@ -309,13 +393,19 @@ class _Visit:
 
         Relevance is judged against the state as it stands now, so a
         sequential visit prunes with everything its earlier children
-        reported."""
-        pending = self.pending
+        reported.  A candidate is ``(link index, overlap, bound)``: with
+        a handler's batched ``bound`` the overlap is still a ``(lo, hi)``
+        pair and relevance a float comparison, so the region — and the
+        ``Link`` of a lazy table — is built for forwarded links only."""
+        pending, handler = self.pending, self.handler
         while self.index < len(pending):
-            link, sub = pending[self.index]
+            i, sub, bound = pending[self.index]
             self.index += 1
-            if self.handler.is_link_relevant(sub, self.gstate):
-                return link.peer, sub
+            if bound is None:
+                if handler.is_link_relevant(sub, self.gstate):
+                    return self.links[i].peer, sub
+            elif bound >= handler.bound_cutoff(self.gstate):
+                return self.links[i].peer, RectRegion(Rect(*sub))
         return None
 
     def note_forward(self, target: PeerLike, now: int) -> None:

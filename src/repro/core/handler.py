@@ -16,6 +16,10 @@ paper pseudocode          handler method
 ``comp`` (via sortLinks)  :meth:`QueryHandler.link_priority`
 ========================  =======================================
 
+Handlers whose two link decisions reduce to one number per box region
+(top-k's ``f^+``) may also answer them for all links of a visit at once
+through :meth:`QueryHandler.box_bounds`.
+
 States are opaque to the framework: it only moves them around.  The
 geometric half of ``isLinkRelevant`` — does the link's region overlap the
 restriction area? — lives in the framework; the handler only answers the
@@ -26,6 +30,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Any, Sequence
+
+import numpy as np
 
 from ..common.store import LocalStore
 from .regions import Region
@@ -64,6 +70,23 @@ class QueryHandler(ABC):
     @abstractmethod
     def link_priority(self, region: Region) -> float:
         """Sort key for sequential forwarding; smaller = contacted earlier."""
+
+    def box_bounds(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+        """Optional batched form of both link decisions over box regions.
+
+        For ``S`` boxes given as ``(S, d)`` bounds, an ``(S,)`` array
+        ``b`` with ``link_priority(box) == -b`` and
+        ``is_link_relevant(box, state) == (b >= bound_cutoff(state))``,
+        bit for bit — a visit then decides all its box links with one
+        call and a float comparison each.  ``None`` (the default) keeps
+        the per-link callbacks.
+        """
+        return None
+
+    def bound_cutoff(self, global_state: Any) -> float:
+        """The least :meth:`box_bounds` value still relevant under
+        ``global_state``; required of handlers that implement it."""
+        raise NotImplementedError
 
     def neutral_local_state(self) -> Any:
         """The identity element of :meth:`update_local_state`.

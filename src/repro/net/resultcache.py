@@ -215,6 +215,11 @@ class CacheDirectory:
         self._stores: dict[Hashable, LocalStore] = {}
         self._listeners: dict[Hashable, Callable[[], None]] = {}
         self._epoch = overlay.epoch
+        #: Every event that can drop an entry (a store moved, a peer left
+        #: or was declared dead) counts here; ``_validated`` remembers the
+        #: count at which an entry's evidence was last checked in full.
+        self._events = 0
+        self._validated: dict[Fingerprint, int] = {}
         weakref.finalize(self, _unsubscribe, self._stores, self._listeners)
         for peer in overlay.peers():
             self._register(peer.peer_id, peer.store)
@@ -290,6 +295,7 @@ class CacheDirectory:
         replicas.subscribe_promotions(self.invalidate_peer)
 
     def _drop_peer(self, peer_id: Hashable) -> None:
+        self._events += 1
         for key in sorted(self._by_peer.pop(peer_id, ()), key=repr):
             self._remove(key)
 
@@ -297,6 +303,7 @@ class CacheDirectory:
         entry = self._entries.pop(key, None)
         if entry is None:
             return
+        del self._validated[key]
         self.invalidations += 1
         self._count("cache.invalidations")
         for peer_id, _ in entry.touched:
@@ -309,11 +316,16 @@ class CacheDirectory:
     def _fresh(self, entry: CacheEntry) -> bool:
         """Lazy double-check that every touched store is live and
         unmoved (push invalidation already guarantees it; this keeps the
-        serving decision locally auditable)."""
+        serving decision locally auditable).  Nothing can have moved
+        while no store, departure or crash has reported in, so the walk
+        runs once per such event, not once per hit."""
+        if self._validated[entry.key] == self._events:
+            return True
         for peer_id, version in entry.touched:
             store = self._stores.get(peer_id)
             if store is None or store.version != version:
                 return False
+        self._validated[entry.key] = self._events
         return True
 
     # -- the client API ----------------------------------------------------
@@ -382,6 +394,7 @@ class CacheDirectory:
                            answer=result.answer, touched=tuple(touched),
                            cost=stats.total_messages)
         self._entries[key] = entry
+        self._validated[key] = self._events
         for peer_id, _ in entry.touched:
             self._by_peer.setdefault(peer_id, set()).add(key)
         self._count("cache.stores")

@@ -76,9 +76,10 @@ class ArenaPeer:
     Views are created lazily and cached per arena, so object identity is
     stable (``arena.peer(i) is arena.peer(i)``) while untouched peers
     cost nothing.  The store materializes on first access as a read-only
-    zero-copy slice of the substrate; the link table decodes on first
-    access and is cached (arenas are immutable snapshots — no churn, no
-    epochs).
+    zero-copy slice of the substrate; the link table is built on first
+    access and cached (arenas are immutable snapshots — no churn, no
+    epochs), for box regions as arrays whose ``Link`` objects appear
+    only when indexed (:meth:`OverlayArena.link_table`).
     """
 
     __slots__ = ("arena", "index", "peer_id", "_store", "_links",
@@ -101,7 +102,7 @@ class ArenaPeer:
 
     def links(self) -> LinkTable:
         if self._links is None:
-            self._links = LinkTable(self.arena.decode_links(self.index))
+            self._links = self.arena.link_table(self.index)
         return self._links
 
     @property
@@ -160,9 +161,10 @@ class _ArenaPeers(Sequence[ArenaPeer]):
 class OverlayArena:
     """Shared substrate state: stores, liveness, and peer views.
 
-    Subclasses contribute the link encoding (:meth:`decode_links`) and
-    the replica-slot policy; everything protocol-facing (``peers()``,
-    ``domain()``, ``random_peer()``) lives here.
+    Subclasses contribute the link encoding (:meth:`decode_links`,
+    :meth:`link_table`) and the replica-slot policy; everything
+    protocol-facing (``peers()``, ``domain()``, ``random_peer()``) lives
+    here.
     """
 
     def __init__(self, *, dims: int, peer_ids: np.ndarray,
@@ -211,7 +213,14 @@ class OverlayArena:
         return self.tuples[self.store_ptr[index]:self.store_ptr[index + 1]]
 
     def decode_links(self, index: int) -> list[Link]:
+        """Peer ``index``'s links as objects: the arc / frustum form, and
+        the reference the array-built box tables are tested against."""
         raise NotImplementedError
+
+    def link_table(self, index: int) -> LinkTable:
+        """What ``peer(index).links()`` memoises; box families override
+        it to hand over arrays instead of decoded links."""
+        return LinkTable(self.decode_links(index))
 
     def replica_targets(self, peer: ArenaPeer, count: int
                         ) -> list[ArenaPeer]:
@@ -264,6 +273,15 @@ class MirrorArena(OverlayArena):
         return [Link(peer=self.peer(int(self.link_target[e])),
                      region=self._decode_region(e))
                 for e in range(lo, hi)]
+
+    def link_table(self, index: int) -> LinkTable:
+        if self.kind != "rect":
+            return super().link_table(index)
+        edges = slice(self.link_ptr[index], self.link_ptr[index + 1])
+        targets = self.link_target[edges]
+        return LinkTable.from_boxes(
+            self.peer, targets.tolist(), self.peer_ids[targets].tolist(),
+            self.link_payload["lo"][edges], self.link_payload["hi"][edges])
 
     def _decode_region(self, e: int) -> Region:
         pay = self.link_payload
@@ -361,9 +379,11 @@ class MidasArena(OverlayArena):
         lo, hi, _ = self._walk(index, None)
         return Rect(tuple(lo), tuple(hi))
 
-    def _walk(self, index: int, sink: list[tuple[int, Rect]] | None
+    def _walk(self, index: int,
+              sink: list[tuple[list[float], list[float]]] | None
               ) -> tuple[list[float], list[float], int]:
-        """Descend ``index``'s path; optionally record sibling cells."""
+        """Descend ``index``'s path; optionally record the sibling cell
+        of every level as ``(lo, hi)``."""
         path, depth = self.path_of(index), self.depth_of(index)
         lo = [0.0] * self.dims
         hi = [1.0] * self.dims
@@ -377,7 +397,7 @@ class MidasArena(OverlayArena):
                     sib_hi[j] = mid
                 else:
                     sib_lo[j] = mid
-                sink.append((bit, Rect(tuple(sib_lo), tuple(sib_hi))))
+                sink.append((sib_lo, sib_hi))
             if bit:
                 lo[j] = mid
             else:
@@ -403,20 +423,30 @@ class MidasArena(OverlayArena):
 
     # -- links -------------------------------------------------------------
 
-    def decode_links(self, index: int) -> list[Link]:
-        cells: list[tuple[int, Rect]] = []
-        self._walk(index, cells)
+    def _link_targets(self, index: int) -> list[int]:
+        """The peer index each level's link points at, root level first."""
+        if self.link_target is not None and self.link_ptr is not None:
+            return self.link_target[
+                self.link_ptr[index]:self.link_ptr[index + 1]].tolist()
         path, depth = self.path_of(index), self.depth_of(index)
-        links: list[Link] = []
-        for level, (bit, sibling) in enumerate(cells):
-            if self.link_target is not None and self.link_ptr is not None:
-                target = int(self.link_target[self.link_ptr[index] + level])
-            else:
-                prefix = (path >> (depth - 1 - level)) ^ 1
-                target = self._descend(index, prefix, level + 1)
-            links.append(Link(peer=self.peer(target),
-                              region=RectRegion(sibling)))
-        return links
+        return [self._descend(index, (path >> (depth - 1 - level)) ^ 1,
+                              level + 1) for level in range(depth)]
+
+    def decode_links(self, index: int) -> list[Link]:
+        cells: list[tuple[list[float], list[float]]] = []
+        self._walk(index, cells)
+        return [Link(peer=self.peer(target),
+                     region=RectRegion(Rect(tuple(lo), tuple(hi))))
+                for target, (lo, hi) in zip(self._link_targets(index), cells)]
+
+    def link_table(self, index: int) -> LinkTable:
+        cells: list[tuple[list[float], list[float]]] = []
+        self._walk(index, cells)
+        boxes = np.array(cells).reshape(len(cells), 2, self.dims)
+        # Peer ids are the indexes (``peer_ids`` is an ``arange``).
+        targets = self._link_targets(index)
+        return LinkTable.from_boxes(self.peer, targets, targets,
+                                    boxes[:, 0], boxes[:, 1])
 
     def _descend(self, owner: int, value: int, length: int) -> int:
         """The MIDAS random-descent representative of a sibling subtree.

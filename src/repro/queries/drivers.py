@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from ..common.geometry import Point
-from ..core.framework import PeerLike, execute
+from ..core.framework import Link, LinkTable, PeerLike, execute
 from ..core.handler import QueryHandler
 from ..core.regions import Region
 from ..net.context import QueryContext, QueryResult, QueryStats
@@ -199,14 +199,26 @@ def _best_first_probe(ctx: QueryContext, handler: QueryHandler,
     degenerates to processing the seed peer only.
     """
     counter = itertools.count()
-    frontier: list[tuple[float, int, PeerLike, Region]] = []
+    #: (priority, tie-break, target id, f+ or None, link table, link index)
+    frontier: list[tuple[float, int, Hashable, float | None,
+                         Sequence[Link], int]] = []
 
     def push_links(peer: PeerLike) -> None:
-        for link in peer.links():
-            if link.peer.peer_id not in ctx.processed:
-                heapq.heappush(frontier, (handler.link_priority(link.region),
-                                          next(counter), link.peer,
-                                          link.region))
+        links = peer.links()
+        bounds = links.bounds() if isinstance(links, LinkTable) else None
+        fplus = None if bounds is None else handler.box_bounds(*bounds)
+        if fplus is None:
+            for i, link in enumerate(links):
+                if link.peer.peer_id not in ctx.processed:
+                    heapq.heappush(frontier, (
+                        handler.link_priority(link.region), next(counter),
+                        link.peer.peer_id, None, links, i))
+            return
+        for i, (peer_id, bound) in enumerate(zip(links.peer_ids,
+                                                 fplus.tolist())):
+            if peer_id not in ctx.processed:
+                heapq.heappush(frontier, (-bound, next(counter), peer_id,
+                                          bound, links, i))
 
     state, gathered = _probe_peer(ctx, handler, seed_peer, state,
                                   initiator_id, t=base_t,
@@ -217,11 +229,13 @@ def _best_first_probe(ctx: QueryContext, handler: QueryHandler,
     while frontier and hops < _PROBE_BUDGET:
         if handler.seed_satisfied(gathered) and stale >= _PROBE_PATIENCE:
             break
-        _, _, peer, region = heapq.heappop(frontier)
-        if peer.peer_id in ctx.processed:
+        _, _, peer_id, bound, links, i = heapq.heappop(frontier)
+        if peer_id in ctx.processed:
             continue
-        if not handler.is_link_relevant(region, state):
+        if not (handler.is_link_relevant(links[i].region, state)
+                if bound is None else bound >= handler.bound_cutoff(state)):
             continue
+        peer = links[i].peer
         ctx.on_forward()
         if ctx.sink.enabled:
             ctx.sink.event("forward", base_t + hops, span=parent_span or 0,

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..common.geometry import Point
 from ..common.scoring import ScoringFunction
 from ..common.store import LocalStore
@@ -144,14 +146,22 @@ class TopKHandler(QueryHandler):
         return max(self.fn.upper_bound(rect) for rect in region.cover())
 
     def is_link_relevant(self, region: Region, global_state: TopKState) -> bool:
-        tau = self.tau(global_state)
-        if tau == -math.inf:
-            return True
-        slack = self.epsilon * abs(tau)
-        return self._region_upper_bound(region) >= tau + slack
+        cutoff = self.bound_cutoff(global_state)
+        return cutoff == -math.inf \
+            or self._region_upper_bound(region) >= cutoff
 
     def link_priority(self, region: Region) -> float:
         return -self._region_upper_bound(region)
+
+    def box_bounds(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``f^+`` of every box in one call: both decisions read it."""
+        return self.fn.upper_bound_batch(lo, hi)
+
+    def bound_cutoff(self, global_state: TopKState) -> float:
+        """``tau`` plus the approximation slack; ``-inf`` (nothing can be
+        pruned yet) admits every region."""
+        tau = self.tau(global_state)
+        return tau if tau == -math.inf else tau + self.epsilon * abs(tau)
 
     # -- seeding ------------------------------------------------------------
 
@@ -191,6 +201,10 @@ def distributed_topk(
     from ..core.framework import run_ripple
     from .drivers import run_seeded
 
+    domain = restriction.cover()[0]
+    if fn.dims != domain.dims:
+        raise ValueError(f"scoring function scores {fn.dims}-d tuples, "
+                         f"restriction {restriction!r} is {domain.dims}-d")
     handler = TopKHandler(fn, k)
     if not seeded:
         if cache is not None:
@@ -198,7 +212,6 @@ def distributed_topk(
         return run_ripple(initiator, handler, r,
                           restriction=restriction, strict=strict, sink=sink,
                           executor=executor)
-    domain = restriction.cover()[0]
     seed_point = tuple(min(v, h - 1e-12)
                        for v, h in zip(fn.peak(domain), domain.hi))
     return run_seeded(initiator, handler, r, restriction=restriction,

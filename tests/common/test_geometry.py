@@ -247,6 +247,18 @@ class TestBatchKernels:
             rect = Rect(tuple(lo[i]), tuple(hi[i]))
             assert got[i] == mindist(query, rect, p)
 
+    @pytest.mark.parametrize("p", (1, math.inf))
+    @pytest.mark.parametrize("d", (8, 9, 16))
+    def test_mindist_batch_bit_identical_past_eight_dimensions(self, p, d):
+        # ndarray.sum pairs terms up from eight on; the scalar adds left
+        # to right, and so must the batch.
+        points_, lo, hi = self._boxes(13, m=200, d=d)
+        query = tuple(points_[0])
+        got = mindist_batch(query, lo, hi, p=p)
+        for i in range(len(lo)):
+            rect = Rect(tuple(lo[i]), tuple(hi[i]))
+            assert got[i] == mindist(query, rect, p)
+
     @given(st.integers(0, 50))
     def test_mindist_batch_property(self, seed):
         points_, lo, hi = self._boxes(seed, m=12, d=2)

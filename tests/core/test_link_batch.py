@@ -12,13 +12,16 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import LinearScore, NearestScore, SkylineHandler, TopKHandler
+from repro import (LinearScore, NearestScore, SkylineHandler, TopKHandler,
+                   run_ripple)
 from repro.common.geometry import Rect
 from repro.common.store import LocalStore
 from repro.core.framework import Link, LinkTable, _Visit
 from repro.core.handler import QueryHandler
 from repro.core.regions import RectRegion
 from repro.net.context import QueryContext
+from repro.obs.trace import QueryTrace
+from repro.queries.topk import TopKState
 from tests.netlib import build_network
 
 #: A coarse grid, so boxes abut, coincide and nest all the time.
@@ -73,18 +76,19 @@ class CountingHandler(QueryHandler):
         return []
 
 
-def fake_peer(peer_id, links=()):
-    return SimpleNamespace(peer_id=peer_id, store=LocalStore(1),
+def fake_peer(peer_id, links=(), points=()):
+    dims = len(points[0]) if points else 1
+    return SimpleNamespace(peer_id=peer_id, store=LocalStore(dims, points),
                            links=lambda: links)
 
 
-def stepped(visit):
-    """Drive ``visit`` alone: every forward is answered at once by a
-    child state of 1, as a sequential parent would see it."""
+def stepped(visit, child=1):
+    """Drive ``visit`` alone: every forward is answered at once by the
+    state ``child``, as a sequential parent would see it."""
     out = []
     for target, sub in iter(visit.next_forward, None):
         out.append((target, sub))
-        visit.fold([1], 0)
+        visit.fold([child], 0)
     return out
 
 
@@ -143,6 +147,129 @@ class TestBatchedEqualsPerLink:
                        RectRegion(Rect((0.25,), (1.0,))), 0, "initiator", 0)
         assert [sub for _, sub in stepped(visit)] == [
             RectRegion(Rect((0.25,), (0.75,)))]
+
+
+@st.composite
+def topk_handlers(draw, dims):
+    """Top-k under a linear or a nearest-neighbour score whose ``f+``
+    ties all the time on the grid; exact or approximate."""
+    if draw(st.booleans()):
+        fn = LinearScore(draw(st.lists(
+            st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+            min_size=dims, max_size=dims)))
+    else:
+        fn = NearestScore(draw(st.lists(GRID, min_size=dims, max_size=dims)),
+                          p=draw(st.sampled_from([1, 2, 3, float("inf")])))
+    return TopKHandler(fn, 2, epsilon=draw(st.sampled_from([0.0, 0.25])))
+
+
+#: Received states: nothing certified yet, or a floor somewhere in the
+#: range the grid's bounds take.
+FLOORS = st.sampled_from([float("-inf"), -1.5, -0.5, 0.0, 0.25, 0.5, 1.0])
+
+
+class TestTopKBoundsEqualPerLink:
+    """``TopKHandler.box_bounds`` decides like its scalar callbacks."""
+
+    @given(st.data(), tables(), st.sampled_from([0, 3]), FLOORS)
+    @settings(max_examples=300, deadline=None)
+    def test_same_forwards_in_the_same_order(self, data, table, r, floor):
+        rects, restriction = table
+        handler = data.draw(topk_handlers(rects[0].dims))
+        links = LinkTable(Link(fake_peer(i), RectRegion(rect))
+                          for i, rect in enumerate(rects))
+        received = TopKState((), floor)
+        # Every response raises the certified threshold a little.
+        child = TopKState((floor + 0.125, floor + 0.125)) \
+            if floor > float("-inf") else TopKState((0.0, 0.0))
+        visit = _Visit(QueryContext(strict=True), handler,
+                       fake_peer("visited", links), received,
+                       RectRegion(restriction), r, "initiator", 0)
+        local = visit.local_state
+
+        def fold(state):
+            nonlocal local
+            local = handler.update_local_state([local, child])
+            return handler.compute_global_state(received, local)
+
+        got = stepped(visit, child)
+        assert got == per_link(handler, links, RectRegion(restriction), r,
+                               handler.compute_global_state(received, local),
+                               fold=fold)
+        for _, sub in got:
+            assert all(type(v) is float for v in sub.rect.lo + sub.rect.hi)
+
+    #: B's own region bounds 0.75 and A's 1.0, but a restriction to
+    #: [0, 0.5] cuts both overlaps down to a bound of 0.5.
+    A = Rect((0.0,), (1.0,))
+    B = Rect((0.25,), (0.75,))
+
+    def forwards(self, rects, restriction, r, floor, epsilon=0.0):
+        links = LinkTable(Link(fake_peer(name), RectRegion(rect))
+                          for name, rect in rects)
+        visit = _Visit(QueryContext(strict=True),
+                       TopKHandler(LinearScore([1.0]), 1, epsilon=epsilon),
+                       fake_peer("visited", links), TopKState((), floor),
+                       RectRegion(restriction), r, "initiator", 0)
+        return [(t.peer_id, sub.rect) for t, sub in stepped(
+            visit, TopKState((floor,)))]
+
+    def test_priority_reads_the_own_region_relevance_the_overlap(self):
+        table = [("B", self.B), ("A", self.A)]
+        cut = Rect((0.0,), (0.5,))
+        # By overlap bound the two would tie and keep table order.
+        assert self.forwards(table, cut, 3, 0.4) == [
+            ("A", Rect((0.0,), (0.5,))), ("B", Rect((0.25,), (0.5,)))]
+        assert self.forwards(table, cut, 0, 0.4) == [
+            ("B", Rect((0.25,), (0.5,))), ("A", Rect((0.0,), (0.5,)))]
+        # By own region both would still clear a threshold of 0.6.
+        assert self.forwards(table, cut, 3, 0.6) == []
+        assert self.forwards(table, cut, 0, 0.6) == []
+
+    def test_equal_bounds_keep_table_order(self):
+        twin = Rect((0.5,), (1.0,))
+        table = [("B", self.B), ("twin", twin), ("A", self.A)]
+        assert [name for name, _ in self.forwards(
+            table, Rect.unit(1), 3, 0.0)] == ["twin", "A", "B"]
+
+    def test_epsilon_raises_the_cutoff(self):
+        table = [("A", self.A)]
+        cut = Rect((0.0,), (0.5,))
+        assert self.forwards(table, cut, 0, 0.4, epsilon=0.2) != []
+        assert self.forwards(table, cut, 0, 0.4, epsilon=0.3) == []
+        # A negative threshold slackens by its magnitude, as the scalar.
+        assert self.forwards(table, cut, 0, -0.4, epsilon=0.3) != []
+
+
+class TestTracesEqualPerLink:
+    """A traced query records the same spans and events whether its
+    visits read a bounded table or the same links as a plain list."""
+
+    @given(st.data(), tables(), st.sampled_from([0, 1, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_process_and_forward_spans_are_identical(self, data, table, r):
+        rects, restriction = table
+        dims = rects[0].dims
+        handler = data.draw(st.one_of(
+            topk_handlers(dims), st.just(SkylineHandler(dims)),
+            st.just(CountingHandler())))
+        leaves = [fake_peer(i, points=[rect.lo, rect.center])
+                  for i, rect in enumerate(rects)]
+        links = LinkTable(Link(leaf, RectRegion(rect))
+                          for leaf, rect in zip(leaves, rects))
+        runs = []
+        for table_form in (links, list(links)):
+            root = fake_peer("root", table_form,
+                             points=[restriction.center])
+            trace = QueryTrace()
+            result = run_ripple(root, handler, r,
+                                restriction=RectRegion(restriction),
+                                sink=trace)
+            runs.append((trace.spans, trace.events, result.stats,
+                         repr(result.answer)))
+        assert runs[0] == runs[1]
+        assert {span.kind for span in runs[0][0]} == {"process"}
+        assert all(span.region is not None for span in runs[0][0])
 
 
 class TestTablesWithoutBounds:

@@ -154,6 +154,45 @@ class TestInvalidation:
         assert warm.answer == run_cold(overlay, handler).answer
         assert warm.stats.total_messages > 0
 
+    def test_hits_audit_their_evidence_once_per_network_event(
+            self, monkeypatch):
+        """The freshness walk over ``entry.touched`` runs when a store,
+        departure or crash has reported in since the entry was last
+        checked — not on every hit of a network that has not moved."""
+        from repro.common.store import LocalStore
+
+        overlay = midas_network(7)
+        cache = CacheDirectory(overlay, semantic=False)
+        handler = TopKHandler(LinearScore([1.0, 1.0]), 4)
+        run_warm(overlay, cache, handler)
+        (entry,) = cache._entries.values()
+        touched_ids = {peer_id for peer_id, _ in entry.touched}
+        reads = []
+        version = LocalStore.version.fget
+        monkeypatch.setattr(LocalStore, "version", property(
+            lambda store: reads.append(store) or version(store)))
+        before = cache.snapshot()
+        for _ in range(5):
+            assert cache.lookup(handler, overlay.domain()).is_exact
+        assert reads == []
+        # An insert the entry does not rest on: one full walk, still a hit.
+        untouched = next(p for p in overlay.peers()
+                         if p.peer_id not in touched_ids)
+        untouched.store.insert(np.array([0.5, 0.5]))
+        reads.clear()
+        for _ in range(3):
+            assert cache.lookup(handler, overlay.domain()).is_exact
+        assert len(reads) == len(entry.touched)
+        after = cache.snapshot()
+        assert after == {**before, "hits": before["hits"] + 8,
+                         "messages_saved": before["messages_saved"]
+                         + 8 * entry.cost}
+        # An insert it does rest on is still a miss.
+        target = next(p for p in overlay.peers()
+                      if p.peer_id in touched_ids)
+        target.store.insert(np.array([0.99, 0.99]))
+        assert not cache.lookup(handler, overlay.domain()).is_exact
+
     def test_an_abandoned_directory_is_not_kept_alive_by_its_stores(self):
         import gc
         import weakref

@@ -12,10 +12,14 @@ pin down.
 import numpy as np
 import pytest
 
-from repro import CanOverlay, ChordOverlay, MidasOverlay
+from repro import (CanOverlay, ChordOverlay, LinearScore, MidasOverlay,
+                   TopKHandler, distributed_topk)
 from repro.common.geometry import Rect, contains_batch
 from repro.common.store import LocalStore
-from repro.overlays import ArenaPeer, MidasArena, from_overlay, midas_arena
+from repro.core.framework import Link, LinkTable
+from repro.net.routing import greedy_route
+from repro.overlays import (ArenaPeer, MidasArena, from_overlay, midas_arena,
+                            run_wavefront, wavefront_execute)
 
 
 def midas_network(seed, peers=36, tuples=260):
@@ -165,6 +169,106 @@ class TestMidasArena:
         with pytest.raises(ValueError):
             MidasArena(dims=2, store_ptr=np.zeros(7, dtype=np.int64),
                        tuples=np.empty((0, 2)), base_depth=1, extra=4)
+
+
+def lazy_arenas():
+    """``(label, arena)``: box-table arenas of every build path."""
+    rng = np.random.default_rng(21)
+    for dims in (1, 2, 3):
+        for n in (1, 16, 37):
+            for precompute in (False, True):
+                yield (f"midas_arena n={n} d={dims} precompute={precompute}",
+                       midas_arena(n, dims=dims, seed=5,
+                                   data=rng.random((90, dims)) * 0.999,
+                                   precompute_links=precompute))
+    yield "from_overlay(midas)", from_overlay(midas_network(3))
+
+
+class TestLazyLinkTables:
+    """``ArenaPeer.links()`` builds box tables from arrays and a ``Link``
+    only on access; ``decode_links`` stays the object-form reference."""
+
+    @pytest.mark.parametrize("label, arena", list(lazy_arenas()),
+                             ids=[label for label, _ in lazy_arenas()])
+    def test_lazy_tables_equal_decoded_links(self, label, arena):
+        for index in range(len(arena)):
+            table = arena.peer(index).links()
+            decoded = arena.decode_links(index)
+            assert isinstance(table, LinkTable)
+            assert len(table) == len(decoded)
+            lo, hi = table.bounds()
+            assert lo.shape == hi.shape == (len(decoded), arena.dims)
+            assert table.peer_ids == [l.peer.peer_id for l in decoded]
+            assert all(type(i) is int for i in table.peer_ids)
+            # Nothing above built a link; indexing builds exactly one.
+            assert table._links == [None] * len(decoded)
+            for i, reference in enumerate(decoded):
+                link = table[i]
+                assert link.peer is reference.peer
+                assert link.region == reference.region
+                assert link.region.rect.lo == tuple(lo[i])
+                assert link.region.rect.hi == tuple(hi[i])
+                assert all(type(v) is float for v in
+                           link.region.rect.lo + link.region.rect.hi)
+                assert table[i] is link
+
+    def test_tables_behave_as_sequences(self):
+        arena = midas_arena(37, dims=2, seed=5)
+        table = arena.peer(9).links()
+        decoded = arena.decode_links(9)
+        assert arena.peer(9).links() is table
+        assert table[-1] == decoded[-1] and table[-1] is table[len(table) - 1]
+        assert table._links.count(None) == len(decoded) - 1
+        assert table[1:3] == decoded[1:3]
+        assert table[::-1] == decoded[::-1]
+        assert list(table) == decoded
+        assert list(reversed(table)) == decoded[::-1]
+        assert decoded[2] in table and table.index(decoded[2]) == 2
+        assert [a is b for a, b in zip(table, table)] == [True] * len(table)
+        with pytest.raises(IndexError):
+            table[len(decoded)]
+        assert len(midas_arena(1, dims=2).peer(0).links()) == 0
+        assert list(midas_arena(1, dims=2).peer(0).links()) == []
+
+    def test_arc_and_frustum_mirrors_keep_decoded_tables(self):
+        chord = ChordOverlay(size=12, seed=5)
+        can = CanOverlay(2, size=9, seed=5)
+        for overlay in (chord, can):
+            arena = from_overlay(overlay)
+            table = arena.peer(3).links()
+            assert table.bounds() is None
+            assert list(table) == arena.decode_links(3)
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_a_wavefront_topk_builds_only_the_links_it_crosses(
+            self, monkeypatch, seeded):
+        rng = np.random.default_rng(8)
+        arena = midas_arena(512, dims=3, seed=8,
+                            data=rng.random((4000, 3)) * 0.999,
+                            precompute_links=True)
+        built = []
+        init = Link.__init__
+        monkeypatch.setattr(Link, "__init__", lambda self, *args, **kwargs:
+                            built.append(1) or init(self, *args, **kwargs))
+        fn = LinearScore((0.9, 1.1, 0.7))
+        initiator = arena.peer(300)
+        if seeded:
+            result = distributed_topk(initiator, fn, 5, r=0,
+                                      restriction=arena.domain(),
+                                      executor=wavefront_execute)
+            # greedy_route still walks a table link by link until one
+            # contains the seed point: at most a table per route hop.
+            route = greedy_route(initiator, (1 - 1e-12,) * 3)[1]
+            assert len(route) > 2
+            allowance = sum(len(peer.links()) for peer in route)
+        else:
+            result = run_wavefront(initiator, TopKHandler(fn, 5),
+                                   restriction=arena.domain())
+            allowance = 0
+        assert result.stats.processed > 5
+        assert 0 < len(built) <= result.stats.forward_messages + allowance
+        assert len(built) < sum(len(arena.peer(i).links())
+                                for i in arena._views) / 2
 
 
 class TestPeerViews:

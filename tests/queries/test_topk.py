@@ -155,3 +155,44 @@ class TestReference:
     def test_reference_k_truncates(self):
         data = np.random.default_rng(0).random((50, 2))
         assert len(topk_reference(data, LinearScore([1, 1]), 7)) == 7
+
+
+class TestBadScoringFunctions:
+    """Bad scoring parameters fail at the API boundary: at construction,
+    or — a well-formed function of the wrong dimensionality — in
+    ``distributed_topk`` before the query touches a peer."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: LinearScore([math.nan, 1.0]),
+        lambda: LinearScore([math.inf, 1.0]),
+        lambda: LinearScore([]),
+        lambda: NearestScore([math.nan, 0.5]),
+        lambda: NearestScore([0.5, 0.5], p=0),
+        lambda: LinearScore([1.0, 1.0, 1.0]),       # on a 2-d network
+        lambda: NearestScore([0.5]),                # on a 2-d network
+    ], ids=["nan-weight", "inf-weight", "no-weights", "nan-query",
+            "zero-p", "three-weights-2d", "one-coordinate-2d"])
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_value_error_before_any_peer_is_touched(self, monkeypatch,
+                                                    build, seeded):
+        overlay = MidasOverlay(2, size=8, seed=3)
+        overlay.load(np.random.default_rng(3).random((60, 2)) * 0.999)
+        peer = overlay.peers()[0]
+
+        def touched(*args, **kwargs):
+            raise AssertionError("the query started")
+
+        monkeypatch.setattr("repro.net.context.QueryContext.__init__",
+                            touched)
+        monkeypatch.setattr(type(peer), "links", touched)
+        monkeypatch.setattr(LocalStore, "top_scoring", touched)
+        with pytest.raises(ValueError,
+                           match="weights|query|p must|-d tuples.*2-d"):
+            distributed_topk(peer, build(), 3, restriction=overlay.domain(),
+                             seeded=seeded)
+
+    def test_the_mismatch_names_both_dimensionalities(self):
+        overlay = MidasOverlay(2, size=4, seed=3)
+        with pytest.raises(ValueError, match=r"3-d tuples.*is 2-d"):
+            distributed_topk(overlay.peers()[0], LinearScore([1, 1, 1]), 3,
+                             restriction=overlay.domain())
