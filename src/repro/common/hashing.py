@@ -18,21 +18,32 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - scalar helpers stay NumPy-free
     import numpy as np
 
-__all__ = ["mix", "mix_array", "path_key"]
+__all__ = ["mix", "mix_array", "mix_step", "path_key"]
 
 _MASK = (1 << 64) - 1
+
+
+def mix_step(acc: int, value: int) -> int:
+    """Fold one more operand into a :func:`mix` value.
+
+    ``mix`` has no finalisation round, so ``mix(*head, value) ==
+    mix_step(mix(*head), value)``: a caller hashing many operands behind
+    one fixed prefix (every branch bit of a peer's link descents) mixes
+    the prefix once and pays one step per operand.
+    """
+    acc = (acc + (value & _MASK) + 0x9E3779B97F4A7C15) & _MASK
+    acc ^= acc >> 30
+    acc = (acc * 0xBF58476D1CE4E5B9) & _MASK
+    acc ^= acc >> 27
+    acc = (acc * 0x94D049BB133111EB) & _MASK
+    return acc ^ (acc >> 31)
 
 
 def mix(*values: int) -> int:
     """Mix any number of integers into a well-scrambled 64-bit value."""
     acc = 0x9E3779B97F4A7C15
     for value in values:
-        acc = (acc + (value & _MASK) + 0x9E3779B97F4A7C15) & _MASK
-        acc ^= acc >> 30
-        acc = (acc * 0xBF58476D1CE4E5B9) & _MASK
-        acc ^= acc >> 27
-        acc = (acc * 0x94D049BB133111EB) & _MASK
-        acc ^= acc >> 31
+        acc = mix_step(acc, value)
     return acc
 
 

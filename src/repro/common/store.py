@@ -30,6 +30,7 @@ built twice share it.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -244,6 +245,8 @@ class LocalStore:
         self._writable()
         if len(point) != self.dims:
             raise ValueError(f"expected {self.dims}-d point, got {len(point)}-d")
+        if not all(map(isfinite, point)):
+            raise ValueError(f"expected finite coordinates, got {tuple(point)}")
         self._reserve(1)
         self._buf[self._size] = point
         self._size += 1
@@ -259,16 +262,23 @@ class LocalStore:
         self._size += len(array)
         self._invalidate()
 
-    def extract(self, rect: Rect) -> np.ndarray:
+    def extract(self, rect: Rect, dim: int | None = None) -> np.ndarray:
         """Remove and return all tuples inside ``rect`` (half-open).
 
         Used when a zone splits: the tuples of the new sibling zone move to
-        the joining peer.
+        the joining peer.  A zone splits along one dimension and holds
+        nothing outside itself, so the split passes that ``dim`` and only
+        its column is compared; the caller vouches that every stored
+        tuple is inside ``rect`` along the others.
         """
         self._writable()
         live = self._buf[: self._size]
-        inside = np.all((live >= rect.lo) & (live < rect.hi), axis=1)
-        moved = live[inside].copy()
+        if dim is None:
+            inside = np.all((live >= rect.lo) & (live < rect.hi), axis=1)
+        else:
+            column = live[:, dim]
+            inside = (column >= rect.lo[dim]) & (column < rect.hi[dim])
+        moved = live[inside]
         kept = live[~inside]
         self._buf[: len(kept)] = kept
         self._size = len(kept)

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import (Any, Callable, Hashable, Iterable, Iterator, Protocol,
-                    Sequence, overload, runtime_checkable)
+from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping,
+                    Protocol, Sequence, overload, runtime_checkable)
 
 import numpy as np
 
@@ -128,6 +128,23 @@ class LinkTable(Sequence[Link]):
         if self._targets:
             return map(self.__getitem__, range(len(self._links)))
         return iter(self._links)
+
+    def retargeted(self, targets: Mapping[int, "PeerLike"]) -> "LinkTable":
+        """A copy whose link ``i`` points at ``targets[i]`` over the same
+        region.  The other ``Link``s and, once derived, the bounds arrays
+        are this table's own, not rebuilt."""
+        table = LinkTable(self)
+        for i, peer in targets.items():
+            table._links[i] = Link(peer, table._links[i].region)
+        try:
+            table._bounds = self._bounds
+        except AttributeError:
+            return table
+        if table._bounds is not None:
+            table.peer_ids = list(self.peer_ids)
+            for i, peer in targets.items():
+                table.peer_ids[i] = peer.peer_id
+        return table
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(lo, hi)``, each ``(L, d)``, when every region is a box;

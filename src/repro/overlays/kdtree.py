@@ -27,8 +27,14 @@ class Node:
     """One node of the split tree.
 
     A node is created once and never re-parented: its ``path`` (the id of
-    Section 2.3) is fixed at birth.  Leaves carry the owning peer in
-    ``payload``; internal nodes carry the split plane and two children.
+    Section 2.3) is fixed at birth.  ``payload`` is non-``None`` exactly
+    on live leaves, where it is the owning peer: a split clears the split
+    leaf's, a merge clears both discarded children's, and a node a merge
+    discarded never re-enters the tree.  So ``node.payload is peer`` alone
+    says that ``node`` is a leaf of the tree owned by ``peer``, and — a
+    merge needing two leaf children — that every node above it is still
+    internal with the children it had when ``node`` was created.
+    Internal nodes carry the split plane and two children.
     """
 
     __slots__ = ("rect", "parent", "path", "split_dim", "split_value",
@@ -78,9 +84,6 @@ class SplitTree:
         self.dims = dims
         self.root = Node(Rect.unit(dims), None, None)
         self.leaf_count = 1
-        #: Incremented by every structural change; used by peers to cache
-        #: link tables between churn events.
-        self.epoch = 0
 
     # -- queries --------------------------------------------------------
 
@@ -136,21 +139,25 @@ class SplitTree:
         leaf.right = Node(hi_rect, leaf, 1)
         leaf.payload = None
         self.leaf_count += 1
-        self.epoch += 1
         return leaf.left, leaf.right
 
     def merge_children(self, parent: Node) -> Node:
-        """Collapse an internal node whose children are both leaves."""
+        """Collapse an internal node whose children are both leaves.
+
+        The discarded children lose their payload (the :class:`Node`
+        invariant); the caller gives the merged leaf its owner.
+        """
         if parent.is_leaf:
             raise ValueError("cannot merge a leaf")
-        if not (parent.child(0).is_leaf and parent.child(1).is_leaf):
+        left, right = parent.child(0), parent.child(1)
+        if not (left.is_leaf and right.is_leaf):
             raise ValueError("children must both be leaves")
+        left.payload = right.payload = None
         parent.split_dim = None
         parent.split_value = None
         parent.left = None
         parent.right = None
         self.leaf_count -= 1
-        self.epoch += 1
         return parent
 
     def find_leaf_pair(self, node: Node) -> Node:

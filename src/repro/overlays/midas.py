@@ -15,6 +15,13 @@ Which peer inside a sibling subtree becomes the link target is a *policy*:
   :mod:`repro.overlays.patterns`), i.e. one whose zone hugs the lower
   domain boundary where skyline tuples live.
 
+Either way the target is where a deterministic descent from the sibling
+subtree's root ends: its branch bits depend only on ``(seed, owner id,
+node path)``.  Churn is local — a join splits one leaf, a departure merges
+one leaf pair — so a memoised table is *revalidated* after churn, not
+rebuilt (:meth:`MidasPeer._refresh_links`): a link whose end leaf still
+carries the target it had is exactly what a rebuild would produce.
+
 Churn and data hand-off live in the split-tree substrate
 (:class:`~repro.overlays.substrate.SplitTreeOverlay`): joins route to a
 random key and split the hosting leaf along alternating dimensions;
@@ -32,8 +39,8 @@ from typing import Literal
 import numpy as np
 
 from ..common.geometry import Point, Rect
-from ..common.hashing import mix, path_key
-from ..core.framework import Link
+from ..common.hashing import mix, mix_step, path_key
+from ..core.framework import Link, LinkTable
 from ..core.regions import RectRegion
 from .kdtree import Node
 from .patterns import alive_patterns
@@ -46,10 +53,15 @@ SplitRule = Literal["midpoint", "median"]
 
 
 class MidasPeer(TreePeer):
-    """A MIDAS peer: one leaf of the virtual k-d tree."""
+    """A MIDAS peer: one leaf of the virtual k-d tree.
 
-    __slots__ = ()
+    Beside its memoised link table the peer keeps what the table is valid
+    against: its own leaf and the leaf each link's descent ended at.
+    """
+
+    __slots__ = ("_link_ends",)
     overlay: "MidasOverlay"
+    _link_ends: tuple[Node, list[Node]]
 
     @property
     def depth(self) -> int:
@@ -64,9 +76,46 @@ class MidasPeer(TreePeer):
 
     def _build_links(self) -> list[Link]:
         """One link per depth; regions are the sibling subtree rectangles."""
-        return [Link(peer=self.overlay.representative(subtree, self),
+        overlay = self.overlay
+        prefix = mix(overlay.seed, self.peer_id)
+        return [Link(peer=overlay.link_end(subtree, prefix).payload,
                      region=RectRegion(subtree.rect))
-                for subtree in self.overlay.tree.sibling_subtrees(self.leaf)]
+                for subtree in overlay.tree.sibling_subtrees(self.leaf)]
+
+    def _refresh_links(self, stale: LinkTable | None) -> LinkTable:
+        """Revalidate ``stale`` against the tree; re-derive what moved.
+
+        While this peer's leaf is the node it was, the nodes above it are
+        too (:class:`~repro.overlays.kdtree.Node`), so the sibling
+        subtrees, their rectangles and the bounds arrays stand.  Link
+        ``i``'s descent ended at leaf ``T`` on target ``t``; it would end
+        there again iff ``T.payload is t`` — ``T`` is then a live leaf
+        below unchanged internal nodes, and the bits never depended on
+        anything else.  Only links failing that compare are re-descended,
+        and with none failing ``stale`` itself is the table.
+        """
+        leaf = self.leaf
+        if stale is None or self._link_ends[0] is not leaf:
+            table = LinkTable(self._build_links())
+            # A live peer's ``leaf`` is the leaf it is the payload of.
+            self._link_ends = (leaf, [link.peer.leaf for link in table])
+            return table
+        ends = self._link_ends[1]
+        moved = [i for i, (end, link) in enumerate(zip(ends, stale))
+                 if end.payload is not link.peer]
+        if not moved:
+            return stale
+        overlay = self.overlay
+        prefix = mix(overlay.seed, self.peer_id)
+        subtrees = overlay.tree.sibling_subtrees(leaf)
+        ends, targets = list(ends), {}
+        for i in moved:
+            ends[i] = overlay.link_end(subtrees[i], prefix)
+            # A target that split its leaf may be found again below it.
+            if ends[i].payload is not stale[i].peer:
+                targets[i] = ends[i].payload
+        self._link_ends = (leaf, ends)
+        return stale.retargeted(targets) if targets else stale
 
     def __repr__(self) -> str:
         return f"MidasPeer(id={self.peer_id}, path={self.id_string() or 'root'})"
@@ -139,39 +188,44 @@ class MidasOverlay(SplitTreeOverlay[MidasPeer]):
 
     # -- link targets -------------------------------------------------------
 
-    def representative(self, subtree: Node, owner: MidasPeer) -> MidasPeer:
-        """The peer inside ``subtree`` that ``owner`` links to."""
+    def link_end(self, subtree: Node, prefix: int) -> Node:
+        """The leaf of ``subtree`` whose peer the owner links to.
+
+        ``prefix`` is ``mix(seed, owner id)``: every hash below is
+        ``mix(seed, owner id, ...)``, continued from it by
+        :func:`~repro.common.hashing.mix_step`.
+        """
         if self.link_policy == "boundary":
             alive = alive_patterns(subtree.path, self.dims)
             if alive:
-                return self._boundary_descent(subtree, owner, sorted(alive))
-        return self._random_descent(subtree, owner)
+                return self._boundary_descent(subtree, prefix, sorted(alive))
+        return self._random_descent(subtree, prefix)
 
-    def _random_descent(self, subtree: Node, owner: MidasPeer) -> MidasPeer:
-        node = subtree
+    def _random_descent(self, subtree: Node, prefix: int) -> Node:
+        node, key = subtree, path_key(subtree.path)
         while not node.is_leaf:
-            bit = mix(self.seed, owner.peer_id, path_key(node.path)) & 1
-            node = node.child(bit)
-        return node.payload
+            bit = mix_step(prefix, key) & 1
+            node, key = node.child(bit), key << 1 | bit
+        return node
 
-    def _boundary_descent(self, subtree: Node, owner: MidasPeer,
-                          alive: list[int]) -> MidasPeer:
+    def _boundary_descent(self, subtree: Node, prefix: int,
+                          alive: list[int]) -> Node:
         """Descend to a leaf whose id matches a still-alive boundary pattern.
 
         Free positions (``i mod D == j``) are chosen pseudo-randomly to
         spread link targets across the boundary; constrained positions
         must take the 0 child, which always exists in a binary tree.
         """
-        choice = mix(self.seed, owner.peer_id, path_key(subtree.path), 0xB0)
+        node, key = subtree, path_key(subtree.path)
+        choice = mix_step(mix_step(prefix, key), 0xB0)
         pattern = alive[choice % len(alive)]
-        node = subtree
         while not node.is_leaf:
             if node.depth % self.dims == pattern:
-                bit = mix(self.seed, owner.peer_id, path_key(node.path)) & 1
+                bit = mix_step(prefix, key) & 1
             else:
                 bit = 0
-            node = node.child(bit)
-        return node.payload
+            node, key = node.child(bit), key << 1 | bit
+        return node
 
     # -- construction helpers ---------------------------------------------
 

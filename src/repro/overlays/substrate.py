@@ -69,17 +69,31 @@ class SubstratePeer(ABC):
         self._links: tuple[int, LinkTable] | None = None
 
     def links(self) -> LinkTable:
-        """The link table, rebuilt lazily once churn moves the epoch."""
+        """The link table of the current epoch, memoised.
+
+        Always equal to ``LinkTable(self._build_links())``.  Once churn
+        has moved the epoch the memoised table goes through
+        :meth:`_refresh_links`, which by default rebuilds it; an overlay
+        whose churn is local hands the same object back while none of
+        its links changed.
+        """
         epoch = self.overlay.epoch
         if self._links is not None and self._links[0] == epoch:
             return self._links[1]
-        links = LinkTable(self._build_links())
+        links = self._refresh_links(
+            None if self._links is None else self._links[1])
         self._links = (epoch, links)
         return links
 
+    def _refresh_links(self, stale: LinkTable | None) -> LinkTable:
+        """The table of the current epoch, given the one memoised at an
+        earlier epoch (``None`` on first touch)."""
+        return LinkTable(self._build_links())
+
     @abstractmethod
     def _build_links(self) -> list[Link]:
-        """This overlay's link discipline for the current epoch."""
+        """This overlay's link discipline for the current epoch, derived
+        from nothing but the overlay's present structure."""
 
 
 _P = TypeVar("_P", bound=SubstratePeer)
@@ -215,8 +229,8 @@ class SplitTreeOverlay(Substrate[_TP]):
             for block, cumulative in zip(self._data_pool, self._pool_sizes):
                 if pick < cumulative:
                     row = block[pick - (cumulative - len(block))]
-                    return tuple(float(v) for v in row)
-        return tuple(float(v) for v in self.rng.random(self.dims))
+                    return tuple(row.tolist())
+        return tuple(self.rng.random(self.dims).tolist())
 
     def _split_host(self, host_leaf: Node, point: Point) -> _TP:
         host: _TP = host_leaf.payload
@@ -231,7 +245,8 @@ class SplitTreeOverlay(Substrate[_TP]):
         joiner = self._new_peer(new_child)
         if anchor is not None:
             joiner.anchor = anchor
-        joiner.store.bulk_load(host.store.extract(new_child.rect))
+        # The host's tuples are all inside the zone being halved.
+        joiner.store.bulk_load(host.store.extract(new_child.rect, dim))
         self.epoch += 1
         return joiner
 
@@ -393,8 +408,18 @@ class RingOverlay(Substrate[_RP]):
         rows = np.asarray(array, dtype=float)
         if rows.ndim == 1:
             rows = rows[:, None]
-        for point in map(tuple, self._checked_rows(rows).tolist()):
-            self.owner(point[0]).store.insert(point)
+        rows = self._checked_rows(rows)
+        # ``owner`` of every row at once; rank -1 (a key below the
+        # smallest peer key) wraps to the last peer *before* the stable
+        # sort, so each peer's block keeps arrival order.
+        ranks = (np.searchsorted(self._keys, rows[:, 0] % 1.0, side="right")
+                 - 1) % len(self._peers)
+        order = np.argsort(ranks, kind="stable")
+        cuts = np.searchsorted(ranks[order], np.arange(len(self._peers) + 1))
+        for peer, start, stop in zip(self._peers, cuts[:-1].tolist(),
+                                     cuts[1:].tolist()):
+            if start < stop:
+                peer.store.bulk_load(rows[order[start:stop]])
 
     # -- links --------------------------------------------------------------
 

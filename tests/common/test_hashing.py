@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.common.hashing import mix, mix_array, path_key
+from repro.common.hashing import mix, mix_array, mix_step, path_key
 
 
 class TestMix:
@@ -25,6 +25,14 @@ class TestMix:
         base = mix(42)
         flipped = mix(43)
         assert bin(base ^ flipped).count("1") > 10
+
+    @given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=4),
+           st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=4))
+    def test_steps_continue_a_prefix(self, head, tail):
+        acc = mix(*head)
+        for value in tail:
+            acc = mix_step(acc, value)
+        assert acc == mix(*head, *tail)
 
 
 class TestPathKey:

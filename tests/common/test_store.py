@@ -31,6 +31,17 @@ class TestBasics:
         with pytest.raises(ValueError):
             store.insert((1, 2, 3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_insert_rejects_non_finite(self, bad):
+        store = LocalStore(2, [(0.1, 0.2)])
+        version = store.version
+        with pytest.raises(ValueError, match="finite"):
+            store.insert((bad, 0.5))
+        with pytest.raises(ValueError, match="finite"):
+            store.insert(np.array([0.5, bad]))
+        assert len(store) == 1 and store.version == version
+
     def test_growth_beyond_initial_capacity(self):
         store = LocalStore(1)
         for i in range(100):
@@ -81,6 +92,19 @@ class TestExtract:
         assert len(moved) + len(store) == total
         assert all(p[0] < 0.5 for p in moved)
         assert all(p[0] >= 0.5 for p in store.iter_points())
+
+
+    @given(st.lists(st.tuples(st.floats(0.25, 0.5, exclude_max=True),
+                              st.floats(0, 0.999)), max_size=40),
+           st.sampled_from([0, 1]), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_extract_along_the_split_dimension(self, points, dim, upper):
+        """Halving a zone: one column decides, same rows in the same order."""
+        zone = Rect((0.25, 0.0), (0.5, 1.0))
+        half = zone.split(dim, zone.center[dim])[upper]
+        full, column = LocalStore(2, points), LocalStore(2, points)
+        assert np.array_equal(full.extract(half), column.extract(half, dim))
+        assert np.array_equal(full.array, column.array)
 
 
 class TestScans:

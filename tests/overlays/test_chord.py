@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro import NearestScore, run_fast, run_ripple, run_slow
 from repro.net.routing import greedy_route
 from repro.overlays.chord import ChordOverlay
+from repro.overlays.skipgraph import SkipGraphOverlay
 from repro.queries.topk import TopKHandler, topk_reference
 
 
@@ -48,6 +49,25 @@ class TestRing:
         for peer in overlay.peers():
             for (key,) in peer.store.iter_points():
                 assert peer.zone.contains(key)
+
+
+    @pytest.mark.parametrize("build", [ChordOverlay, SkipGraphOverlay])
+    def test_load_equals_the_scalar_loop(self, build):
+        """One routed block per peer stores what ``owner`` + ``insert``
+        row by row would: same tuples, same order, wrap-around included."""
+        overlay, scalar = build(size=9, seed=7), build(size=9, seed=7)
+        keys = [peer.key for peer in overlay.peers()]
+        values = np.concatenate([
+            [0.0, keys[0] / 2, keys[0], keys[-1], 0.999], keys[3:6],
+            np.random.default_rng(7).random(60) * 0.999, [keys[0] / 3]])
+        assert (values < keys[0]).sum() >= 3
+        overlay.load(values)
+        for value in values.tolist():
+            scalar.owner(value).store.insert((value,))
+        for got, expected in zip(overlay.peers(), scalar.peers()):
+            assert got.store.array.tobytes() == expected.store.array.tobytes()
+        untouched = [peer for peer in overlay.peers() if not len(peer.store)]
+        assert all(peer.store.version == 0 for peer in untouched)
 
 
 class TestFingers:

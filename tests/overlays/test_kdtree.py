@@ -40,12 +40,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             tree.split_leaf(tree.root, 0, 0.25)
 
-    def test_epoch_increments(self):
-        tree = SplitTree(2)
-        before = tree.epoch
-        tree.split_leaf(tree.root, 0, 0.5)
-        assert tree.epoch == before + 1
-
     def test_locate(self):
         tree, ll, lh, right = build_small()
         assert tree.locate((0.1, 0.1)) is ll
@@ -91,6 +85,17 @@ class TestMerge:
         assert merged.is_leaf
         assert tree.leaf_count == 2
         assert merged.rect == Rect((0.0, 0.0), (0.5, 1.0))
+
+    def test_payload_only_on_live_leaves(self):
+        tree, ll, lh, right = build_small()
+        for leaf in (ll, lh, right):
+            leaf.payload = leaf.id_string()
+        parent = tree.merge_children(ll.parent)
+        assert ll.payload is None and lh.payload is None
+        parent.payload = "0"
+        tree.split_leaf(parent, 1, 0.25)
+        assert parent.payload is None
+        assert right.payload == "1"
 
     def test_merge_requires_leaf_children(self):
         tree, *_ = build_small()

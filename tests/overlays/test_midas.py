@@ -100,12 +100,21 @@ class TestLinks:
                 assert link.region.rect.contains_rect(link.peer.zone)
 
     def test_links_cached_until_churn(self):
+        """Same table while no link changed; always equal to a rebuild
+        (the full contract: ``test_midas_link_refresh.py``)."""
         overlay = MidasOverlay(2, size=16, seed=8)
-        peer = overlay.peers()[0]
-        first = peer.links()
-        assert peer.links() is first
-        overlay.join()
-        assert peer.links() is not first
+        tables = {peer: peer.links() for peer in overlay.peers()}
+        assert all(peer.links() is table for peer, table in tables.items())
+        joiner = overlay.join()
+        host = joiner.leaf.parent.child(1 - joiner.path[-1]).payload
+        for peer, table in tables.items():
+            rebuilt = peer._build_links()
+            assert [(link.peer, link.region) for link in peer.links()] == \
+                [(link.peer, link.region) for link in rebuilt]
+            same = peer is not host and \
+                [link.peer for link in table] == [link.peer for link in rebuilt]
+            assert (peer.links() is table) == same
+        assert len(host.links()) == len(tables[host]) + 1
 
     def test_max_links(self):
         overlay = MidasOverlay(2, size=32, seed=9)
