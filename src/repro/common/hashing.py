@@ -47,19 +47,22 @@ def mix(*values: int) -> int:
     return acc
 
 
-def mix_array(*values: "int | np.ndarray") -> "np.ndarray":
+def mix_array(*values: "int | np.ndarray",
+              acc: int = 0x9E3779B97F4A7C15) -> "np.ndarray":
     """Vectorized :func:`mix`: each operand is a scalar or a ``uint64`` array.
 
     Operands broadcast against each other; the result equals
     ``[mix(*row) for row in zip(*broadcast(values))]`` bit for bit, but is
     computed with a constant number of NumPy operations per operand.  All
     arithmetic is modulo ``2**64`` (``uint64`` wraparound), exactly like
-    the masked Python-integer arithmetic of the scalar form.
+    the masked Python-integer arithmetic of the scalar form.  ``acc`` is
+    an already mixed prefix, as in :func:`mix_step`: ``mix_array(v,
+    acc=mix(*head))`` equals ``mix_array(*head, v)``.
     """
     import numpy as np
 
     with np.errstate(over="ignore"):
-        acc = np.asarray(np.uint64(0x9E3779B97F4A7C15))
+        acc = np.asarray(np.uint64(acc))
         golden = np.uint64(0x9E3779B97F4A7C15)
         m1 = np.uint64(0xBF58476D1CE4E5B9)
         m2 = np.uint64(0x94D049BB133111EB)

@@ -52,6 +52,11 @@ class ScoringFunction(ABC):
     def score_batch(self, array: np.ndarray) -> np.ndarray:
         """Scores of an ``(m, d)`` array of tuples, as an ``(m,)`` array."""
 
+    def score_rows(self, points: Sequence[Sequence[float]]) -> list[float]:
+        """``[score(t) for t in points]``, bit for bit (``score_batch`` may
+        round differently in the last place).  The default loops."""
+        return [self.score(point) for point in points]
+
     @abstractmethod
     def upper_bound(self, rect: Rect) -> float:
         """The paper's ``f^+``: max possible score of any tuple in ``rect``."""
@@ -104,14 +109,21 @@ class LinearScore(ScoringFunction):
     def score_batch(self, array: np.ndarray) -> np.ndarray:
         return np.asarray(array, dtype=float) @ self._w
 
+    def _dot_rows(self, rows: np.ndarray) -> np.ndarray:
+        # One dot product per row, as ``score`` computes it; ``rows @ w``
+        # (gemv) rounds differently in the last place.
+        return np.matmul(rows[:, None, :], self._w[:, None])[:, 0, 0]
+
+    def score_rows(self, points: Sequence[Sequence[float]]) -> list[float]:
+        if not points:
+            return []
+        return self._dot_rows(np.asarray(points, dtype=float)).tolist()
+
     def upper_bound(self, rect: Rect) -> float:
         return self.score(rect.corner(self._maximize))
 
     def upper_bound_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        corner = np.where(self._maximize_mask, hi, lo)
-        # One dot product per row, as ``score`` computes it; ``corner @ w``
-        # (gemv) rounds differently in the last place.
-        return np.matmul(corner[:, None, :], self._w[:, None])[:, 0, 0]
+        return self._dot_rows(np.where(self._maximize_mask, hi, lo))
 
     def peak(self, rect: Rect) -> Point:
         return rect.corner(self._maximize)

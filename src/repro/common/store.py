@@ -330,7 +330,8 @@ class LocalStore:
         if self._size == 0:
             return []
         scores, _, _ = self._score_index(fn)
-        return [as_point(self._buf[i]) for i in np.flatnonzero(scores >= tau)]
+        rows = self._buf[np.flatnonzero(scores >= tau)]
+        return list(map(tuple, rows.tolist()))
 
 
 class Replica:

@@ -23,12 +23,18 @@ perturb the drop/jitter sequence of the query traffic sharing the
 simulator.  With ``drop_prob == 0`` the plan answers every draw False
 without consuming entropy, and the detector skips the draw entirely — so
 runs that differ only in whether a detector is attached stay bit-identical
-whenever messages are reliable.
+whenever messages are reliable.  On a lossy network a sweep draws one id
+per probed live peer, in peer order.  It reserves them as one block and
+evaluates them in one array pass before any transition runs, which equals
+probing peer by peer under one precondition: the ``on_dead`` /
+``on_alive`` callbacks draw no message ids and leave the plan alone.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (avoids an import cycle)
     from .eventsim import EventSimulator
@@ -61,7 +67,8 @@ class FailureDetector:
 
     __slots__ = ("sim", "plan", "peer_ids", "period", "suspect_after",
                  "dead_after", "on_dead", "on_alive", "probes",
-                 "_misses", "_status", "_incarnations", "_stopped")
+                 "_misses", "_status", "_incarnations", "_stopped",
+                 "_position", "_crashy", "_unsettled")
 
     def __init__(
         self,
@@ -96,6 +103,12 @@ class FailureDetector:
         self._incarnations: dict[Hashable, int] = {
             pid: 0 for pid in self.peer_ids}
         self._stopped = True
+        self._position = {pid: i for i, pid in enumerate(self.peer_ids)}
+        #: Monitored peers with crash windows: only they can be down or
+        #: move their incarnation.
+        self._crashy = [pid for pid in self.peer_ids if pid in plan.crashes]
+        #: Peers carrying misses or a non-ALIVE status from earlier sweeps.
+        self._unsettled: set[Hashable] = set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -112,35 +125,41 @@ class FailureDetector:
 
     # -- probing -----------------------------------------------------------
 
-    def _probe_lost(self) -> bool:
-        # Skip the draw outright on reliable networks: consuming message
-        # ids would shift the fault draws of the query traffic (see the
-        # module docstring on determinism).
-        if self.plan.drop_prob <= 0.0:
-            return False
-        return self.plan.drops(self.sim.new_message_id())
-
     def _sweep(self) -> None:
         if self._stopped:
             return
         now = self.sim.now
         plan = self.plan
-        for pid in self.peer_ids:
-            self.probes += 1
-            up = plan.alive(pid, now) and not self._probe_lost()
-            if up:
+        self.probes += len(self.peer_ids)
+        down = {pid for pid in self._crashy if not plan.alive(pid, now)}
+        lost: set[Hashable] = set()
+        if plan.drop_prob > 0.0:
+            # One draw per probed live peer, in peer order.  A reliable
+            # network draws nothing: consuming message ids would shift the
+            # fault draws of the query traffic (see the module docstring).
+            probed = [pid for pid in self.peer_ids if pid not in down]
+            first = self.sim.new_message_ids(len(probed))
+            drops = plan.drops_batch(first, len(probed))
+            lost = {probed[i] for i in np.flatnonzero(drops).tolist()}
+        # Everyone else is up, ALIVE, without misses and in incarnation 0:
+        # a fixed point of the transition below.
+        touched = self._unsettled.union(self._crashy, lost)
+        for pid in sorted(touched, key=self._position.__getitem__):
+            if pid not in down and pid not in lost:
                 incarnation = plan.incarnation(pid, now)
                 was = self._status[pid]
                 reborn = incarnation != self._incarnations[pid]
                 self._misses[pid] = 0
                 self._status[pid] = ALIVE
                 self._incarnations[pid] = incarnation
+                self._unsettled.discard(pid)
                 if (was == DEAD or (reborn and was != ALIVE)) \
                         and self.on_alive is not None:
                     self.on_alive(pid)
             else:
                 misses = self._misses[pid] + 1
                 self._misses[pid] = misses
+                self._unsettled.add(pid)
                 if misses >= self.dead_after:
                     if self._status[pid] != DEAD:
                         self._status[pid] = DEAD

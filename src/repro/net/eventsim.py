@@ -144,7 +144,7 @@ class EventSimulator:
         #: Without a hook a blown per-query budget raises
         #: :class:`SimulationBudgetExceeded` like the global cap does.
         self.on_overrun: Callable[[QueryContext, str], None] | None = None
-        self._messages = itertools.count()
+        self._messages = 0
         self._request_ids = itertools.count()
         #: Supervised-request registry: request id -> :class:`_RequestEntry`.
         #: Models the remote peer remembering a request so duplicate
@@ -161,7 +161,13 @@ class EventSimulator:
 
     def new_message_id(self) -> int:
         """Sequence number identifying one message delivery (fault draws)."""
-        return next(self._messages)
+        return self.new_message_ids(1)
+
+    def new_message_ids(self, count: int) -> int:
+        """Reserve ``count`` consecutive message ids; returns the first."""
+        first = self._messages
+        self._messages = first + count
+        return first
 
     def new_request_id(self) -> int:
         return next(self._request_ids)

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..common.hashing import mix
+from ..common.hashing import mix, mix_array, mix_step
 from ..core.framework import OverlayLike, PeerLike
 from ..core.handler import QueryHandler
 from ..core.regions import Region, region_volume
@@ -99,7 +99,24 @@ class FaultPlan:
             raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
         if jitter < 0:
             raise ValueError("jitter must be non-negative")
+        for name, value in (("ack_timeout", ack_timeout),
+                            ("watchdog_base", watchdog_base),
+                            ("heartbeat_period", heartbeat_period)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        for name, value in (("max_retries", max_retries),
+                            ("max_watchdogs", max_watchdogs),
+                            ("max_reroute_depth", max_reroute_depth)):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+        if not 0 < suspect_after <= dead_after:
+            raise ValueError("need 0 < suspect_after <= dead_after, got "
+                             f"{suspect_after} and {dead_after}")
         self.seed = seed
+        # ``mix(seed, salt, id) == mix_step(mix(seed, salt), id)``: the
+        # per-message draws fold the fixed prefix once per plan.
+        self._drop_head = mix(seed, _DROP_SALT)
+        self._jitter_head = mix(seed, _JITTER_SALT)
         self.drop_prob = drop_prob
         self.jitter = jitter
         self.crashes: dict[Hashable, tuple[tuple[float, float], ...]] = {}
@@ -160,6 +177,11 @@ class FaultPlan:
             ids: list[Hashable] = [p.peer_id for p in peers.peers()]
         else:
             ids = list(peers)
+        if horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        if recovery is not None and recovery <= 0:
+            raise ValueError(f"recovery must be positive or None, got "
+                             f"{recovery}")
         rng = np.random.default_rng(mix(seed, _CHURN_SALT))
         crashes: dict[Hashable, list[tuple[float, float]]] = {}
         for peer_id in ids:
@@ -219,13 +241,20 @@ class FaultPlan:
         """Deterministic verdict: is this message delivery lost?"""
         if self.drop_prob <= 0.0:
             return False
-        return mix(self.seed, _DROP_SALT, message_id) / _SCALE < self.drop_prob
+        return mix_step(self._drop_head, message_id) / _SCALE < self.drop_prob
+
+    def drops_batch(self, first: int, count: int) -> np.ndarray:
+        """``drops`` of the ``count`` message ids from ``first``, as bools."""
+        if self.drop_prob <= 0.0:
+            return np.zeros(count, dtype=bool)
+        ids = np.arange(first, first + count, dtype=np.uint64)
+        return mix_array(ids, acc=self._drop_head) / _SCALE < self.drop_prob
 
     def forward_delay(self, message_id: int) -> int:
         """Propagation delay of a query forward: 1 hop plus jitter."""
         if self.jitter <= 0:
             return 1
-        return 1 + mix(self.seed, _JITTER_SALT, message_id) % (self.jitter + 1)
+        return 1 + mix_step(self._jitter_head, message_id) % (self.jitter + 1)
 
     @property
     def can_fail(self) -> bool:

@@ -38,6 +38,7 @@ import numpy as np
 
 from ..common.geometry import (Point, Rect, as_point, maxdist, mindist,
                                minkowski_distance)
+from ..common.scoring import _finite_vector
 from ..common.store import LocalStore
 from ..core.handler import QueryHandler
 from ..core.regions import Region
@@ -65,7 +66,9 @@ class DiversificationObjective:
     def __init__(self, query: Sequence[float], lam: float, p: float = 1):
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {lam}")
-        self.query: Point = as_point(query)
+        if not p > 0:
+            raise ValueError(f"p must be positive, got {p}")
+        self.query: Point = _finite_vector("query", query)
         self.lam = float(lam)
         self.p = p
         self._q = np.asarray(self.query, dtype=float)

@@ -135,8 +135,8 @@ class TopKHandler(QueryHandler):
         Returns ``(score, tuple)`` pairs, best first, with deterministic
         lexicographic tie-breaking.
         """
-        scored = sorted(((self.fn.score(t), t)
-                         for answer in answers for t in answer),
+        tuples = [t for answer in answers for t in answer]
+        scored = sorted(zip(self.fn.score_rows(tuples), tuples),
                         key=lambda pair: (-pair[0], pair[1]))
         return scored[: self.k]
 

@@ -67,6 +67,15 @@ class TestMixArray:
         for i in range(8):
             assert int(row[i]) == mix(7, i)
 
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3),
+           st.integers(0, 2 ** 64 - 1))
+    def test_acc_is_a_premixed_prefix(self, head, value):
+        tail = np.arange(4, dtype=np.uint64) + np.uint64(value)
+        stepped = mix_array(tail, acc=mix(*head))
+        assert stepped.tolist() == mix_array(*map(np.uint64, head),
+                                             tail).tolist()
+        assert int(stepped[0]) == mix_step(mix(*head), value)
+
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4))
     def test_property_matches_scalar(self, values):
         mixed = mix_array(*[np.uint64(v) for v in values])

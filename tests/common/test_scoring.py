@@ -149,6 +149,16 @@ class TestBatchedUpperBound:
         assert fn.upper_bound_batch(lo, hi).tolist() == expected
         assert len(calls) == (0 if vectorised else 9)
 
+    @given(st.data(), st.sampled_from([1, 4, 9]))
+    @settings(max_examples=200, deadline=None)
+    def test_score_rows_equals_score_bit_for_bit(self, data, dims):
+        fn = LinearScore(data.draw(st.lists(WEIGHTS, min_size=dims,
+                                            max_size=dims)))
+        points = data.draw(st.lists(st.tuples(*[COORDS] * dims), max_size=8))
+        got = fn.score_rows(points)
+        assert got == [fn.score(t) for t in points]
+        assert all(type(score) is float for score in got)
+
     def test_a_scalar_only_function_gets_the_default_loop(self):
         class Product(ScoringFunction):
             dims = 2

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.detector import ALIVE, DEAD, SUSPECT, FailureDetector
 from repro.net.eventsim import EventSimulator
@@ -114,6 +115,23 @@ class TestLifecycle:
         sim.run()
         assert detector.probes == 1
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "stop() then start() before the pending sweep fires leaves two "
+        "live sweep chains (the old event sees _stopped == False).  The "
+        "fix, a generation token on the scheduled sweep, moves the "
+        "message-id stream and with it recorded BENCH_churn / BENCH_load "
+        "rows: a correctness PR with its own re-record (ROADMAP item 1)"))
+    def test_restart_inside_a_period_keeps_one_chain(self):
+        plan = FaultPlan.none()
+        sim = EventSimulator(faults=plan)
+        detector = FailureDetector(sim, plan, ["a"])
+        detector.start()                       # chain A sweeps at 4, 8
+        sim.schedule(1, detector.stop)
+        sim.schedule(2, detector.start)        # chain B sweeps at 6
+        sim.schedule(2 * plan.heartbeat_period, detector.stop)
+        sim.run()
+        assert detector.probes == 1            # one chain: the sweep at 6
+
     def test_knob_validation(self):
         plan = FaultPlan.none()
         sim = EventSimulator(faults=plan)
@@ -153,3 +171,135 @@ class TestDeterminism:
                    for misses in detector._misses.values())
         assert any(detector.status(pid) == ALIVE
                    for pid in detector.peer_ids)
+
+
+# -- the batched sweep against the loop it replaces ------------------------
+
+def _snapshot(detector):
+    return (detector.sim.now, dict(detector._status), dict(detector._misses),
+            dict(detector._incarnations), detector.probes,
+            detector.sim._messages)
+
+
+class _Batched(FailureDetector):
+    """The shipped detector, snapshotting its state after every sweep."""
+
+    __slots__ = ("log",)
+
+    def _sweep(self):
+        super()._sweep()
+        self.log.append(_snapshot(self))
+
+
+class _Scalar(FailureDetector):
+    """The parent commit's per-probe loop: the batched sweep's definition."""
+
+    __slots__ = ("log",)
+
+    def _sweep(self):
+        _scalar_sweep(self)
+        self.log.append(_snapshot(self))
+
+
+def _scalar_sweep(self):
+    if self._stopped:
+        return
+    now = self.sim.now
+    plan = self.plan
+    for pid in self.peer_ids:
+        self.probes += 1
+        up = plan.alive(pid, now)
+        if up and plan.drop_prob > 0.0:
+            up = not plan.drops(self.sim.new_message_id())
+        if up:
+            incarnation = plan.incarnation(pid, now)
+            was = self._status[pid]
+            reborn = incarnation != self._incarnations[pid]
+            self._misses[pid] = 0
+            self._status[pid] = ALIVE
+            self._incarnations[pid] = incarnation
+            if (was == DEAD or (reborn and was != ALIVE)) \
+                    and self.on_alive is not None:
+                self.on_alive(pid)
+        else:
+            misses = self._misses[pid] + 1
+            self._misses[pid] = misses
+            if misses >= self.dead_after:
+                if self._status[pid] != DEAD:
+                    self._status[pid] = DEAD
+                    if self.on_dead is not None:
+                        self.on_dead(pid)
+            elif misses >= self.suspect_after:
+                if self._status[pid] == ALIVE:
+                    self._status[pid] = SUSPECT
+    self.sim.schedule(self.period, self._sweep)
+
+
+def _play(cls, peers, crashes, knobs, script, horizon):
+    """Run ``script`` against one detector world; everything observable."""
+    plan = FaultPlan(crashes=crashes, **knobs)
+    sim = EventSimulator(faults=plan)
+    calls = []
+    detector = cls(sim, plan, peers,
+                   on_dead=lambda pid: calls.append(("dead", pid, sim.now)),
+                   on_alive=lambda pid: calls.append(("alive", pid, sim.now)))
+    detector.log = []
+    ops = {
+        "stop": lambda _: detector.stop(),
+        "start": lambda _: detector.start(),
+        "protect": plan.protect,
+        "draw": lambda k: [sim.new_message_id() for _ in range(k)],
+        "reserve": sim.new_message_ids,
+    }
+    detector.start()
+    for time, op, arg in script:
+        sim.schedule(time, lambda op=op, arg=arg: ops[op](arg))
+    sim.schedule(horizon, detector.stop)
+    sim.run()
+    return detector.log, calls, detector.probes, sim.new_message_id()
+
+
+_windows = st.lists(
+    st.tuples(st.integers(0, 40),
+              st.one_of(st.integers(1, 15), st.just(math.inf)))
+    .map(lambda w: (w[0], w[0] + w[1])), max_size=3)
+_script = st.lists(
+    st.tuples(st.integers(0, 59),
+              st.sampled_from(["stop", "start", "protect", "draw", "reserve"]),
+              st.integers(0, 11)), max_size=12)
+
+
+class TestBatchedSweepEqualsScalarLoop:
+    # Peer order is a permutation: sweeping in set or sorted order instead
+    # of peer order would reorder the callbacks of one sweep.
+    @given(peers=st.permutations(range(12)).flatmap(
+               lambda ids: st.integers(1, 12).map(lambda n: ids[:n])),
+           crashes=st.dictionaries(st.integers(0, 11), _windows, max_size=8),
+           drop_prob=st.sampled_from([0.0, 0.02, 0.5]),
+           seed=st.integers(0, 2**32), period=st.integers(1, 5),
+           suspect_after=st.integers(1, 3), extra=st.integers(0, 2),
+           script=_script)
+    @settings(max_examples=150, deadline=None)
+    def test_same_states_calls_probes_and_ids(
+            self, peers, crashes, drop_prob, seed, period, suspect_after,
+            extra, script):
+        knobs = dict(seed=seed, drop_prob=drop_prob, heartbeat_period=period,
+                     suspect_after=suspect_after,
+                     dead_after=suspect_after + extra)
+        batched = _play(_Batched, peers, crashes, knobs, script, 60)
+        scalar = _play(_Scalar, peers, crashes, knobs, script, 60)
+        assert batched[0] == scalar[0]  # after every sweep, per peer
+        assert batched[1:] == scalar[1:]
+
+    def test_double_chain_is_reproduced_draw_for_draw(self):
+        """stop() / start() inside a period doubles the sweeps (see the
+        xfail above); the batched sweep must double them the same way."""
+        crashes = {1: [(3, math.inf)], 4: [(5, 9), (20, 22)]}
+        knobs = dict(seed=4242, drop_prob=0.5, heartbeat_period=4)
+        script = [(1, "stop", 0), (2, "start", 0), (9, "draw", 3)]
+        batched = _play(_Batched, range(6), crashes, knobs, script, 40)
+        scalar = _play(_Scalar, range(6), crashes, knobs, script, 40)
+        sweep_times = [entry[0] for entry in batched[0]]
+        assert sweep_times[:4] == [4, 6, 8, 10]  # two chains, period 4
+        assert batched == scalar
+        assert ("dead", 1, 6) in batched[1]  # dead_after = 2 in one period

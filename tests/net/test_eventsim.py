@@ -41,6 +41,20 @@ class TestEventSimulator:
         with pytest.raises(ValueError):
             EventSimulator().schedule(-1, lambda: None)
 
+    @given(st.lists(st.integers(0, 9), max_size=30))
+    def test_message_id_blocks_interleave_without_gaps(self, counts):
+        """``new_message_ids(n)`` is ``n`` calls of ``new_message_id``."""
+        sim = EventSimulator()
+        drawn = []
+        for count in counts:
+            if count == 1:
+                drawn.append(sim.new_message_id())
+            else:
+                first = sim.new_message_ids(count)
+                drawn.extend(range(first, first + count))
+        assert drawn == list(range(len(drawn)))
+        assert sim.new_message_id() == len(drawn)
+
 
 def midas_network(seed, peers=48, tuples=400):
     rng = np.random.default_rng(seed)

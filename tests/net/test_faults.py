@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (LinearScore, RangeHandler, Rect, TopKHandler, run_ripple)
+from repro.common.hashing import mix
 from repro.net.eventsim import EventSimulator, event_driven_ripple
-from repro.net.faults import FaultPlan, region_volume, resilient_ripple
+from repro.net.faults import (_DROP_SALT, _JITTER_SALT, FaultPlan,
+                              region_volume, resilient_ripple)
 from repro.queries.rangeq import range_reference
 
 from tests import netlib
@@ -72,6 +74,28 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="crash_fraction"):
             FaultPlan.churn(["a", "b"], crash_fraction=-0.1)
 
+    @pytest.mark.parametrize("knob, bad", [
+        ("ack_timeout", 0), ("ack_timeout", -1), ("watchdog_base", 0),
+        ("heartbeat_period", 0), ("max_retries", -2), ("max_watchdogs", -1),
+        ("max_reroute_depth", -1), ("suspect_after", 0), ("dead_after", 0)])
+    def test_timing_knobs_validated(self, knob, bad):
+        with pytest.raises(ValueError, match=knob):
+            FaultPlan(**{knob: bad})
+        with pytest.raises(ValueError, match=knob):
+            FaultPlan.churn(["a"], crash_fraction=0.5, **{knob: bad})
+
+    def test_suspect_after_may_not_exceed_dead_after(self):
+        with pytest.raises(ValueError, match="suspect_after"):
+            FaultPlan(suspect_after=3, dead_after=2)
+        FaultPlan(max_retries=0, max_watchdogs=0, max_reroute_depth=0,
+                  suspect_after=2, dead_after=2)  # the boundary is legal
+
+    def test_churn_horizon_and_recovery_validated(self):
+        with pytest.raises(ValueError, match="horizon"):
+            FaultPlan.churn(["a", "b"], crash_fraction=0.5, horizon=0)
+        with pytest.raises(ValueError, match="recovery"):
+            FaultPlan.churn(["a", "b"], crash_fraction=0.5, recovery=0)
+
     def test_protection_overrides_schedule(self):
         plan = FaultPlan(crashes={"a": [(0, math.inf)]})
         plan.protect("a")
@@ -89,6 +113,28 @@ class TestFaultPlan:
         other = FaultPlan(seed=10, drop_prob=0.4, jitter=3)
         assert [one.drops(i) for i in range(200)] \
             != [other.drops(i) for i in range(200)]
+
+    @given(seed=st.integers(-2 ** 63, 2 ** 70),
+           message_id=st.integers(0, 2 ** 63))
+    @settings(max_examples=200, deadline=None)
+    def test_premixed_draws_equal_the_three_operand_mix(self, seed,
+                                                        message_id):
+        plan = FaultPlan(seed=seed, drop_prob=0.5, jitter=3)
+        assert plan.drops(message_id) \
+            == (mix(seed, _DROP_SALT, message_id) / float(1 << 64) < 0.5)
+        assert plan.forward_delay(message_id) \
+            == 1 + mix(seed, _JITTER_SALT, message_id) % 4
+
+    @given(seed=st.integers(-2 ** 63, 2 ** 70), first=st.integers(0, 2 ** 63),
+           count=st.integers(0, 40),
+           drop_prob=st.sampled_from([0.0, 0.02, 0.5, 0.999]))
+    @settings(max_examples=200, deadline=None)
+    def test_drops_batch_equals_drops_id_by_id(self, seed, first, count,
+                                               drop_prob):
+        plan = FaultPlan(seed=seed, drop_prob=drop_prob)
+        batch = plan.drops_batch(first, count)
+        assert batch.dtype == bool and batch.shape == (count,)
+        assert batch.tolist() == [plan.drops(first + i) for i in range(count)]
 
     def test_jitter_bounds(self):
         plan = FaultPlan(jitter=2)

@@ -28,6 +28,17 @@ class TestObjective:
         with pytest.raises(ValueError):
             DiversificationObjective((0.5,), 1.5)
 
+    @pytest.mark.parametrize("query", [(math.nan, 0.5), (0.5, math.inf), ()])
+    def test_query_must_be_finite(self, query):
+        with pytest.raises(ValueError, match="query"):
+            DiversificationObjective(query, 0.5)
+
+    @pytest.mark.parametrize("p", [0, -1, math.nan])
+    def test_p_must_be_positive(self, p):
+        with pytest.raises(ValueError, match="p must be positive"):
+            DiversificationObjective((0.5, 0.5), 0.5, p=p)
+        DiversificationObjective((0.5, 0.5), 0.5, p=math.inf)  # L-infinity
+
     def test_f_needs_two_members(self):
         with pytest.raises(ValueError):
             objective().f([(0.1, 0.1)])

@@ -67,6 +67,58 @@ class TestState:
             handler(k=0)
 
 
+def _scalar_finalize(h, answers):
+    """``finalize`` as it was: one ``fn.score`` call per collected tuple."""
+    scored = sorted(((h.fn.score(t), t) for answer in answers for t in answer),
+                    key=lambda pair: (-pair[0], pair[1]))
+    return scored[: h.k]
+
+
+_GRID = st.sampled_from([0.0, 0.1, 0.3, 1 / 3, 0.7, 0.9])
+_WEIGHTS = st.sampled_from([-2.5, -1.0, -0.1, 0.0, 0.3, 1.0, 1 / 7, 3.0])
+
+
+def _answers(dims):
+    point = st.tuples(*[_GRID] * dims)
+    return st.lists(st.lists(point, max_size=6), max_size=5)
+
+
+class TestFinalizeBlock:
+    """``finalize`` scores the collected tuples in one call; the result
+    equals the sort over scalar ``fn.score``, floats compared with ``==``."""
+
+    @given(st.data(), st.sampled_from([1, 4, 9]), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_linear_mixed_sign_weights(self, data, dims, k):
+        # nine terms cross ndarray.sum's pairwise threshold
+        fn = LinearScore(data.draw(st.lists(_WEIGHTS, min_size=dims,
+                                            max_size=dims)))
+        h = TopKHandler(fn, k)
+        answers = data.draw(_answers(dims))
+        assert h.finalize(answers) == _scalar_finalize(h, answers)
+
+    @given(st.data(), st.sampled_from([1, 2, 3, math.inf]),
+           st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_nearest_every_metric(self, data, p, k):
+        h = TopKHandler(NearestScore((0.3, 1 / 3, 0.8), p=p), k)
+        answers = data.draw(_answers(3))
+        assert h.finalize(answers) == _scalar_finalize(h, answers)
+
+    def test_equal_scores_break_by_tuple(self):
+        h = handler(k=3)
+        answers = [[(0.75, 0.25), (0.25, 0.75)], [(0.5, 0.5), (1.0, 1.0)]]
+        got = h.finalize(answers)
+        assert [t for _, t in got] == [(1.0, 1.0), (0.25, 0.75), (0.5, 0.5)]
+        assert got == _scalar_finalize(h, answers)
+        assert all(type(score) is float for score, _ in got)
+
+    def test_empty_answers(self):
+        assert handler().finalize([]) == []
+        assert handler().finalize([[], []]) == []
+        assert TopKHandler(NearestScore((0.5, 0.5)), 2).finalize([[]]) == []
+
+
 class TestLinkDecisions:
     def test_relevant_when_bound_reaches_tau(self):
         h = handler(k=1)
