@@ -318,7 +318,7 @@ class LocalStore:
             return []
         scores, order, negated = self._score_index(fn)
         # Entries scoring >= above form a prefix of the descending order.
-        cut = int(np.searchsorted(negated, -above, side="right"))
+        cut = int(negated.searchsorted(-above, side="right"))
         if cut == 0:
             return []
         best = order[: min(cut, limit)]
@@ -326,12 +326,15 @@ class LocalStore:
                         map(tuple, self._buf[best].tolist())))
 
     def scoring_at_least(self, fn: ScoringFunction, tau: float) -> list[Point]:
-        """Every local tuple with score >= ``tau`` (Algorithm 6)."""
+        """Every local tuple with score >= ``tau`` (Algorithm 6), in
+        store order.  They are a prefix of the cached score index."""
         if self._size == 0:
             return []
-        scores, _, _ = self._score_index(fn)
-        rows = self._buf[np.flatnonzero(scores >= tau)]
-        return list(map(tuple, rows.tolist()))
+        _, order, negated = self._score_index(fn)
+        cut = int(negated.searchsorted(-tau, side="right"))
+        if cut == 0:
+            return []
+        return list(map(tuple, self._buf[np.sort(order[:cut])].tolist()))
 
 
 class Replica:

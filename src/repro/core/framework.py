@@ -71,7 +71,8 @@ class LinkTable(Sequence[Link]):
     Overlays memoise one table per peer and epoch.  A table of box
     regions keeps them as ``(L, d)`` ``lo`` / ``hi`` arrays beside its
     targets' ``peer_ids`` (:meth:`bounds`), so a visit intersects every
-    link with its restriction area in one array pass and a handler with
+    link with its restriction area in one array pass (:meth:`cut`,
+    memoised per box) and a handler with
     :meth:`~repro.core.handler.QueryHandler.box_bounds` decides them all
     in one call.  Built from ``Link`` objects the arrays appear on first
     use; built :meth:`from_boxes` the arrays come first and ``table[i]``
@@ -81,7 +82,8 @@ class LinkTable(Sequence[Link]):
     intersected link by link.
     """
 
-    __slots__ = ("_links", "_peer_of", "_targets", "_bounds", "peer_ids")
+    __slots__ = ("_links", "_peer_of", "_targets", "_regions", "_bounds",
+                 "_cuts", "peer_ids")
 
     _peer_of: "Callable[[int], PeerLike]"
 
@@ -91,6 +93,11 @@ class LinkTable(Sequence[Link]):
         #: What ``_peer_of`` turns into link targets; none when the table
         #: was built from ``Link`` objects.
         self._targets: list[int] = []
+        #: Each link's region; ``None`` until :meth:`region` builds it.
+        self._regions: list[Any] = [link and link.region
+                                    for link in self._links]
+        #: :meth:`cut` per restriction box ``(lo, hi)``, oldest first.
+        self._cuts: dict[tuple[Any, Any], Any] = {}
 
     @classmethod
     def from_boxes(cls, peer_of: "Callable[[int], PeerLike]",
@@ -117,11 +124,8 @@ class LinkTable(Sequence[Link]):
             return [self[i] for i in range(*index.indices(len(self._links)))]
         link = self._links[index]
         if link is None:
-            lo, hi = self._bounds
             link = self._links[index] = Link(
-                self._peer_of(self._targets[index]),
-                RectRegion(Rect(tuple(lo[index].tolist()),
-                                tuple(hi[index].tolist()))))
+                self._peer_of(self._targets[index]), self.region(index))
         return link
 
     def __iter__(self) -> Iterator[Link]:
@@ -129,11 +133,56 @@ class LinkTable(Sequence[Link]):
             return map(self.__getitem__, range(len(self._links)))
         return iter(self._links)
 
+    def region(self, index: int) -> Region:
+        """Link ``index``'s region, without building its ``Link``."""
+        region = self._regions[index]
+        if region is None:
+            lo, hi = self._bounds
+            region = self._regions[index] = RectRegion(Rect(
+                tuple(lo[index].tolist()), tuple(hi[index].tolist())))
+        return region
+
+    def cut(self, rect: Rect
+            ) -> "int | tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The box links meeting ``rect`` (zero-volume overlaps count as
+        empty, as in ``Rect.intersection``), memoised per box.
+
+        An ``int`` ``start`` when they are ``table[start:]``, each inside
+        ``rect``: every overlap is then the link's own region.  That is
+        the only cut a tree overlay makes when restrictions are node
+        boxes — the links inside a subtree are the deeper ones — and the
+        boxes a peer receives are its ancestors, so the memo keeps
+        ``len(self) + 1`` boxes (by value), dropping the oldest beyond
+        that.  Otherwise ``(keep, lo, hi)``: the kept indexes and their
+        clipped overlaps.  Only for tables with :meth:`bounds`.
+        """
+        cuts, key = self._cuts, (rect.lo, rect.hi)
+        cut = cuts.get(key)
+        if cut is not None:
+            return cut
+        own_lo, own_hi = self.bounds()
+        lo = np.maximum(own_lo, rect.lo)
+        hi = np.minimum(own_hi, rect.hi)
+        keep = np.logical_and.reduce(lo < hi, axis=1).nonzero()[0]
+        start = cut = len(self._links) - len(keep)
+        # Inside the box iff clipping left the link's own box as it was,
+        # bit for bit — so its own region is exactly the overlap.
+        if len(keep) and not (
+                keep[0] == start
+                and lo[start:].tobytes() == own_lo[start:].tobytes()
+                and hi[start:].tobytes() == own_hi[start:].tobytes()):
+            cut = (keep, lo[keep], hi[keep])
+        if len(cuts) > len(self._links):
+            del cuts[next(iter(cuts))]
+        cuts[key] = cut
+        return cut
+
     def retargeted(self, targets: Mapping[int, "PeerLike"]) -> "LinkTable":
         """A copy whose link ``i`` points at ``targets[i]`` over the same
-        region.  The other ``Link``s and, once derived, the bounds arrays
-        are this table's own, not rebuilt."""
+        region.  The other ``Link``s, the :meth:`cut` memo and, once
+        derived, the bounds arrays are this table's own, not rebuilt."""
         table = LinkTable(self)
+        table._cuts = self._cuts
         for i, peer in targets.items():
             table._links[i] = Link(peer, table._links[i].region)
         try:
@@ -164,6 +213,12 @@ class LinkTable(Sequence[Link]):
         return self._bounds
 
 
+def _box_regions(lo: np.ndarray, hi: np.ndarray) -> list[Region]:
+    """One ``RectRegion`` per row of ``(S, d)`` bounds."""
+    return [RectRegion(Rect(*box)) for box in zip(
+        map(tuple, lo.tolist()), map(tuple, hi.tolist()))]
+
+
 def _candidates(links: Sequence[Link], restriction: Region,
                 handler: QueryHandler, r: int
                 ) -> list[tuple[int, Any, float | None]]:
@@ -171,12 +226,15 @@ def _candidates(links: Sequence[Link], restriction: Region,
     the link test), in forwarding order: table order, by ``link_priority``
     of the link's own region when ``r > 0`` (stable).
 
-    One ``(link index, overlap, bound)`` each.  A bounded table under a
-    box restriction is cut in one array pass, and a handler with
-    ``box_bounds`` then bounds every overlap in one call: ``overlap``
-    stays a ``(lo, hi)`` pair until the link is forwarded over.  Else
-    ``bound`` is None and ``overlap`` the region the handler is asked
-    about; arcs, frustums and plain lists get there link by link.
+    One ``(link index, overlap region, bound)`` each.  A bounded table
+    under a box restriction is cut by :meth:`LinkTable.cut`, and a
+    handler with ``box_bounds`` then bounds every overlap in one call.
+    On a suffix cut — every cut a tree overlay makes with node boxes —
+    each overlap is the link's own region, so that one call orders the
+    links too, and a lazy table's region not built yet is None until
+    the forward.  Without a ``box_bounds`` ``bound`` is None and the
+    handler is asked about the region; arcs, frustums and plain lists
+    get there link by link.
     """
     bounds = links.bounds() if isinstance(links, LinkTable) else None
     if bounds is None or not isinstance(restriction, RectRegion):
@@ -186,25 +244,32 @@ def _candidates(links: Sequence[Link], restriction: Region,
             pending.sort(key=lambda candidate: handler.link_priority(
                 links[candidate[0]].region))
         return pending
-    lo = np.maximum(bounds[0], restriction.rect.lo)
-    hi = np.minimum(bounds[1], restriction.rect.hi)
-    # Zero-volume overlaps count as empty, as in Rect.intersection.
-    keep = np.logical_and.reduce(lo < hi, axis=1).nonzero()[0]
-    if not keep.size:
-        return []
+    cut = links.cut(restriction.rect)
+    if isinstance(cut, int):
+        keep: Any = range(cut, len(links))
+        lo, hi = bounds[0][cut:], bounds[1][cut:]
+        own = overlap = handler.box_bounds(lo, hi) if keep else None
+        # The regions built so far; a handler that asks about regions gets
+        # them all, built in one pass the first time the table lacks one.
+        subs = links._regions[cut:]
+        if own is None and not all(subs):
+            subs = links._regions[cut:] = _box_regions(lo, hi)
+    else:
+        keep, lo, hi = cut
+        subs = _box_regions(lo, hi)
+        overlap = handler.box_bounds(lo, hi)
+        own = handler.box_bounds(bounds[0][keep], bounds[1][keep]) \
+            if r > 0 else None
+        keep = keep.tolist()
+    pending = list(zip(keep, subs, [None] * len(subs) if overlap is None
+                       else overlap.tolist()))
     if r > 0:
-        own = handler.box_bounds(bounds[0][keep], bounds[1][keep])
-        priority = [handler.link_priority(links[i].region)
-                    for i in keep.tolist()] if own is None \
-            else (-own).tolist()
-        keep = keep[sorted(range(len(keep)), key=priority.__getitem__)]
-    lo, hi = lo[keep], hi[keep]
-    boxes = zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()))
-    overlap = handler.box_bounds(lo, hi)
-    if overlap is None:
-        return [(i, RectRegion(Rect(*box)), None)
-                for i, box in zip(keep.tolist(), boxes)]
-    return list(zip(keep.tolist(), boxes, overlap.tolist()))
+        priority = (-own).tolist() if own is not None else [
+            handler.link_priority(region) for region in (
+                subs if isinstance(cut, int) else map(links.region, keep))]
+        pending = [pending[j] for j in sorted(range(len(pending)),
+                                              key=priority.__getitem__)]
+    return pending
 
 
 @runtime_checkable
@@ -411,18 +476,24 @@ class _Visit:
         Relevance is judged against the state as it stands now, so a
         sequential visit prunes with everything its earlier children
         reported.  A candidate is ``(link index, overlap, bound)``: with
-        a handler's batched ``bound`` the overlap is still a ``(lo, hi)``
-        pair and relevance a float comparison, so the region — and the
-        ``Link`` of a lazy table — is built for forwarded links only."""
+        a handler's batched ``bound`` relevance is a float comparison
+        against one cutoff, so the ``Link`` of a lazy table — and the
+        region of an overlap left None — is built for forwarded links
+        only."""
         pending, handler = self.pending, self.handler
+        cutoff = None
         while self.index < len(pending):
             i, sub, bound = pending[self.index]
             self.index += 1
             if bound is None:
-                if handler.is_link_relevant(sub, self.gstate):
-                    return self.links[i].peer, sub
-            elif bound >= handler.bound_cutoff(self.gstate):
-                return self.links[i].peer, RectRegion(Rect(*sub))
+                relevant = handler.is_link_relevant(sub, self.gstate)
+            else:
+                if cutoff is None:
+                    cutoff = handler.bound_cutoff(self.gstate)
+                relevant = bound >= cutoff
+            if relevant:
+                link = self.links[i]
+                return link.peer, sub or link.region
         return None
 
     def note_forward(self, target: PeerLike, now: int) -> None:

@@ -155,7 +155,8 @@ class WorkloadReport:
     errors: int = 0
     #: Network messages summed over completed queries.
     messages_total: int = 0
-    #: Result-cache counters (all zero when the engine has no cache).
+    #: What this run added to the result-cache counters (all zero when
+    #: the engine has no cache).
     cache_hits: int = 0
     cache_semantic_hits: int = 0
     cache_messages_saved: int = 0
@@ -182,8 +183,8 @@ class WorkloadReport:
         }
 
 
-def _reduce(outcomes: Mapping[int, QueryOutcome],
-            engine: QueryEngine) -> WorkloadReport:
+def _reduce(outcomes: Mapping[int, QueryOutcome], engine: QueryEngine,
+            cache_before: Mapping[str, int]) -> WorkloadReport:
     report = WorkloadReport(outcomes=dict(outcomes))
     latencies: list[int] = []
     completeness = 1.0
@@ -210,10 +211,13 @@ def _reduce(outcomes: Mapping[int, QueryOutcome],
         report.max_saturation = min(1.0, max(
             busy / elapsed for busy in engine.sim.busy_time.values()))
     if engine.cache is not None:
+        # The directory may outlive this run: report its counters' moves.
         counters = engine.cache.snapshot()
-        report.cache_hits = counters["hits"]
-        report.cache_semantic_hits = counters["semantic_hits"]
-        report.cache_messages_saved = counters["messages_saved"]
+        report.cache_hits = counters["hits"] - cache_before["hits"]
+        report.cache_semantic_hits = \
+            counters["semantic_hits"] - cache_before["semantic_hits"]
+        report.cache_messages_saved = \
+            counters["messages_saved"] - cache_before["messages_saved"]
     if engine.fanout is not None:
         report.fanout_decisions = dict(engine.fanout.decisions)
     return report
@@ -248,6 +252,7 @@ def run_workload(
         from .adaptive import AdaptiveFanout
         engine.fanout = AdaptiveFanout(rs=spec.rs)
     metrics = engine.registry
+    cache_before = engine.cache.snapshot() if engine.cache is not None else {}
     rng = np.random.default_rng(mix(spec.seed, _QUERY_SALT))
     peers = overlay.peers()
     restriction = overlay.domain()
@@ -286,7 +291,7 @@ def run_workload(
                          weight_class=weight_class, deadline=spec.deadline,
                          max_events=spec.max_events, strict=spec.strict)
     outcomes = engine.run()
-    report = _reduce(outcomes, engine)
+    report = _reduce(outcomes, engine, cache_before)
     if metrics is not None:
         elapsed = engine.sim.now
         if elapsed > 0:

@@ -27,6 +27,7 @@ side contributes nothing — the common case at a peer.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -316,19 +317,33 @@ class SkylineHandler(QueryHandler):
     zero vector by default.  With a ``constraint`` box the query becomes
     the constrained skyline DSL processes (Section 2.2): the skyline of
     the tuples inside the box, with the box's lower-left corner as the
-    natural origin and links outside the box pruned outright.
+    natural origin and links outside the box pruned outright.  A box
+    with a non-finite coordinate or with ``lo >= hi`` along some
+    dimension (half-open, it selects nothing) is rejected, as is an
+    origin that is not a finite ``dims``-vector.
     """
 
     def __init__(self, dims: int, *, origin: Sequence[float] | None = None,
                  constraint: Rect | None = None):
         if dims <= 0:
             raise ValueError("dims must be positive")
-        if constraint is not None and constraint.dims != dims:
-            raise ValueError("constraint dimensionality mismatch")
+        if constraint is not None:
+            if constraint.dims != dims:
+                raise ValueError("constraint dimensionality mismatch")
+            if not all(map(isfinite, constraint.lo + constraint.hi)):
+                raise ValueError(f"constraint needs finite coordinates, "
+                                 f"got {constraint}")
+            if any(lo >= hi for lo, hi in zip(constraint.lo, constraint.hi)):
+                raise ValueError(f"constraint {constraint} is empty: it "
+                                 f"needs lo < hi in every dimension")
         self.dims = dims
         self.constraint = constraint
         if origin is not None:
             self.origin: Point = tuple(float(v) for v in origin)
+            if len(self.origin) != dims \
+                    or not all(map(isfinite, self.origin)):
+                raise ValueError(f"origin must be a finite {dims}-d point, "
+                                 f"got {self.origin}")
         elif constraint is not None:
             self.origin = constraint.lo
         else:

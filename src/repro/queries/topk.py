@@ -88,12 +88,28 @@ class TopKHandler(QueryHandler):
         return state.floor
 
     def _merge(self, states: Sequence[TopKState]) -> TopKState:
-        scores = sorted((s for state in states for s in state.scores),
-                        reverse=True)[: self.k]
-        floors = [state.floor for state in states]
-        merged = TopKState(tuple(scores), max(floors, default=-math.inf))
+        k = self.k
+        if len(states) == 2:
+            # The arity of every fold on the query path.  Scores are
+            # descending by construction, so an empty side or a full one
+            # nothing on the other side beats (ties keep the first side
+            # first) needs no sort.
+            first, second = states
+            a, b = first.scores, second.scores
+            if not b or len(a) >= k and b[0] <= a[k - 1]:
+                scores = a[:k]
+            elif not a:
+                scores = b[:k]
+            else:
+                scores = tuple(sorted(a + b, reverse=True)[:k])
+            floor = max(first.floor, second.floor)
+        else:
+            scores = tuple(sorted((s for state in states
+                                   for s in state.scores), reverse=True)[:k])
+            floor = max((state.floor for state in states), default=-math.inf)
         # A full merged list is itself a certificate; remember it.
-        return TopKState(merged.scores, max(merged.floor, self.tau(merged)))
+        return TopKState(scores, max(floor, scores[k - 1])
+                         if len(scores) >= k else floor)
 
     # -- states (Algorithms 4, 5, 7) --------------------------------------
 

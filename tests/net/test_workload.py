@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import (CanOverlay, ChordOverlay, MidasOverlay,
+from repro import (CacheDirectory, CanOverlay, ChordOverlay, MidasOverlay,
                    WeightedFairPolicy)
 from repro.net.faults import FaultPlan
 from repro.net.scheduler import (QueryCompleted, QueryEngine,
@@ -181,6 +181,30 @@ class TestWorkloadReport:
         assert payload["counters"]["queries.submitted"] == 60
         assert "query.latency" in payload["histograms"]
         assert "peer.saturation" in payload["histograms"]
+
+    def test_cache_counters_are_this_runs_own(self):
+        """Two runs over one directory: each reports what it added, so
+        the second never counts the first run's hits."""
+        overlay = midas_network(3, peers=64, tuples=400)
+        directory = CacheDirectory(overlay)
+        spec = WorkloadSpec(queries=30, rate=0.5, seed=7, population=4,
+                            strict=False)
+        hits = []
+        for _ in range(2):
+            before = directory.snapshot()
+            report = run_workload(overlay, spec, engine=QueryEngine(
+                capacity=4, queue_limit=30, service_time=1,
+                cache=directory))
+            after = directory.snapshot()
+            assert report.cache_hits == after["hits"] - before["hits"]
+            assert report.cache_semantic_hits == \
+                after["semantic_hits"] - before["semantic_hits"]
+            assert report.cache_messages_saved == \
+                after["messages_saved"] - before["messages_saved"]
+            assert report.cache_hits + report.cache_semantic_hits \
+                <= report.submitted
+            hits.append(report.cache_hits)
+        assert 0 < hits[0] <= hits[1] == 30
 
     def test_report_as_dict_is_json_ready(self):
         import json

@@ -97,6 +97,35 @@ class TestHandler:
         with pytest.raises(ValueError):
             SkylineHandler(0)
 
+    @pytest.mark.parametrize("constraint", [
+        Rect((float("nan"), 0.0), (1.0, 1.0)),
+        Rect((0.0, 0.0), (float("inf"), 1.0)),
+        Rect((0.2, 0.2), (0.2, 0.9)),            # zero extent: selects nothing
+        Rect((0.0, 0.5), (1.0, 0.5)),
+    ])
+    def test_constraints_that_select_nothing_are_rejected(self, constraint):
+        with pytest.raises(ValueError, match="constraint"):
+            SkylineHandler(2, constraint=constraint)
+
+    @pytest.mark.parametrize("origin", [
+        (float("nan"), 0.0), (0.0, float("-inf")), (0.0,), (0.0, 0.0, 0.0)])
+    def test_origins_must_be_finite_dims_vectors(self, origin):
+        with pytest.raises(ValueError, match="origin"):
+            SkylineHandler(2, origin=origin)
+
+    def test_distributed_skyline_rejects_before_any_peer(self):
+        overlay = MidasOverlay(2, size=4, seed=1)
+        with pytest.raises(ValueError, match="constraint"):
+            distributed_skyline(overlay.peers()[0], 2,
+                                restriction=overlay.domain(),
+                                constraint=Rect((float("nan"), 0.0),
+                                                (1.0, 1.0)))
+
+    def test_valid_constraints_and_origins_still_build(self):
+        box = Rect((0.1, 0.2), (0.3, 0.9))
+        assert SkylineHandler(2, constraint=box).origin == box.lo
+        assert SkylineHandler(2, origin=[1, 0]).origin == (1.0, 0.0)
+
 
 class TestDistributed:
     @pytest.fixture(scope="class")
