@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Any, Callable
 
 import numpy as np
@@ -31,18 +30,9 @@ def log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _wallclock() -> float:
-    """Monotonic seconds: the benchmark tree's one real-clock read.
-
-    ``bench_kernels`` and ``bench_scale`` time real kernel/build/query
-    wall time through it; RPL002 allowlists exactly this helper shape.
-    """
-    return time.perf_counter()
-
-
 def seeded_rng(seed: int) -> np.random.Generator:
-    """The benchmark suite's one generator constructor (RPL001: every
-    draw in a gate driver must flow from an explicit seed)."""
+    """The benchmark suite's one generator constructor: every draw in a
+    gate driver flows from an explicit seed."""
     return np.random.default_rng(seed)
 
 

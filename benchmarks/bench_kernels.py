@@ -35,12 +35,12 @@ from repro.common.geometry import as_point
 from repro.common.store import LocalStore
 from repro.core.framework import SLOW
 from repro.experiments import builders
+from repro.obs.clock import wallclock
 from repro.queries.skyline import (distributed_skyline, k_skyband_of_array,
                                    merge_skylines, skyline_of_array,
                                    skyline_reference)
 
-from ._gate import (_wallclock, add_gate_arguments, gate, log, seeded_rng,
-                    write_json)
+from ._gate import add_gate_arguments, gate, log, seeded_rng, write_json
 from .conftest import bench_config
 
 BASELINE_PATH = "BENCH_kernels.json"
@@ -158,9 +158,9 @@ def legacy_mode():
 def best_of(fn, reps):
     best, result = float("inf"), None
     for _ in range(reps):
-        start = _wallclock()
+        start = wallclock()
         result = fn()
-        best = min(best, _wallclock() - start)
+        best = min(best, wallclock() - start)
     return best, result
 
 

@@ -36,12 +36,13 @@ import sys
 import numpy as np
 
 from repro.common.scoring import LinearScore
+from repro.obs.clock import wallclock
 from repro.overlays.arena_build import midas_arena
 from repro.overlays.arena import wavefront_execute
 from repro.queries.skyline import distributed_skyline
 from repro.queries.topk import distributed_topk
 
-from ._gate import (_wallclock, add_gate_arguments, compare_rss, gate, log,
+from ._gate import (add_gate_arguments, compare_rss, gate, log,
                     peak_rss_mib, seeded_rng, write_json)
 
 BASELINE_PATH = "BENCH_scale.json"
@@ -80,20 +81,20 @@ def scale_row(peers, *, log=lambda msg: None):
     tuples = min(5 * peers, _TUPLE_CAP)
     data = rng.random((tuples, _DIMS)) * 0.999
 
-    start = _wallclock()
+    start = wallclock()
     arena = midas_arena(peers, dims=_DIMS, seed=_SEED, data=data)
-    build_s = _wallclock() - start
+    build_s = wallclock() - start
     initiator = arena.peer(0)
     fn = LinearScore(_WEIGHTS)
 
-    start = _wallclock()
+    start = wallclock()
     topk = distributed_topk(initiator, fn, _K, restriction=arena.domain(),
                             executor=wavefront_execute)
-    topk_s = _wallclock() - start
-    start = _wallclock()
+    topk_s = wallclock() - start
+    start = wallclock()
     sky = distributed_skyline(initiator, _DIMS, restriction=arena.domain(),
                               executor=wavefront_execute)
-    sky_s = _wallclock() - start
+    sky_s = wallclock() - start
 
     # The wavefront contract, enforced at every size: bit-identical
     # answers and stats versus the scalar depth-first engine.

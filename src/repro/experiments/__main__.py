@@ -23,7 +23,8 @@ from .analysis_figures import (ablation_link_policy, decreasing_stage,
 from .config import default_config, paper_config, smoke_config
 from .diversify_figures import (fig10_div_dims, fig11_div_k,
                                 fig12_div_lambda, fig9_div_scale)
-from .runner import _wallclock, ascii_chart, print_rows, rows_to_csv
+from ..obs.clock import wallclock
+from .runner import ascii_chart, print_rows, rows_to_csv
 from .skyline_figures import fig7_skyline_scale, fig8_skyline_dims
 from .topk_figures import fig4_topk_scale, fig5_topk_dims, fig6_topk_k
 
@@ -76,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
                                 "scale"]
                if args.figure == "all" else [args.figure])
     for target in targets:
-        start = _wallclock()
+        start = wallclock()
         if target == "lemmas":
             print_rows(lemmas_table(), metrics=("latency",))
         elif target == "ablation":
@@ -97,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             rows = figure(config)
             print_rows(rows)
             _extras(rows, args)
-        print(f"# {target} finished in {_wallclock() - start:.1f}s\n")
+        print(f"# {target} finished in {wallclock() - start:.1f}s\n")
     if args.trace_out:
         from .tracing import trace_figure
         trace_figure(targets[-1], config, args.trace_out)

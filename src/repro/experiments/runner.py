@@ -9,7 +9,6 @@ the EXPERIMENTS.md record are generated from.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -18,19 +17,6 @@ import numpy as np
 from ..net.context import QueryResult
 
 __all__ = ["Row", "average_queries", "print_rows", "rows_to_series"]
-
-
-def _wallclock() -> float:
-    """Monotonic seconds, for operator-facing timing only.
-
-    Experiments are the one sanctioned wall-clock consumer under
-    ``src/``: figure regeneration reports how long each target took, the
-    scale profile how long the arena takes to build and traverse on the
-    current machine.  Everything measured *inside* a simulation uses
-    virtual time.  RPL002 allowlists exactly this helper; simulation code
-    must never grow one.
-    """
-    return time.perf_counter()
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ from __future__ import annotations
 from ..common.scoring import LinearScore
 from ..core.analysis import fast_latency, ripple_latency, slow_latency
 from ..core.framework import SLOW, run_ripple
+from ..obs.clock import wallclock
 from ..overlays.arena import run_wavefront
 from ..overlays.arena_build import midas_arena
 from ..queries.topk import TopKHandler
 from .config import ExperimentConfig
-from .runner import _wallclock
 
 __all__ = ["SEQUENTIAL_DEPTH_CAP", "print_scale_rows", "scale_profile"]
 
@@ -53,21 +53,21 @@ def scale_profile(config: ExperimentConfig) -> list[dict[str, object]]:
     rows: list[dict[str, object]] = []
     handler = TopKHandler(LinearScore([1.0, 1.0]), 10 ** 9)  # never prunes
     for depth in config.scale_depths:
-        start = _wallclock()
+        start = wallclock()
         arena = midas_arena(1 << depth, dims=2, seed=config.seed,
                             precompute_links=True)
-        build_s = _wallclock() - start
+        build_s = wallclock() - start
         for mode, r, formula in _MODES:
             if r != 0 and depth > SEQUENTIAL_DEPTH_CAP:
                 continue
-            start = _wallclock()
+            start = wallclock()
             if r == 0:
                 result = run_wavefront(arena.peer(0), handler,
                                        restriction=arena.domain())
             else:
                 result = run_ripple(arena.peer(0), handler, r,
                                     restriction=arena.domain())
-            query_s = _wallclock() - start
+            query_s = wallclock() - start
             expected = formula(depth)
             rows.append({
                 "depth": depth,

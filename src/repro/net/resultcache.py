@@ -195,10 +195,11 @@ class CacheDirectory:
 
     The directory registers every peer's store at construction and
     subscribes to its version bumps; :meth:`lookup` / :meth:`store` are
-    the whole client API (RPL016 enforces that sim-reachable code caches
-    query answers through this class and nowhere else).  ``semantic``
-    turns the superset-reuse tier on; ``registry`` mirrors the hit /
-    miss / invalidation counts into shared metrics counters.
+    the whole client API (``tests/test_source_invariants.py`` checks that
+    simulation code caches query answers through this class and nowhere
+    else).  ``semantic`` turns the superset-reuse tier on; ``registry``
+    mirrors the hit / miss / invalidation counts into shared metrics
+    counters.
     """
 
     def __init__(self, overlay: Any, *, semantic: bool = True,

@@ -100,10 +100,11 @@ class TraceSink(Protocol):
     """What the engines require of a trace consumer.
 
     Implementations must treat every argument as **read-only**: a sink
-    observes the query, it never steers it (ripplelint rule RPL010
-    enforces this statically).  ``enabled`` gates all instrumentation —
-    engines test it before computing span attributes, so a disabled sink
-    pays one attribute load per site and nothing else.
+    observes the query, it never steers it (``tests/obs/test_trace.py``
+    holds traced runs bit-identical to untraced ones).  ``enabled``
+    gates all instrumentation — engines test it before computing span
+    attributes, so a disabled sink pays one attribute load per site and
+    nothing else.
     """
 
     enabled: bool

@@ -8,8 +8,8 @@ Two ways into the structure-of-arrays substrate of
   same peer ids, same link order, bit-equal regions and store rows.
   This is the parity bridge: anything measured on the mirror is
   bit-identical to the object substrate.  Mirroring inherently walks the
-  object peers once, so its loops carry per-line RPL012 waivers; the
-  arena modules themselves never loop over the peer range.
+  object peers once; everywhere else the arena modules never loop over
+  the peer range (``tests/test_source_invariants.py`` holds them to it).
 
 * :func:`midas_arena` builds a balanced MIDAS network *directly* as a
   :class:`~repro.overlays.arena.MidasArena`, sized by peer count: tuple
@@ -48,28 +48,27 @@ def from_overlay(overlay: Any, *,
     link regions decoded to ``==``-equal ``Region`` objects, store rows,
     liveness, and the first ``replica_depth`` replica candidates.
     """
-    peers = list(overlay.peers())  # ripplelint: disable=RPL012
+    peers = list(overlay.peers())
     if not peers:
         raise ValueError("cannot mirror an empty overlay")
-    index_of = {p.peer_id: i                       # ripplelint: disable=RPL012
-                for i, p in enumerate(peers)}
+    index_of = {p.peer_id: i for i, p in enumerate(peers)}
     dims = peers[0].store.dims
-    peer_ids = np.fromiter((p.peer_id for p in peers),  # ripplelint: disable=RPL012
+    peer_ids = np.fromiter((p.peer_id for p in peers),
                            dtype=np.int64, count=len(peers))
-    sizes = np.fromiter((len(p.store) for p in peers),  # ripplelint: disable=RPL012
+    sizes = np.fromiter((len(p.store) for p in peers),
                         dtype=np.int64, count=len(peers))
     store_ptr = np.concatenate(([0], np.cumsum(sizes)))
     if store_ptr[-1]:
         tuples = np.concatenate(
-            [p.store.array for p in peers  # ripplelint: disable=RPL012
+            [p.store.array for p in peers
              if len(p.store)], axis=0)
     else:
         tuples = np.empty((0, dims))
-    alive = np.fromiter((getattr(p, "alive", True)  # ripplelint: disable=RPL012
+    alive = np.fromiter((getattr(p, "alive", True)
                          for p in peers), dtype=bool, count=len(peers))
 
-    all_links = [p.links() for p in peers]  # ripplelint: disable=RPL012
-    degrees = np.fromiter((len(ls) for ls in all_links),  # ripplelint: disable=RPL012
+    all_links = [p.links() for p in peers]
+    degrees = np.fromiter((len(ls) for ls in all_links),
                           dtype=np.int64, count=len(peers))
     link_ptr = np.concatenate(([0], np.cumsum(degrees)))
     flat = [link for ls in all_links for link in ls]
@@ -81,7 +80,7 @@ def from_overlay(overlay: Any, *,
     replica_rows: list[int] = []
     if hasattr(overlay, "replica_targets"):
         depth = min(replica_depth, len(peers) - 1)
-        for i, peer in enumerate(peers):  # ripplelint: disable=RPL012
+        for i, peer in enumerate(peers):
             targets = overlay.replica_targets(peer, depth)
             replica_rows.extend(index_of[t.peer_id] for t in targets)
             replica_ptr[i + 1] = len(replica_rows)

@@ -199,3 +199,24 @@ class TestInvalidationAcrossTopologyChanges:
         overlay.shrink_to(6)         # merges: take_all() on warm stores
         assert query() == reference
         assert sum(len(p.store) for p in overlay.peers()) == len(data)
+
+    def test_no_warm_score_index_survives_a_split_or_merge(self):
+        """Every peer's score index, warmed before the topology change,
+        answers like a cold store over the same rows afterwards — however
+        the split or merge moved the tuples."""
+        overlay = MidasOverlay(2, size=1, seed=6, join_policy="data")
+        overlay.load(np.random.default_rng(12).random((600, 2)) * 0.999)
+        overlay.grow_to(8)
+        fn = LinearScore([1.0, 2.0])
+
+        def warm_then(change):
+            for peer in overlay.peers():
+                peer.store.top_scoring(fn, 5)
+            change()
+            for peer in overlay.peers():
+                cold = LocalStore(2, peer.store.array)
+                assert peer.store.top_scoring(fn, 5) == \
+                    cold.top_scoring(fn, 5)
+
+        warm_then(lambda: overlay.grow_to(24))
+        warm_then(lambda: overlay.shrink_to(6))
