@@ -1,409 +1,103 @@
-"""Fixture tests for the whole-program rules (RPL013-RPL016) and the
-span-aware suppression fix.
+"""Known-good and known-bad fixtures for the handler-purity and
+answer-caching checks of ``tests/test_source_invariants.py``.
 
-The rules run in two modes: bare-source fixtures (``project=None``) use
-the sim-prefix fallback scope, while project-backed fixtures prove the
-reachability-driven widening — a module *outside* every sim prefix gets
-checked once the call graph connects it to an engine.
+Each class is named after the linter rule the check replaced.
 """
 
-from pathlib import Path
+from tests.test_source_invariants import (ad_hoc_cache_writes,
+                                          handler_writes)
 
-import pytest
-
-from repro.analysis_tools.ripplelint import (ParsedModule, Project,
-                                             lint_module, lint_source)
-
-REPO = Path(__file__).resolve().parents[2]
+NET_MODULE = "src/repro/net/mod.py"
 
 
-def findings_for(source, virtual_path="src/repro/net/mod.py"):
-    return lint_source(source, virtual_path=virtual_path)
-
-
-def rules_of(findings):
-    return [f.rule for f in findings]
-
-
-def project_from(sources):
-    return Project.from_modules(
-        ParsedModule.from_source(text, path=path)
-        for path, text in sources.items())
-
-
-# -- RPL013: hash-order iteration -----------------------------------------
-
-
-class TestRPL013:
-    def test_bad_for_over_set_literal_name(self):
-        findings = findings_for(
-            "def drain(xs):\n"
-            "    seen = set()\n"
-            "    for x in seen:\n"
-            "        print(x)\n")
-        assert rules_of(findings) == ["RPL013"]
-        assert findings[0].line == 3
-
-    def test_bad_comprehension_over_set(self):
-        findings = findings_for(
-            "def collect(ids: set):\n"
-            "    return [i + 1 for i in ids]\n")
-        assert rules_of(findings) == ["RPL013"]
-
-    def test_bad_list_of_set(self):
-        findings = findings_for(
-            "def snapshot():\n"
-            "    pending = {1, 2}\n"
-            "    return list(pending)\n")
-        assert rules_of(findings) == ["RPL013"]
-
-    def test_bad_os_environ_iteration(self):
-        findings = findings_for(
-            "import os\n"
-            "def dump():\n"
-            "    return [k for k in os.environ]\n")
-        assert rules_of(findings) == ["RPL013"]
-
-    def test_bad_set_algebra_iteration(self):
-        findings = findings_for(
-            "def merge(a: set, b: set):\n"
-            "    out = []\n"
-            "    for x in a | b:\n"
-            "        out.append(x)\n"
-            "    return out\n")
-        assert rules_of(findings) == ["RPL013"]
-
-    def test_good_sorted_wrap(self):
-        assert findings_for(
-            "def drain(seen: set):\n"
-            "    for x in sorted(seen):\n"
-            "        print(x)\n") == []
-
-    def test_good_order_insensitive_sinks(self):
-        assert findings_for(
-            "def stats(seen: set):\n"
-            "    total = sum(x for x in seen)\n"
-            "    n = len(seen)\n"
-            "    lo = min(seen)\n"
-            "    return total, n, lo\n") == []
-
-    def test_good_set_to_set_comprehension(self):
-        assert findings_for(
-            "def shift(seen: set):\n"
-            "    return {x + 1 for x in seen}\n") == []
-
-    def test_good_list_iteration_untouched(self):
-        assert findings_for(
-            "def drain(xs: list):\n"
-            "    for x in xs:\n"
-            "        print(x)\n") == []
-
-    def test_out_of_sim_scope_without_project(self):
-        # The fallback scope is the sim prefixes; an analysis module is
-        # not sim code, so bare-source lints leave it alone.
-        assert findings_for(
-            "def drain():\n"
-            "    for x in {1, 2}:\n"
-            "        print(x)\n",
-            virtual_path="src/repro/analysis_tools/x.py") == []
-
-    def test_project_reachability_extends_the_scope(self):
-        # repro/obs is outside every sim prefix; the call graph connects
-        # it to run_ripple, so the iteration gets flagged — and an
-        # unconnected twin stays exempt.
-        sources = {
-            "src/repro/core/framework.py": (
-                "from repro.obs.hot import fanout\n"
-                "def run_ripple(q):\n"
-                "    return fanout(q)\n"),
-            "src/repro/obs/hot.py": (
-                "def fanout(q):\n"
-                "    for x in {1, 2}:\n"
-                "        q.append(x)\n"),
-            "src/repro/obs/cold.py": (
-                "def unconnected():\n"
-                "    for x in {1, 2}:\n"
-                "        print(x)\n"),
-        }
-        project = project_from(sources)
-        hot = [f for f in lint_module(
-            project.modules["repro.obs.hot"], project=project)]
-        cold = [f for f in lint_module(
-            project.modules["repro.obs.cold"], project=project)]
-        assert "RPL013" in rules_of(hot)
-        assert "RPL013" not in rules_of(cold)
-
-
-# -- RPL014: handler purity ------------------------------------------------
+# -- RPL014: handler methods never write through simulation state ----------
 
 
 class TestRPL014:
     def test_bad_store_mutation_in_handler_method(self):
-        findings = findings_for(
+        assert handler_writes(
             "class H(QueryHandler):\n"
             "    def compute_local_answer(self, store, state):\n"
             "        peer.store.insert(1.0)\n"
-            "        return []\n",
-            virtual_path="src/repro/queries/h.py")
-        assert "RPL014" in rules_of(findings)
+            "        return []\n") == [(3, "peer.store.insert(1.0)")]
 
     def test_bad_peer_state_assignment(self):
-        findings = findings_for(
+        assert handler_writes(
             "class H(QueryHandler):\n"
             "    def update_local_state(self, states):\n"
-            "        peer.alive = False\n",
-            virtual_path="src/repro/queries/h.py")
-        assert "RPL014" in rules_of(findings)
+            "        peer.alive = False\n") == [(3, "peer.alive")]
 
     def test_good_self_state_and_reads(self):
-        findings = findings_for(
+        assert handler_writes(
             "class H(QueryHandler):\n"
             "    def update_local_state(self, states):\n"
             "        self.best = max(states)\n"
             "    def compute_local_answer(self, store, state):\n"
-            "        return store.top_scoring(state, 5)\n",
-            virtual_path="src/repro/queries/h.py")
-        assert "RPL014" not in rules_of(findings)
+            "        return store.top_scoring(state, 5)\n") == []
 
     def test_overlay_data_plane_is_exempt(self):
-        assert findings_for(
+        assert handler_writes(
             "def load(peer, rows):\n"
-            "    peer.store.bulk_load(rows)\n",
-            virtual_path="src/repro/overlays/grid.py") == []
-
-    def test_project_closure_taints_helpers(self):
-        # The handler method itself is clean, but a helper it calls
-        # mutates a peer: the call-graph closure attributes the
-        # violation to the helper.
-        sources = {
-            "src/repro/queries/h.py": (
-                "from repro.queries.util import boost\n"
-                "class H(QueryHandler):\n"
-                "    def update_local_state(self, states):\n"
-                "        return boost(states)\n"),
-            "src/repro/queries/util.py": (
-                "def boost(states):\n"
-                "    peer.links = []\n"
-                "    return states\n"),
-        }
-        project = project_from(sources)
-        util = lint_module(project.modules["repro.queries.util"],
-                           project=project)
-        assert "RPL014" in rules_of(util)
+            "    peer.store.bulk_load(rows)\n"
+            "class Grid(Overlay):\n"
+            "    def add(self, peer, row):\n"
+            "        peer.store.insert(row)\n") == []
 
 
-# -- RPL015: context threading ---------------------------------------------
-
-
-class TestRPL015:
-    def test_bad_fresh_sink_construction(self):
-        findings = findings_for(
-            "def route(q, sink=None):\n"
-            "    return probe(q, sink=NullSink())\n")
-        assert rules_of(findings) == ["RPL015"]
-
-    def test_bad_fresh_context_construction(self):
-        findings = findings_for(
-            "def hop(q, ctx):\n"
-            "    return advance(q, ctx=QueryContext(q))\n")
-        assert rules_of(findings) == ["RPL015"]
-
-    def test_good_forwarding(self):
-        assert findings_for(
-            "def route(q, sink=None, executor=None):\n"
-            "    return probe(q, sink=sink, executor=executor)\n") == []
-
-    def test_good_defaulting_statement(self):
-        assert findings_for(
-            "def route(q, sink=None):\n"
-            "    sink = sink if sink is not None else NullSink()\n"
-            "    return probe(q, sink=sink)\n") == []
-
-    def test_good_boolean_fallback(self):
-        assert findings_for(
-            "def route(q, sink=None):\n"
-            "    return probe(q, sink=sink or child)\n") == []
-
-    def test_project_detects_dropped_threading(self):
-        sources = {
-            "src/repro/net/route.py": (
-                "from repro.net.probe import probe\n"
-                "def route(q, sink=None):\n"
-                "    return probe(q)\n"),
-            "src/repro/net/probe.py": (
-                "def probe(q, sink=None):\n"
-                "    return q\n"),
-        }
-        project = project_from(sources)
-        findings = lint_module(project.modules["repro.net.route"],
-                               project=project)
-        assert "RPL015" in rules_of(findings)
-
-    def test_project_positional_pass_is_fine(self):
-        sources = {
-            "src/repro/net/route.py": (
-                "from repro.net.probe import probe\n"
-                "def route(q, sink=None):\n"
-                "    return probe(q, sink)\n"),
-            "src/repro/net/probe.py": (
-                "def probe(q, sink=None):\n"
-                "    return q\n"),
-        }
-        project = project_from(sources)
-        findings = lint_module(project.modules["repro.net.route"],
-                               project=project)
-        assert "RPL015" not in rules_of(findings)
-
-    def test_project_kwargs_spread_is_trusted(self):
-        sources = {
-            "src/repro/net/route.py": (
-                "from repro.net.probe import probe\n"
-                "def route(q, sink=None, **kw):\n"
-                "    return probe(q, **kw)\n"),
-            "src/repro/net/probe.py": (
-                "def probe(q, sink=None):\n"
-                "    return q\n"),
-        }
-        project = project_from(sources)
-        findings = lint_module(project.modules["repro.net.route"],
-                               project=project)
-        assert "RPL015" not in rules_of(findings)
-
-
-# -- RPL016: ad-hoc query-answer caching -----------------------------------
+# -- RPL016: answers are cached only through CacheDirectory ----------------
 
 
 class TestRPL016:
     def test_bad_cache_subscript_write(self):
-        findings = findings_for(
+        assert ad_hoc_cache_writes(
             "def answer(q):\n"
             "    _answer_cache[q.key] = run(q)\n"
-            "    return _answer_cache[q.key]\n")
-        assert rules_of(findings) == ["RPL016"]
-        assert findings[0].line == 2
+            "    return _answer_cache[q.key]\n", NET_MODULE) == [2]
 
     def test_bad_memo_setdefault(self):
-        findings = findings_for(
+        assert ad_hoc_cache_writes(
             "class Engine:\n"
             "    def answer(self, q):\n"
-            "        return self._memo.setdefault(q.key, run(q))\n")
-        assert rules_of(findings) == ["RPL016"]
+            "        return self._memo.setdefault(q.key, run(q))\n",
+            NET_MODULE) == [3]
 
     def test_bad_cache_update(self):
-        findings = findings_for(
+        assert ad_hoc_cache_writes(
             "def warm(queries):\n"
-            "    query_cache.update({q.key: run(q) for q in queries})\n")
-        assert rules_of(findings) == ["RPL016"]
+            "    query_cache.update({q.key: run(q) for q in queries})\n",
+            NET_MODULE) == [2]
 
     def test_good_cache_directory_usage(self):
         # The sanctioned path: method calls on a CacheDirectory, no
         # subscript writes into a dict.
-        assert findings_for(
+        assert ad_hoc_cache_writes(
             "def answer(engine, q):\n"
             "    hit = engine.cache.lookup(q.handler, q.restriction)\n"
             "    engine.cache.store(q.handler, q.restriction, hit)\n"
-            "    return hit\n") == []
+            "    return hit\n", NET_MODULE) == []
 
     def test_good_non_cache_container(self):
-        assert findings_for(
+        assert ad_hoc_cache_writes(
             "def tally(outcomes):\n"
             "    counts = {}\n"
             "    counts['done'] = len(outcomes)\n"
-            "    return counts\n") == []
+            "    return counts\n", NET_MODULE) == []
 
     def test_good_cache_read_is_fine(self):
-        assert findings_for(
+        assert ad_hoc_cache_writes(
             "def peek(q):\n"
-            "    return _answer_cache.get(q.key)\n") == []
+            "    return _answer_cache.get(q.key)\n", NET_MODULE) == []
 
     def test_sanctioned_modules_exempt(self):
         source = ("def store(key, answer):\n"
                   "    _cache[key] = answer\n")
-        assert findings_for(
-            source, virtual_path="src/repro/net/resultcache.py") == []
-        assert findings_for(
-            source, virtual_path="src/repro/common/store.py") == []
-        assert findings_for(
-            source, virtual_path="src/repro/baselines/speerto.py") == []
+        assert ad_hoc_cache_writes(source, NET_MODULE) == [2]
+        for rel in ("src/repro/net/resultcache.py",
+                    "src/repro/common/store.py",
+                    "src/repro/baselines/speerto.py"):
+            assert ad_hoc_cache_writes(source, rel) == []
 
     def test_out_of_sim_scope_without_project(self):
-        assert findings_for(
-            "def remember(k, v):\n"
-            "    _cache[k] = v\n",
-            virtual_path="src/repro/analysis_tools/x.py") == []
-
-    def test_project_reachability_extends_the_scope(self):
-        # Same widening contract as RPL013: an obs module outside every
-        # sim prefix is checked once the call graph ties it to an
-        # engine entry point, and an unconnected twin stays exempt.
-        sources = {
-            "src/repro/core/framework.py": (
-                "from repro.obs.hot import cached\n"
-                "def run_ripple(q):\n"
-                "    return cached(q)\n"),
-            "src/repro/obs/hot.py": (
-                "_cache = {}\n"
-                "def cached(q):\n"
-                "    _cache[q] = q\n"
-                "    return _cache[q]\n"),
-            "src/repro/obs/cold.py": (
-                "_cache = {}\n"
-                "def unconnected(q):\n"
-                "    _cache[q] = q\n"),
-        }
-        project = project_from(sources)
-        hot = lint_module(project.modules["repro.obs.hot"],
-                          project=project)
-        cold = lint_module(project.modules["repro.obs.cold"],
-                           project=project)
-        assert "RPL016" in rules_of(hot)
-        assert "RPL016" not in rules_of(cold)
-
-
-# -- span-aware suppression ------------------------------------------------
-
-
-class TestSuppressionSpan:
-    def test_disable_on_continuation_line_suppresses(self):
-        source = ("import time\n"
-                  "start = time.time(\n"
-                  ")  # ripplelint: disable=RPL002\n")
-        assert findings_for(source) == []
-
-    def test_disable_on_first_line_still_suppresses(self):
-        source = ("import time\n"
-                  "start = time.time()  # ripplelint: disable=RPL002\n")
-        assert findings_for(source) == []
-
-    def test_disable_inside_body_does_not_silence_the_header(self):
-        # The span of def/class/loop headers is clamped: a disable
-        # buried in the body must not excuse a header-anchored finding.
-        source = ("class H(QueryHandler):\n"
-                  "    def finalize(self, answers):\n"
-                  "        # ripplelint: disable=RPL004\n"
-                  "        return []\n")
-        findings = lint_source(source,
-                               virtual_path="src/repro/queries/h.py")
-        assert "RPL004" in rules_of(findings)
-
-    def test_disable_of_other_rule_does_not_suppress(self):
-        source = ("import time\n"
-                  "start = time.time(\n"
-                  ")  # ripplelint: disable=RPL001\n")
-        assert rules_of(findings_for(source)) == ["RPL002"]
-
-    def test_multiline_set_iteration_suppressible(self):
-        source = ("def drain(seen: set):\n"
-                  "    for x in sorted_or_not(\n"
-                  "        seen,\n"
-                  "    ):\n"
-                  "        print(x)\n")
-        # Not a violation (call wrapper is opaque) — but the span fix is
-        # exercised by the RPL013 twin below.
-        assert findings_for(source) == []
-        flagged = ("def drain(seen: set):\n"
-                   "    for x in (\n"
-                   "        seen  # ripplelint: disable=RPL013\n"
-                   "    ):\n"
-                   "        print(x)\n")
-        assert findings_for(flagged) == []
+        source = "def remember(k, v):\n    _cache[k] = v\n"
+        assert ad_hoc_cache_writes(source, "src/repro/experiments/x.py") == []
+        assert ad_hoc_cache_writes(source, "benchmarks/x.py") == []

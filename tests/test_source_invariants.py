@@ -1,7 +1,9 @@
 """Source-level invariants that no runtime test can observe.
 
 Each test reads the files an invariant covers (their AST or their comment
-tokens) and names every offending line.  Everything else the code must
+tokens) and names every offending line.  The per-source checks it uses
+are exercised on known-good and known-bad fixtures in
+``tests/analysis_tools``.  Everything else the code must
 not do is caught at runtime; ``docs/STATIC_ANALYSIS.md`` says by which
 test, gate or harness.
 """
@@ -10,7 +12,6 @@ import ast
 import importlib
 import inspect
 import io
-import textwrap
 import tokenize
 from pathlib import Path
 
@@ -32,13 +33,11 @@ def _scripts(root):
 
 
 def _shipped_files():
-    """The package, the benchmark drivers and the repo scripts."""
+    """``(path, repo-relative posix path)`` for the package, the benchmark
+    drivers and the repo scripts."""
     for root in (PACKAGE, REPO / "benchmarks", REPO / "tools"):
-        yield from _scripts(root)
-
-
-def _where(path, node):
-    return f"{path.relative_to(REPO)}:{node.lineno}"
+        for path in _scripts(root):
+            yield path, path.relative_to(REPO).as_posix()
 
 
 def _all_modules():
@@ -63,18 +62,28 @@ def _chain(node):
     return parts[::-1]
 
 
+def package_api_problems(module):
+    """``__all__`` names that do not resolve, and, for a package, a
+    missing docstring or ``__all__``."""
+    problems = []
+    if module.__file__.endswith("__init__.py"):
+        if not module.__doc__:
+            problems.append(f"package {module.__name__} has no docstring")
+        if not hasattr(module, "__all__"):
+            problems.append(f"package {module.__name__} has no __all__")
+    for export in getattr(module, "__all__", ()):
+        if not hasattr(module, export):
+            problems.append(
+                f"{module.__name__}.__all__ names unresolvable {export!r}")
+    return problems
+
+
 def test_all_exports_resolve_at_runtime():
     """Every ``__all__`` name of every repro module imports for real, and
     every package states its public API (a docstring and an ``__all__``)."""
-    for module in _all_modules():
-        module_name = module.__name__
-        if module.__file__.endswith("__init__.py"):
-            assert module.__doc__, f"package {module_name} has no docstring"
-            assert hasattr(module, "__all__"), \
-                f"package {module_name} has no __all__"
-        for export in getattr(module, "__all__", ()):
-            assert hasattr(module, export), \
-                f"{module_name}.__all__ names unresolvable {export!r}"
+    problems = [p for module in _all_modules()
+                for p in package_api_problems(module)]
+    assert not problems, "\n".join(problems)
 
 
 def test_strict_packages_fully_annotated():
@@ -98,7 +107,8 @@ def test_strict_packages_fully_annotated():
                 if node.returns is None:
                     unannotated.append("return")
                 if unannotated:
-                    missing.append(f"{_where(path, node)} {node.name}: "
+                    missing.append(f"{path.relative_to(REPO)}:{node.lineno}"
+                                   f" {node.name}: "
                                    + ", ".join(unannotated))
     assert not missing, "\n".join(missing)
 
@@ -107,46 +117,58 @@ _CLOCK_FNS = {"time", "time_ns", "perf_counter", "perf_counter_ns",
               "monotonic", "monotonic_ns", "process_time", "process_time_ns"}
 
 
+def clock_reads(source, rel):
+    """Lines of ``source`` (at repo-relative ``rel``) that read a real
+    clock; only ``src/repro/obs/clock.py`` may."""
+    if rel == "src/repro/obs/clock.py":
+        return []
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "time" \
+                and any(a.name in _CLOCK_FNS for a in node.names):
+            reads.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and (
+                (node.attr in _CLOCK_FNS
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "time")
+                or (node.attr in ("now", "utcnow", "today")
+                    and "datetime" in ast.unparse(node.value))):
+            reads.append(node.lineno)
+    return reads
+
+
 def test_only_the_clock_module_reads_a_clock():
     """Simulations run on virtual time; operator-facing timing goes
     through ``repro.obs.clock.wallclock`` and nowhere else."""
-    allowed = PACKAGE / "obs" / "clock.py"
-    reads = []
-    for path in _shipped_files():
-        if path == allowed:
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module == "time" \
-                    and any(a.name in _CLOCK_FNS for a in node.names):
-                reads.append(_where(path, node))
-            elif isinstance(node, ast.Attribute) and (
-                    (node.attr in _CLOCK_FNS
-                     and isinstance(node.value, ast.Name)
-                     and node.value.id == "time")
-                    or (node.attr in ("now", "utcnow", "today")
-                        and "datetime" in ast.unparse(node.value))):
-                reads.append(_where(path, node))
+    reads = [f"{rel}:{line}" for path, rel in _shipped_files()
+             for line in clock_reads(path.read_text(), rel)]
     assert not reads, "real clock read outside repro/obs/clock.py:\n" \
         + "\n".join(reads)
 
 
+def bad_type_ignores(source):
+    """Lines whose ``type: ignore`` comment names no error code or gives
+    no reason.  Strings that mention the phrase are not comments."""
+    bad = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT or "type: ignore" not in token.string:
+            continue
+        rest = token.string.split("type: ignore", 1)[1]
+        if not rest.startswith("[") or "#" not in rest:
+            bad.append(token.start[0])
+    return bad
+
+
 def test_type_ignores_are_narrow_and_justified():
     """``# type: ignore[code]  # why`` — never a blanket mute button."""
-    bad = []
-    for path in _shipped_files():
-        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT or "type: ignore" not in token.string:
-                continue
-            rest = token.string.split("type: ignore", 1)[1]
-            if not rest.startswith("[") or "#" not in rest:
-                bad.append(f"{path.relative_to(REPO)}:{token.start[0]}")
+    bad = [f"{rel}:{line}" for path, rel in _shipped_files()
+           for line in bad_type_ignores(path.read_text())]
     assert not bad, "blanket or unexplained type: ignore:\n" + "\n".join(bad)
 
 
 #: The structure-of-arrays substrate.  ``from_overlay`` is exempt: its job
 #: is to walk an object overlay's peers once and snapshot them.
-_ARENA = ("overlays/arena.py", "overlays/arena_build.py")
+_ARENA = ("src/repro/overlays/arena.py", "src/repro/overlays/arena_build.py")
 _PEER_RANGE = {"peers", "n_peers", "num_peers", "peer_count"}
 
 
@@ -166,29 +188,37 @@ def _is_object_dtype(node):
         or (isinstance(node, ast.Constant) and node.value in ("object", "O"))
 
 
+def arena_violations(source, rel):
+    """``(line, what)`` for each object-dtype array and each Python loop
+    over the peer range in an arena module (``rel`` repo-relative)."""
+    if rel not in _ARENA:
+        return []
+    tree = ast.parse(source)
+    skip = {id(n) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and fn.name == "from_overlay" for n in ast.walk(fn)}
+    bad = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Call) and (
+                any(k.arg == "dtype" and _is_object_dtype(k.value)
+                    for k in node.keywords)
+                or (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "astype" and node.args
+                    and _is_object_dtype(node.args[0]))):
+            bad.append((node.lineno, "object dtype"))
+        loops = [node.iter] if isinstance(node, ast.For) else [
+            g.iter for g in getattr(node, "generators", ())]
+        if any(_mentions_peer_range(it) for it in loops):
+            bad.append((node.lineno, "loop over the peer range"))
+    return bad
+
+
 def test_arena_modules_stay_vectorized():
     """No ``dtype=object`` array and no Python loop over the peer range:
     either brings back the per-peer interpreter cost the arena removes."""
-    bad = []
-    for rel in _ARENA:
-        path = PACKAGE / rel
-        tree = ast.parse(path.read_text())
-        skip = {id(n) for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                and fn.name == "from_overlay" for n in ast.walk(fn)}
-        for node in ast.walk(tree):
-            if id(node) in skip:
-                continue
-            if isinstance(node, ast.Call) and (
-                    any(k.arg == "dtype" and _is_object_dtype(k.value)
-                        for k in node.keywords)
-                    or (isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "astype" and node.args
-                        and _is_object_dtype(node.args[0]))):
-                bad.append(_where(path, node) + " object dtype")
-            loops = [node.iter] if isinstance(node, ast.For) else [
-                g.iter for g in getattr(node, "generators", ())]
-            if any(_mentions_peer_range(it) for it in loops):
-                bad.append(_where(path, node) + " loop over the peer range")
+    bad = [f"{rel}:{line} {what}" for rel in _ARENA
+           for line, what in arena_violations((REPO / rel).read_text(), rel)]
     assert not bad, "\n".join(bad)
 
 
@@ -208,25 +238,38 @@ def _handler_classes():
     return found
 
 
-def test_handler_methods_never_write_through_simulation_state():
-    """Handler callbacks are functions of ``(state, store)``: the engines
-    reorder, replay and batch them.  A method may set ``self.…`` but
-    never write through a peer, overlay, link table or store."""
+def handler_writes(source, handlers=("QueryHandler",)):
+    """``(line, code)`` for each write through a peer, overlay, link table
+    or store inside a class whose base is named in ``handlers``."""
     bad = []
-    for cls in _handler_classes():
-        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
-        for node in ast.walk(tree):
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                (_chain(base) or [""])[-1] in handlers for base in cls.bases):
+            continue
+        for node in ast.walk(cls):
             if isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute) and \
                     node.func.attr in _STORE_MUTATORS and \
                     _INFRA & set(_chain(node.func)[:-1]):
-                bad.append(f"{cls.__qualname__}: {ast.unparse(node)}")
+                bad.append((node.lineno, ast.unparse(node)))
             targets = node.targets if isinstance(node, ast.Assign) else \
                 [node.target] if isinstance(node, ast.AugAssign) else []
             for target in targets:
                 if isinstance(target, (ast.Attribute, ast.Subscript)) and \
                         _INFRA & set(_chain(target)[:-1] or _chain(target)):
-                    bad.append(f"{cls.__qualname__}: {ast.unparse(target)}")
+                    bad.append((node.lineno, ast.unparse(target)))
+    return bad
+
+
+def test_handler_methods_never_write_through_simulation_state():
+    """Handler callbacks are functions of ``(state, store)``: the engines
+    reorder, replay and batch them.  A method may set ``self.…`` but
+    never write through a peer, overlay, link table or store."""
+    classes = _handler_classes()
+    names = {cls.__name__ for cls in classes}
+    files = sorted({Path(inspect.getsourcefile(cls)) for cls in classes})
+    bad = [f"{path.relative_to(REPO)}:{line} {code}" for path in files
+           for line, code in handler_writes(path.read_text(), names)]
     assert not bad, "\n".join(bad)
 
 
@@ -234,32 +277,39 @@ def test_handler_methods_never_write_through_simulation_state():
 #: carry ``(peer, store version)`` evidence), the store's version-keyed
 #: kernel cache, and the reproduced baselines (SPEERTO's stale super-peer
 #: cache is part of the algorithm).
-_CACHES_ALLOWED = ("net/resultcache.py", "common/store.py", "baselines/")
+_CACHES_ALLOWED = tuple("src/repro/" + p for p in (
+    "net/resultcache.py", "common/store.py", "baselines/"))
 _SIM_PACKAGES = ("core", "net", "overlays", "queries", "common", "obs")
+
+
+def ad_hoc_cache_writes(source, rel):
+    """Lines that write into a dict named ``…cache``/``…memo`` in
+    simulation code outside the sanctioned modules (``rel`` repo-relative)."""
+    if not rel.startswith(tuple(f"src/repro/{p}/" for p in _SIM_PACKAGES)) \
+            or rel.startswith(_CACHES_ALLOWED):
+        return []
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        written = []
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            written = [t.value for t in getattr(
+                node, "targets", [getattr(node, "target", None)])
+                if isinstance(t, ast.Subscript)]
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr in ("setdefault", "update"):
+            written = [node.func.value]
+        if any(s in (_chain(c) or [""])[-1].lower()
+               for c in written for s in ("cache", "memo")):
+            bad.append(node.lineno)
+    return bad
 
 
 def test_answers_are_cached_only_through_cache_directory():
     """A dict named ``…cache``/``…memo`` written in simulation code is a
     second answer cache with no invalidation: it keeps serving answers
     after the stores under them change."""
-    bad = []
-    for pkg in _SIM_PACKAGES:
-        for path in sorted((PACKAGE / pkg).rglob("*.py")):
-            if str(path.relative_to(PACKAGE)).startswith(_CACHES_ALLOWED):
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                written = []
-                if isinstance(node, (ast.Assign, ast.AugAssign)):
-                    written = [t.value for t in getattr(
-                        node, "targets", [getattr(node, "target", None)])
-                        if isinstance(t, ast.Subscript)]
-                elif isinstance(node, ast.Call) and \
-                        isinstance(node.func, ast.Attribute) and \
-                        node.func.attr in ("setdefault", "update"):
-                    written = [node.func.value]
-                for container in written:
-                    leaf = (_chain(container) or [""])[-1].lower()
-                    if "cache" in leaf or "memo" in leaf:
-                        bad.append(_where(path, node))
+    bad = [f"{rel}:{line}" for path, rel in _shipped_files()
+           for line in ad_hoc_cache_writes(path.read_text(), rel)]
     assert not bad, "ad-hoc answer cache outside CacheDirectory:\n" \
         + "\n".join(bad)
