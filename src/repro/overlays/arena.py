@@ -52,13 +52,12 @@ from ..core.regions import (ArcRegion, FrustumRegion, RectRegion, Region,
                             domain_region)
 from ..net.context import QueryContext, QueryResult
 from ..obs.trace import TraceSink
+from ..queries.skyline import (SkylineHandler, _all_pairs, _first_of_runs,
+                               _skyline_mask)
+from ..queries.topk import TopKHandler
 
 __all__ = ["ArenaPeer", "MidasArena", "MirrorArena", "OverlayArena",
            "prime_skyline_wave", "prime_topk_wave", "wavefront_execute"]
-
-#: Candidate rows per vectorized dominance pass in the oversized-group
-#: fallback of the grouped skyline kernel (mirrors ``skyline._BLOCK``).
-_BLOCK = 256
 
 #: Groups whose distinct-row count exceeds this run through the blocked
 #: per-group kernel instead of the padded all-pairs tensor (whose memory
@@ -582,10 +581,8 @@ def prime_skyline_wave(constraint: Rect | None,
     order = np.lexsort(axis_keys + (sums, group))
     data, grp = concat[order], group[order]
     # Collapse exact duplicates (adjacent within a group after sorting).
-    distinct = np.empty(len(data), dtype=bool)
-    distinct[0] = True
-    distinct[1:] = (grp[1:] != grp[:-1]) \
-        | (data[1:] != data[:-1]).any(axis=1)
+    distinct = _first_of_runs(data)
+    distinct[1:] |= grp[1:] != grp[:-1]
     starts = np.flatnonzero(distinct)
     counts = np.diff(np.append(starts, len(data)))
     uniq, ug = data[starts], grp[starts]
@@ -607,9 +604,10 @@ def _grouped_skyline_keep(uniq: np.ndarray, ug: np.ndarray,
     A row survives iff no other distinct row of the same group is
     componentwise ``<=`` it (which, among distinct rows, is dominance).
     Groups are bucketed by size: small groups share one padded
-    ``(groups, width, width, d)`` comparison tensor per bucket (padding
-    rows are ``+inf``, which can never dominate), oversized groups run
-    the same blocked kernel ``skyline_of_array`` uses.
+    ``(d, groups, width, width)`` comparison tensor per bucket, reduced
+    over its leading dims axis like every skyline kernel (padding rows
+    are ``+inf``, which can never dominate); oversized groups run the
+    blocked kernel ``skyline_of_array`` runs.
     """
     keep = np.zeros(len(uniq), dtype=bool)
     sizes = np.bincount(ug, minlength=group_count)
@@ -625,19 +623,18 @@ def _grouped_skyline_keep(uniq: np.ndarray, ug: np.ndarray,
         for at in range(0, len(sel), chunk):
             part = sel[at:at + chunk]
             part_sizes = sizes[part]
-            pad = np.full((len(part), cap, uniq.shape[1]), np.inf)
+            pad = np.full((uniq.shape[1], len(part), cap), np.inf)
             row = np.repeat(np.arange(len(part)), part_sizes)
             col = _concat_aranges(part_sizes)
             src = col + np.repeat(offsets[part], part_sizes)
-            pad[row, col] = uniq[src]
-            le = (pad[:, :, None, :] <= pad[:, None, :, :]).all(axis=-1)
-            alive = le.sum(axis=1) <= 1
+            pad[:, row, col] = uniq[src].T
+            alive = _all_pairs(pad, pad).sum(axis=1) <= 1
             keep[src] = alive[row, col]
     for g in np.flatnonzero(sizes > _PAD_CAP):
         # A handful of oversized groups, each one blocked kernel call —
         # a per-*group* loop over the wave, never a per-peer scan.
         lo, hi = int(offsets[g]), int(offsets[g + 1])
-        keep[lo:hi] = _blocked_skyline_mask(uniq[lo:hi])
+        keep[lo:hi] = _skyline_mask(uniq[lo:hi])
     return keep
 
 
@@ -650,41 +647,12 @@ def _concat_aranges(sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocked_skyline_mask(uniq: np.ndarray) -> np.ndarray:
-    """Survivor mask over distinct dominance-ordered rows (one group).
-
-    The block-filtered loop of ``skyline_of_array``, returning the mask
-    instead of the rows.
-    """
-    keep = np.zeros(len(uniq), dtype=bool)
-    live = np.arange(len(uniq))
-    while len(live):
-        index, tail = live[:_BLOCK], live[_BLOCK:]
-        block = uniq[index]
-        if len(block) > 1:
-            le = (block[:, None, :] <= block[None, :, :]).all(axis=2)
-            alive = le.sum(axis=0) <= 1
-            block, index = block[alive], index[alive]
-        keep[index] = True
-        if len(tail) and len(block):
-            rest = uniq[tail]
-            dominated = (block[None, :, :] <= rest[:, None, :]) \
-                .all(axis=2).any(axis=1)
-            live = tail[~dominated]
-        else:
-            live = tail
-    return keep
-
-
 def _prime_wave(handler: QueryHandler, stores: list[LocalStore]) -> None:
     """Dispatch the wave's stores to the handler's grouped kernel.
 
     Handlers without a batched kernel (diversification) fall through to
     the scalar per-peer path — still bit-identical, just unbatched.
     """
-    from ..queries.skyline import SkylineHandler
-    from ..queries.topk import TopKHandler
-
     if isinstance(handler, TopKHandler):
         prime_topk_wave(handler.fn, stores)
     elif isinstance(handler, SkylineHandler):

@@ -11,23 +11,32 @@ closer to the origin first, because tuples near the origin dominate the
 most.
 
 Kernel design (see docs/ALGORITHMS.md, "Kernel complexity & caching"):
-the array kernels are sort-first and block-vectorized — candidates are
-processed in chunks tested against the surviving skyline in one NumPy
-dominance reduction, and survivors land in a preallocated buffer instead
-of being re-copied per insertion.  The per-peer local skyline is cached
-on the :class:`~repro.common.store.LocalStore` (keyed by constraint,
-invalidated by store version), so one query reduces each peer's array at
-most once and repeated queries over a static network not at all.
+every dominance test is one all-pairs comparison reduced over a leading,
+contiguous dims axis (:func:`_all_pairs` on ``(d, m)`` copies) — reduced
+over a short trailing axis instead, NumPy runs a strided inner loop of
+length d per pair, up to 10x slower at the sizes a visit sees.  The array
+kernels are sort-first and block-vectorized: candidates are processed in
+chunks tested against the surviving skyline in one such reduction, and
+survivors are marked in one mask (:func:`_skyline_mask`, which the
+arena's grouped wave kernel shares).  The per-peer local skyline is
+cached on the :class:`~repro.common.store.LocalStore` (keyed by
+constraint, invalidated by store version), so one query reduces each
+peer's array at most once and repeated queries over a static network not
+at all.
 
 A state is one lexsorted ``(m, d)`` float array from the store memo to
-``finalize``; every fold is the cross-dominance pass of
-:func:`_merge_antichains`, which hands back its inputs untouched when a
-side contributes nothing — the common case at a peer.
+``finalize``.  A visit's merge is the cross-dominance pass of
+:meth:`SkylineHandler._merge`, which hands back its inputs untouched when a
+side contributes nothing — the common case at a peer; every fold of many
+states (Algorithm 13, :func:`merge_skylines`, ``finalize``) is one
+skyline pass over their concatenation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isfinite
+from operator import le
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -54,7 +63,7 @@ _StateLike = Union[np.ndarray, Sequence[Point]]
 
 #: Candidate rows folded into the survivor set per vectorized dominance
 #: test.  Large enough to amortize NumPy call overhead, small enough that
-#: the (block, survivors, dims) comparison tensor stays cache-friendly.
+#: the (dims, block, survivors) comparison tensor stays cache-friendly.
 _BLOCK = 256
 
 
@@ -72,6 +81,28 @@ def skyline_of(points: Iterable[Point]) -> list[Point]:
     return kept
 
 
+def _dims_major(rows: np.ndarray) -> np.ndarray:
+    """``(m, d)`` rows as a contiguous ``(d, m)`` copy.
+
+    A copy, not a transposed view: a comparison's output takes the
+    strides of its inputs, so a view would leave d the innermost axis.
+    """
+    return np.ascontiguousarray(rows.T)
+
+
+def _all_pairs(a: np.ndarray, b: np.ndarray,
+               op: np.ufunc = np.less_equal) -> np.ndarray:
+    """``out[..., i, j] = all(op(a[:, ..., i], b[:, ..., j]))``.
+
+    ``a`` and ``b`` are dims-major (:func:`_dims_major`), so the
+    reduction runs over the leading axis: d whole-plane ``&``s rather
+    than one strided inner loop of length d per pair.  With the default
+    ``op`` it is weak dominance, ``a``'s row ``i`` componentwise ``<=``
+    ``b``'s row ``j``.
+    """
+    return np.logical_and.reduce(op(a[..., :, None], b[..., None, :]), axis=0)
+
+
 def _dominance_order(array: np.ndarray) -> np.ndarray:
     """A permutation placing every dominator before the points it dominates.
 
@@ -85,68 +116,58 @@ def _dominance_order(array: np.ndarray) -> np.ndarray:
     return np.lexsort(keys + (sums,))
 
 
+def _skyline_mask(uniq: np.ndarray) -> np.ndarray:
+    """Survivor mask over distinct ``(m, d)`` rows in dominance order.
+
+    Among distinct rows ``all(a <= b)`` already implies strict
+    improvement somewhere, so one ``<=`` reduction is the dominance test.
+    The head of the live queue was not eliminated by any confirmed
+    skyline point, and sorting put every potential dominator first — so
+    after one pairwise pass within the block, its survivors are confirmed
+    skyline members.  (Transitivity makes rows that are themselves
+    dominated valid witnesses, so no iteration is needed; each row
+    trivially satisfies <= with itself, hence ``> 1``.)  The confirmed
+    points then prune the whole tail in one comparison: a dominated row
+    is dropped the first time a dominator confirms, so it is never
+    compared again.
+    """
+    rest, live = _dims_major(uniq), np.arange(len(uniq))
+    keep = np.zeros(len(uniq), dtype=bool)
+    while len(live):
+        block, index = rest[:, :_BLOCK], live[:_BLOCK]
+        alive = _all_pairs(block, block).sum(axis=0) <= 1
+        keep[index] = alive
+        rest, live = rest[:, _BLOCK:], live[_BLOCK:]
+        if len(live):
+            # compress, not ``[:, mask]``: fancy indexing along the second
+            # axis comes back Fortran-ordered, d innermost again.
+            out = ~_all_pairs(block.compress(alive, axis=1), rest).any(axis=0)
+            rest, live = rest.compress(out, axis=1), live[out]
+    return keep
+
+
 def skyline_of_array(array: np.ndarray) -> np.ndarray:
     """Vectorized skyline of an ``(m, d)`` array (lower is better).
 
-    Sort-first, block-filtered: candidates arrive in dominance order and
-    each block is cleared against the surviving skyline in one vectorized
-    dominance reduction, with survivors accumulating in a preallocated
-    index buffer — O(m) bookkeeping total instead of the O(s^2) copying an
-    incrementally re-stacked survivor matrix costs.  Exact duplicates are
+    Sort-first, block-filtered (:func:`_skyline_mask`): candidates arrive
+    in dominance order and each block is cleared against the surviving
+    skyline in one vectorized dominance reduction.  Exact duplicates are
     collapsed up front (and re-expanded at the end), which turns the
-    dominance test into a single componentwise ``<=`` reduction: among
-    distinct rows, ``all(a <= b)`` already implies strict improvement
-    somewhere, so the separate ``<`` tensor of the textbook test vanishes.
+    dominance test into a single componentwise ``<=`` reduction.
     """
     array = np.asarray(array, dtype=float)
     if len(array) == 0:
         return array
-    data = array[_dominance_order(array)]
+    data = array.take(_dominance_order(array), axis=0)
     # Collapse exact duplicates (adjacent after sorting): `counts` re-expands
     # surviving rows at the end, preserving the duplicate-keeping semantics.
-    distinct = np.empty(len(data), dtype=bool)
-    distinct[0] = True
-    np.any(data[1:] != data[:-1], axis=1, out=distinct[1:])
+    distinct = _first_of_runs(data)
     if distinct.all():
-        uniq, counts = data, None
-    else:
-        starts = np.flatnonzero(distinct)
-        counts = np.diff(np.append(starts, len(data)))
-        uniq = data[starts]
-    n = len(uniq)
-    kept = np.empty(n, dtype=np.intp)
-    count = 0
-    live = np.arange(n)
-    while len(live):
-        # The head of the live queue was not eliminated by any confirmed
-        # skyline point, and sorting put every potential dominator first —
-        # so after one pairwise pass within the block, its survivors are
-        # confirmed skyline members.  (Transitivity makes rows that are
-        # themselves dominated valid witnesses, so no iteration is needed;
-        # each row trivially satisfies <= with itself, hence `> 1`.)
-        index = live[:_BLOCK]
-        tail = live[_BLOCK:]
-        block = uniq[index]
-        if len(block) > 1:
-            le = (block[:, None, :] <= block[None, :, :]).all(2)
-            alive = le.sum(axis=0) <= 1
-            block, index = block[alive], index[alive]
-        kept[count : count + len(index)] = index
-        count += len(index)
-        # Prune the tail against the new skyline points: a dominated row
-        # is dropped the first time a dominator confirms, so it is never
-        # compared again — the practical win over re-testing every
-        # candidate against the full survivor set.
-        if len(tail) and len(block):
-            rest = uniq[tail]
-            dominated = (block[None, :, :] <= rest[:, None, :]).all(2).any(1)
-            live = tail[~dominated]
-        else:
-            live = tail
-    kept = kept[:count]
-    if counts is None:
-        return uniq[kept].copy()
-    return np.repeat(uniq[kept], counts[kept], axis=0)
+        return data[_skyline_mask(data)]
+    uniq, counts = data[distinct], np.diff(
+        np.append(np.flatnonzero(distinct), len(data)))
+    keep = _skyline_mask(uniq)
+    return np.repeat(uniq[keep], counts[keep], axis=0)
 
 
 def k_skyband_of_array(array: np.ndarray, k: int, *,
@@ -157,7 +178,7 @@ def k_skyband_of_array(array: np.ndarray, k: int, *,
     values dominate) contains the top-k answer of every monotone
     increasing scoring function — the property SPEERTO's precomputation
     rests on (Section 2.1).  Dominance counts are computed block-wise
-    (one ``(block, m, d)`` comparison tensor per chunk), keeping the
+    (one ``(d, prefix, block)`` comparison tensor per chunk), keeping the
     all-pairs scan vectorized at bounded memory.
     """
     if k < 1:
@@ -173,69 +194,81 @@ def k_skyband_of_array(array: np.ndarray, k: int, *,
     # strictly better anywhere).
     uniq, inverse, counts = np.unique(data, axis=0, return_inverse=True,
                                       return_counts=True)
+    cols = _dims_major(uniq)
     weights = counts.astype(np.int64)
     dominators = np.empty(len(uniq), dtype=np.int64)
     for start in range(0, len(uniq), _BLOCK):
         stop = min(start + _BLOCK, len(uniq))
-        block = uniq[start:stop]
         # np.unique sorts rows lexicographically, and a dominator of a
         # distinct row is lexicographically smaller — so only the prefix
         # up to the block's end can contain dominators, halving the
         # all-pairs tensor on average.
-        le = (uniq[None, :stop, :] <= block[:, None, :]).all(axis=2)
-        dominators[start:stop] = le @ weights[:stop]
+        dominators[start:stop] = weights[:stop] @ _all_pairs(
+            cols[:, :stop], cols[:, start:stop])
     dominators -= weights
     return array[(dominators < k)[inverse]]
 
 
 def _lexsorted(rows: np.ndarray) -> np.ndarray:
     """``rows`` in lexicographic order, first column most significant."""
-    return rows[np.lexsort(rows.T[::-1])] if len(rows) > 1 else rows
+    return rows.take(np.lexsort(rows.T[::-1]), axis=0) if len(rows) > 1 \
+        else rows
+
+
+def _first_of_runs(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of non-empty ``rows`` that differ from the row
+    before them."""
+    fresh = np.empty(len(rows), dtype=bool)
+    fresh[0] = True
+    np.logical_or.reduce(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    return fresh
 
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
     """Lexsorted ``rows`` without repeats (``rows`` itself if it has none)."""
     if len(rows) < 2:
         return rows
-    fresh = np.empty(len(rows), dtype=bool)
-    fresh[0] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    fresh = _first_of_runs(rows)
     return rows if fresh.all() else rows[fresh]
 
 
-def _merge_antichains(state: np.ndarray, other: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """One cross-dominance pass between two lexsorted antichains.
+#: What the merge and the corner test read of a state: its rows
+#: dims-major, its first column as a list, and the running componentwise
+#: minimum of its rows (row ``i`` bounds rows ``0..i``).
+_View = tuple[np.ndarray, list[float], np.ndarray]
 
-    Returns ``(survivors, merged)``: the rows of ``other`` no row of
-    ``state`` dominates (a row equal to one of ``state`` survives), and
-    the lexsorted skyline of the union without repeats.  ``state`` holds
-    distinct rows; ``other`` may repeat one (a store can hold a tuple
-    twice).  Because each side is an antichain, dominance only occurs
-    across them, so both answers read off the same two comparisons — and
-    a side that changes nothing comes back as the object passed in.
+
+def _view(rows: np.ndarray) -> _View:
+    """The :data:`_View` of lexsorted ``rows``."""
+    columns = _dims_major(rows)
+    return columns, columns[0].tolist(), np.minimum.accumulate(rows, axis=0)
+
+
+def _union_skyline(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The lexsorted, distinct skyline of the union of ``parts``: one
+    :func:`skyline_of_array` pass over their concatenation."""
+    return _distinct(_lexsorted(skyline_of_array(np.concatenate(parts))))
+
+
+def _dominates_corner(view: _View, corner: Point) -> bool:
+    """Whether some row of a distinct, lexsorted state (seen through its
+    :func:`_view`) Pareto-dominates ``corner``.
+
+    A dominator's first coordinate is at most the corner's, so a bisect
+    bounds the rows worth comparing to a prefix, and the prefix's
+    componentwise minimum must itself be <= ``corner`` — on
+    ``skyline_static`` those two pure-Python checks settle 93 % of the
+    corners.  Among distinct rows, two weak dominators include a strict
+    one.
     """
-    if not len(other):
-        return other, state
-    if not len(state):
-        return other, _distinct(other)
-    pair = state[:, None, :]
-    le = (pair <= other).all(2)
-    ge = (pair >= other).all(2)
-    beaten = (le & ~ge).any(0)
-    survivors = other[~beaten] if beaten.any() else other
-    fresh = ~le.any(0)
-    if not fresh.any():
-        return survivors, state
-    kept = state[~(ge & ~le).any(1)]
-    return survivors, _lexsorted(
-        np.concatenate((kept, _distinct(other[fresh]))))
-
-
-def _dominates_corner(state: np.ndarray, corner: Point) -> bool:
-    """Whether some row of ``state`` Pareto-dominates ``corner``."""
-    le = np.logical_and.reduce(state <= corner, axis=1)
-    return np.count_nonzero(le) > 0 and bool((state[le] < corner).any())
+    columns, firsts, minima = view
+    stop = bisect_right(firsts, corner[0])
+    if not stop or not all(map(le, minima[stop - 1].tolist(), corner)):
+        return False
+    weak = _all_pairs(columns[:, :stop], np.array(corner)[:, None])
+    count = np.count_nonzero(weak)
+    return count > 1 or (count == 1 and tuple(
+        columns[:, weak.argmax()].tolist()) != tuple(corner))
 
 
 def merge_skylines(*collections: Sequence[Point]) -> list[Point]:
@@ -243,15 +276,12 @@ def merge_skylines(*collections: Sequence[Point]) -> list[Point]:
 
     Accepts any number of collections (every caller's inputs are already
     individually dominance-free: local skylines and previously merged
-    states) and folds them through :func:`_merge_antichains`, the kernel
-    the handler states run on.  Returns the sorted distinct points.
+    states) and reduces their concatenation in one pass, the fold the
+    handler's Algorithm 13 runs.  Returns the sorted distinct points.
     """
-    merged = np.empty((0, 0))
-    for collection in collections:
-        if len(collection):
-            merged = _merge_antichains(merged, _lexsorted(
-                np.asarray(collection, dtype=float)))[1]
-    return [tuple(row) for row in merged.tolist()]
+    parts = [np.asarray(c, dtype=float) for c in collections if len(c)]
+    return [tuple(row) for row in _union_skyline(parts).tolist()] \
+        if parts else []
 
 
 def skyline_reference(array: np.ndarray,
@@ -357,6 +387,8 @@ class SkylineHandler(QueryHandler):
         #: ``compute_global_state`` is asked for next.
         self._passed: tuple[object, object, np.ndarray] = (
             None, None, self._empty)
+        #: The last state given to :meth:`_view` and its view.
+        self._recent: tuple[object, _View] = (None, _view(self._empty))
 
     def _rows(self, state: _StateLike) -> np.ndarray:
         """``state`` as rows; a sequence of points is converted once."""
@@ -368,6 +400,63 @@ class SkylineHandler(QueryHandler):
                 if len(state) else self._empty
             self._coerced = (state, rows)
         return rows
+
+    def _view(self, rows: np.ndarray) -> _View:
+        """:func:`_view` of ``rows``, remembered for the last state asked
+        about.
+
+        Every link test of a visit and the merge at every child it
+        forwards to read the same forwarding state object, so it is
+        converted once per run of such calls, not per link or per child.
+        """
+        if rows is not self._recent[0]:
+            self._recent = (rows, _view(rows))
+        return self._recent[1]
+
+    def _merge(self, state: np.ndarray, other: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """One cross-dominance pass between two lexsorted antichains.
+
+        Returns ``(survivors, merged)``: the rows of ``other`` no row of
+        ``state`` dominates (a row equal to one of ``state`` survives),
+        and the lexsorted skyline of the union without repeats.  ``state``
+        holds distinct rows (read through :meth:`_view`); ``other`` may
+        repeat one (a store can hold a tuple twice).  A side that changes
+        nothing comes back as the object passed in.
+
+        Because each side is an antichain, dominance only occurs across
+        them, and ``le`` — which rows of ``state`` weakly dominate which
+        of ``other`` — splits ``other`` first: a row it misses is fresh, a
+        row it hits is beaten unless it equals the state row it hits.  A
+        hit row can never beat a state row (that row would be dominated
+        within ``state``), so the reverse test is only read for equality
+        on hit rows and for the state rows a fresh row beats.
+        """
+        if not len(other):
+            return other, state
+        if not len(state):
+            return other, _distinct(other)
+        cols, rows = self._view(state)[0], _dims_major(other)
+        le = _all_pairs(cols, rows)
+        hit = le.any(axis=0)
+        if hit.any():
+            fresh = survivors = other.compress(~hit, axis=0)
+            # Equal rows share their first coordinate: the exact test only
+            # runs when some hit pair does.
+            tie = le & (cols[0][:, None] == rows[0])
+            if tie.any():
+                beaten = hit & ~(tie & _all_pairs(rows, cols).T).any(axis=0)
+                survivors = other.compress(~beaten, axis=0) \
+                    if beaten.any() else other
+            if hit.all():
+                return survivors, state
+            other, rows = fresh, rows.compress(~hit, axis=1)
+        else:
+            survivors = other
+        beaten = _all_pairs(rows, cols).any(axis=0)
+        kept = state.compress(~beaten, axis=0) if beaten.any() else state
+        return survivors, _lexsorted(
+            np.concatenate((kept, _distinct(other))))
 
     # -- local skylines -----------------------------------------------------
 
@@ -399,8 +488,8 @@ class SkylineHandler(QueryHandler):
     def compute_local_state(self, store: LocalStore,
                             global_state: _StateLike) -> SkylineState:
         """Algorithm 10: local skyline points that survive the global view."""
-        local, forwarded = _merge_antichains(self._rows(global_state),
-                                             self._local_skyline(store))
+        local, forwarded = self._merge(self._rows(global_state),
+                                       self._local_skyline(store))
         self._passed = (global_state, local, forwarded)
         return local
 
@@ -410,16 +499,17 @@ class SkylineHandler(QueryHandler):
         received, local, forwarded = self._passed
         if global_state is received and local_state is local:
             return forwarded
-        return _merge_antichains(self._rows(global_state),
-                                 self._rows(local_state))[1]
+        return self._merge(self._rows(global_state),
+                           self._rows(local_state))[1]
 
     def update_local_state(self, states: Sequence[_StateLike]
                            ) -> SkylineState:
-        """Algorithm 13: skyline of the union of the received states."""
-        merged = self._empty
-        for state in states:
-            merged = _merge_antichains(merged, self._rows(state))[1]
-        return merged
+        """Algorithm 13: skyline of the union of the received states, in
+        one pass; one non-empty state comes back as it was, less repeats."""
+        parts = [rows for rows in map(self._rows, states) if len(rows)]
+        if len(parts) > 1:
+            return _union_skyline(parts)
+        return _distinct(parts[0]) if parts else self._empty
 
     # -- answers (Algorithm 12) ----------------------------------------------
 
@@ -432,28 +522,31 @@ class SkylineHandler(QueryHandler):
             return rows
         if not len(local):
             return local
-        mine = (rows[:, None, :] == local).all(2).any(1)
+        mine = _all_pairs(_dims_major(rows), _dims_major(local),
+                          np.equal).any(1)
         return rows if mine.all() else rows[mine]
 
     def answer_size(self, answer: np.ndarray) -> int:
         return len(answer)
 
     def finalize(self, answers: Sequence[np.ndarray]) -> list[Point]:
-        rows = skyline_of_array(np.concatenate([self._empty, *answers]))
-        return [tuple(row) for row in _distinct(_lexsorted(rows)).tolist()]
+        rows = _union_skyline([self._empty, *answers])
+        return [tuple(row) for row in rows.tolist()]
 
     # -- link decisions (Algorithms 14, 15) -----------------------------------
 
     def is_link_relevant(self, region: Region,
                          global_state: _StateLike) -> bool:
         cover = region.cover()
-        if self.constraint is not None and not any(
-                rect.intersects(self.constraint) for rect in cover):
+        box = self.constraint
+        if box is not None and not any(  # no closed box of the cover meets it
+                all(map(le, rect.lo, box.hi)) and all(map(le, box.lo, rect.hi))
+                for rect in cover):
             return False
-        state = self._rows(global_state)
+        view = self._view(self._rows(global_state))
         # Irrelevant iff known tuples dominate every reachable part of
         # the region, i.e. the best corner of each rectangle of its cover.
-        return not all(_dominates_corner(state, rect.lo) for rect in cover)
+        return not all(_dominates_corner(view, rect.lo) for rect in cover)
 
     def link_priority(self, region: Region) -> float:
         return min(mindist(self.origin, rect) for rect in region.cover())

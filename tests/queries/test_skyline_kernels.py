@@ -2,10 +2,11 @@
 
 Covers the k-skyband kernel against a literal dominance-counting oracle,
 the antichain merge against a union-skyline oracle, the array-state
-handler callbacks against the tuple-state ones they replaced, and the
-regression guarantee the store cache provides: one local-skyline
+handler callbacks against the tuple-state ones they replaced, the
+regression guarantee the store cache provides (one local-skyline
 reduction per peer per query, none on a repeat query over a static
-network.
+network), and the dims-major kernels, the one-pass Algorithm 13 and the
+link test against the row-major forms they replaced, bit for bit.
 """
 
 import numpy as np
@@ -375,3 +376,239 @@ class TestOneReductionPerPeer:
             restriction=overlay.domain(), r=1)
         assert result.answer == skyline_reference(data)
         assert max(counts.values()) == 2
+
+
+# -- the row-major kernels the dims-major ones replaced ----------------------
+# Kept as the reference: every dominance test builds an (m, n, d) tensor and
+# reduces it over the trailing d axis.  Outputs are booleans and selections
+# of input rows, so the dims-major kernels must match them bit for bit.
+
+def row_major_all_pairs(a, b, op=np.less_equal):
+    return op(a[:, None, :], b[None, :, :]).all(2)
+
+
+def row_major_skyline_of_array(array):
+    array = np.asarray(array, dtype=float)
+    if len(array) == 0:
+        return array
+    data = array[sky._dominance_order(array)]
+    distinct = np.empty(len(data), dtype=bool)
+    distinct[0] = True
+    np.any(data[1:] != data[:-1], axis=1, out=distinct[1:])
+    if distinct.all():
+        uniq, counts = data, None
+    else:
+        starts = np.flatnonzero(distinct)
+        counts = np.diff(np.append(starts, len(data)))
+        uniq = data[starts]
+    kept = np.empty(len(uniq), dtype=np.intp)
+    count = 0
+    live = np.arange(len(uniq))
+    while len(live):
+        index, tail = live[:sky._BLOCK], live[sky._BLOCK:]
+        block = uniq[index]
+        if len(block) > 1:
+            alive = row_major_all_pairs(block, block).sum(axis=0) <= 1
+            block, index = block[alive], index[alive]
+        kept[count:count + len(index)] = index
+        count += len(index)
+        if len(tail) and len(block):
+            live = tail[~row_major_all_pairs(block, uniq[tail]).any(0)]
+        else:
+            live = tail
+    kept = kept[:count]
+    if counts is None:
+        return uniq[kept].copy()
+    return np.repeat(uniq[kept], counts[kept], axis=0)
+
+
+def row_major_merge(state, other):
+    """The pairwise cross-dominance pass Algorithm 13 used to fold with."""
+    if not len(other):
+        return other, state
+    if not len(state):
+        return other, sky._distinct(other)
+    le = row_major_all_pairs(state, other)
+    ge = row_major_all_pairs(state, other, np.greater_equal)
+    beaten = (le & ~ge).any(0)
+    survivors = other[~beaten] if beaten.any() else other
+    fresh = ~le.any(0)
+    if not fresh.any():
+        return survivors, state
+    kept = state[~(ge & ~le).any(1)]
+    return survivors, sky._lexsorted(
+        np.concatenate((kept, sky._distinct(other[fresh]))))
+
+
+def row_major_is_link_relevant(handler, region, rows):
+    cover = region.cover()
+    if handler.constraint is not None and not any(
+            rect.intersects(handler.constraint) for rect in cover):
+        return False
+
+    def dominated(corner):
+        le = np.logical_and.reduce(rows <= corner, axis=1)
+        return np.count_nonzero(le) > 0 and bool((rows[le] < corner).any())
+
+    return not all(dominated(rect.lo) for rect in cover)
+
+
+def identical(a, b):
+    """Same shape, dtype and bytes: tells -0.0 from 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+#: Sizes on both sides of the 256-row block of the blocked kernels.
+_BOUNDARY = (0, 1, 2, 255, 256, 257, 300)
+
+
+def random_rows(rng, n, dims, kind):
+    """``(n, dims)`` rows: distinct reals, a coarse grid (shared
+    coordinates and exact duplicates), or a grid of signed zeros and
+    small values (``-0.0`` beside ``0.0``)."""
+    if kind == "real":
+        return rng.random((n, dims))
+    if kind == "grid":
+        return rng.integers(0, 4, (n, dims)) / 4.0
+    values = np.array([-0.0, 0.0, 0.25, 0.5])
+    return values[rng.integers(0, len(values), (n, dims))]
+
+
+kinds = st.sampled_from(["real", "grid", "signed-zero"])
+
+
+class TestDimsMajorKernels:
+    @given(st.integers(1, 6), st.integers(0, 300), st.integers(0, 300),
+           st.integers(0, 2 ** 32 - 1), kinds)
+    @settings(max_examples=60, deadline=None)
+    def test_all_pairs_equals_the_row_major_reduction(self, dims, m, n, seed,
+                                                      kind):
+        rng = np.random.default_rng(seed)
+        a, b = random_rows(rng, m, dims, kind), random_rows(rng, n, dims, kind)
+        for op in (np.less_equal, np.equal):
+            got = sky._all_pairs(sky._dims_major(a), sky._dims_major(b), op)
+            assert identical(got, row_major_all_pairs(a, b, op))
+
+    @pytest.mark.parametrize("kind", ["real", "grid", "signed-zero"])
+    @pytest.mark.parametrize("dims", range(1, 7))
+    def test_skyline_of_array_across_the_block_boundary(self, dims, kind):
+        rng = np.random.default_rng(dims)
+        for n in _BOUNDARY:
+            data = random_rows(rng, n, dims, kind)
+            assert identical(skyline_of_array(data),
+                             row_major_skyline_of_array(data))
+            # a block boundary inside the survivors: a long anti-diagonal
+            line = np.linspace(0.0, 1.0, n)
+            front = np.column_stack([line, line[::-1]] + [line] * (dims - 2)) \
+                if dims > 1 else line[:, None]
+            assert identical(skyline_of_array(front),
+                             row_major_skyline_of_array(front))
+
+    @given(st.integers(1, 6), st.integers(0, 300),
+           st.integers(0, 2 ** 32 - 1), kinds)
+    @settings(max_examples=60, deadline=None)
+    def test_skyline_of_array_equals_the_row_major_kernel(self, dims, n, seed,
+                                                          kind):
+        data = random_rows(np.random.default_rng(seed), n, dims, kind)
+        assert identical(skyline_of_array(data),
+                         row_major_skyline_of_array(data))
+
+    @given(st.integers(1, 6), st.integers(1, 300),
+           st.integers(0, 2 ** 32 - 1), kinds, st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_k_skyband_equals_the_row_major_count(self, dims, n, seed, kind,
+                                                  k):
+        data = random_rows(np.random.default_rng(seed), n, dims, kind)
+        uniq, inverse, counts = np.unique(data, axis=0, return_inverse=True,
+                                          return_counts=True)
+        dominators = row_major_all_pairs(uniq, uniq).T @ counts - counts
+        assert identical(k_skyband_of_array(data, k),
+                         data[(dominators < k)[inverse.reshape(-1)]])
+
+
+def antichains(rng, count, dims, kind):
+    """``count`` lexsorted, distinct antichains (some empty)."""
+    out = []
+    for _ in range(count):
+        rows = random_rows(rng, int(rng.integers(0, 40)), dims, kind)
+        out.append(sky._distinct(sky._lexsorted(skyline_of_array(rows))))
+    return out
+
+
+class TestOnePassAlgorithm13:
+    @given(st.integers(1, 5), st.integers(0, 6), st.integers(0, 2 ** 32 - 1),
+           kinds, st.lists(st.booleans(), min_size=6, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_update_local_state_equals_the_pairwise_fold(
+            self, dims, count, seed, kind, as_points):
+        states = antichains(np.random.default_rng(seed), count, dims, kind)
+        fold = np.empty((0, dims))
+        for rows in states:
+            fold = row_major_merge(fold, rows)[1]
+        # a sequence-of-points state is what a cache seed or a replayed
+        # answer hands in
+        given_states = [[tuple(p) for p in rows.tolist()] if points else rows
+                        for rows, points in zip(states, as_points)]
+        got = SkylineHandler(dims).update_local_state(given_states)
+        assert identical(got, fold)
+
+    def test_a_local_state_with_a_repeat_folds_once(self):
+        handler = SkylineHandler(2)
+        local = np.array([[0.2, 0.6], [0.2, 0.6], [0.5, 0.1]])
+        child = np.array([[0.1, 0.9], [0.5, 0.1]])
+        got = handler.update_local_state([local, handler.initial_state(),
+                                          child])
+        assert identical(got, row_major_merge(row_major_merge(
+            np.empty((0, 2)), local)[1], child)[1])
+        assert identical(handler.update_local_state([local]),
+                         np.array([[0.2, 0.6], [0.5, 0.1]]))
+        assert handler.update_local_state([]).shape == (0, 2)
+
+    @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), kinds)
+    @settings(max_examples=150, deadline=None)
+    def test_the_lean_merge_equals_the_row_major_pass(self, dims, seed, kind):
+        rng = np.random.default_rng(seed)
+        state, other = antichains(rng, 2, dims, kind)
+        # a store can hold a tuple twice, and share tuples with the state
+        other = sky._lexsorted(np.concatenate(
+            (other, other[:2], state[:3])))
+        other = sky._lexsorted(skyline_of_array(other))
+        got = SkylineHandler(dims)._merge(state, other)
+        want = row_major_merge(state, other)
+        assert identical(got[0], want[0]) and identical(got[1], want[1])
+
+
+class TestLeanLinkTest:
+    @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1), kinds,
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_is_link_relevant_equals_the_row_major_corner_test(
+            self, dims, seed, kind, boxed):
+        rng = np.random.default_rng(seed)
+        (state,) = antichains(rng, 1, dims, kind)
+        box = None
+        if boxed:
+            lo = rng.integers(0, 3, dims) / 4.0
+            box = Rect(tuple(lo.tolist()), tuple((lo + 0.5).tolist()))
+        handler = SkylineHandler(dims, constraint=box)
+        corners = np.concatenate((random_rows(rng, 30, dims, kind), state))
+        for corner in corners:
+            lo = tuple(corner.tolist())
+            region = RectRegion(Rect(lo, tuple(np.maximum(
+                corner + rng.integers(0, 3, dims) / 4.0, corner).tolist())))
+            assert handler.is_link_relevant(region, state) == \
+                row_major_is_link_relevant(handler, region, state)
+
+
+def test_wave_priming_of_an_oversized_group_equals_the_scalar_kernel():
+    # past the padded tensor's width cap the grouped kernel runs the
+    # blocked mask, across several 256-row blocks
+    rng = np.random.default_rng(12)
+    blocks = [np.round(rng.random((n, 2)), 3) for n in (700, 3, 0, 60)]
+    primed = [LocalStore.view_of(block) for block in blocks]
+    prime_skyline_wave(None, primed)
+    handler = SkylineHandler(2)
+    for store, block in zip(primed, blocks):
+        want = handler._compute_local_skyline(LocalStore.view_of(block))
+        assert identical(handler._local_skyline(store), want)
