@@ -115,7 +115,7 @@ class LinearScore(ScoringFunction):
         return np.matmul(rows[:, None, :], self._w[:, None])[:, 0, 0]
 
     def score_rows(self, points: Sequence[Sequence[float]]) -> list[float]:
-        if not points:
+        if not len(points):
             return []
         return self._dot_rows(np.asarray(points, dtype=float)).tolist()
 

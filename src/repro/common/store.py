@@ -22,10 +22,10 @@ benchmark sweeps issue many queries against an unchanging network.  Both
 reuse patterns are served by :meth:`LocalStore.cached`, a version-keyed
 memo table: every mutation bumps :attr:`LocalStore.version` and drops all
 cached entries, so a cached value is always consistent with the live
-array.  The built-in :meth:`top_scoring` / :meth:`scoring_at_least` scans
-share one cached *score index* (scores plus descending sort order) per
-scoring function; scoring functions compare by value, so equal weights
-built twice share it.
+array.  The built-in :meth:`top_scoring` / :meth:`top_scores` /
+:meth:`scoring_at_least` scans share one cached *score index* (scores
+plus descending sort order) per scoring function; scoring functions
+compare by value, so equal weights built twice share it.
 """
 
 from __future__ import annotations
@@ -325,16 +325,31 @@ class LocalStore:
         return list(zip(scores[best].tolist(),
                         map(tuple, self._buf[best].tolist())))
 
-    def scoring_at_least(self, fn: ScoringFunction, tau: float) -> list[Point]:
-        """Every local tuple with score >= ``tau`` (Algorithm 6), in
-        store order.  They are a prefix of the cached score index."""
+    def top_scores(self, fn: ScoringFunction, limit: int, *,
+                   above: float = -np.inf) -> tuple[float, ...]:
+        """The scores of :meth:`top_scoring`, without its tuples.
+
+        A prefix of the cached index: ``-negated[:n]`` is
+        ``scores[order[:n]]`` bit for bit.
+        """
+        if self._size == 0 or limit <= 0:
+            return ()
+        negated = self._score_index(fn)[2]
+        cut = min(int(negated.searchsorted(-above, side="right")), limit)
+        return tuple((-negated[:cut]).tolist())
+
+    def scoring_at_least(self, fn: ScoringFunction, tau: float) -> np.ndarray:
+        """Every local tuple with score >= ``tau`` (Algorithm 6), as an
+        ``(m, d)`` row block in store order.  They are a prefix of the
+        cached score index; the block is a copy, never a view of the
+        buffer a later insert may overwrite."""
         if self._size == 0:
-            return []
+            return self._buf[:0]
         _, order, negated = self._score_index(fn)
         cut = int(negated.searchsorted(-tau, side="right"))
         if cut == 0:
-            return []
-        return list(map(tuple, self._buf[np.sort(order[:cut])].tolist()))
+            return self._buf[:0]
+        return self._buf[np.sort(order[:cut])]
 
 
 class Replica:

@@ -21,8 +21,8 @@ is identical to the recursive formulation.
 The framework is overlay-agnostic: a peer is anything satisfying
 :class:`PeerLike` — an id, a :class:`~repro.common.store.LocalStore`, and a
 sequence of :class:`Link` objects pairing a neighbor with its region
-(a :class:`LinkTable` when the overlay can hand the regions over as
-arrays).  It is
+(a :class:`LinkTable`, which keeps the regions' cover boxes as arrays;
+a visit wraps a plain sequence in one).  It is
 also query-agnostic: all query logic lives in a
 :class:`~repro.core.handler.QueryHandler`.
 
@@ -43,7 +43,7 @@ from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping,
 import numpy as np
 
 from ..common.geometry import Rect
-from ..common.store import LocalStore
+from ..common.store import _CACHE_CAP, LocalStore
 from ..net.context import QueryContext, QueryResult
 from ..obs.trace import TraceSink, state_size
 from .handler import QueryHandler
@@ -55,6 +55,11 @@ __all__ = ["Link", "LinkTable", "OverlayLike", "PeerLike", "physical_id", "run_f
 #: Ripple parameter value that never runs out: every peer uses the
 #: sequential loop, i.e. Algorithm 2.  (Any r > maximum link count works.)
 SLOW = sys.maxsize
+
+#: Cuts a table of arcs or frustums memoises (:meth:`LinkTable.cut`):
+#: what such a peer receives is not bounded by its own structure, so the
+#: cap is the per-peer store memo's.
+_CUT_CAP = _CACHE_CAP
 
 
 @dataclass(frozen=True)
@@ -68,22 +73,21 @@ class Link:
 class LinkTable(Sequence[Link]):
     """A peer's links: ``Link`` objects, or arrays until one is asked for.
 
-    Overlays memoise one table per peer and epoch.  A table of box
-    regions keeps them as ``(L, d)`` ``lo`` / ``hi`` arrays beside its
-    targets' ``peer_ids`` (:meth:`bounds`), so a visit intersects every
-    link with its restriction area in one array pass (:meth:`cut`,
-    memoised per box) and a handler with
-    :meth:`~repro.core.handler.QueryHandler.box_bounds` decides them all
-    in one call.  Built from ``Link`` objects the arrays appear on first
-    use; built :meth:`from_boxes` the arrays come first and ``table[i]``
-    builds its ``Link`` on first access — only the links a query is
-    forwarded over ever exist.  Tables of arcs or frustums carry no
-    bounds, and neither does a plain sequence of links: those are
-    intersected link by link.
+    Overlays memoise one table per peer and epoch.  Every table keeps
+    its links' :meth:`~repro.core.regions.Region.cover` boxes as ``lo`` /
+    ``hi`` arrays beside its targets' ``peer_ids`` (:meth:`bounds`): one
+    box per MIDAS box or CAN frustum, one or two per ring arc.  A visit
+    cuts the table with its restriction area once per restriction value
+    (:meth:`cut`) and a handler with
+    :meth:`~repro.core.handler.QueryHandler.box_bounds` then decides
+    every kept link in one call.  Built from ``Link`` objects the arrays
+    appear on first use; built :meth:`from_boxes` the arrays come first
+    and ``table[i]`` builds its ``Link`` on first access — only the
+    links a query is forwarded over ever exist.
     """
 
     __slots__ = ("_links", "_peer_of", "_targets", "_regions", "_bounds",
-                 "_cuts", "peer_ids")
+                 "_starts", "_boxes", "_cuts", "peer_ids")
 
     _peer_of: "Callable[[int], PeerLike]"
 
@@ -96,8 +100,9 @@ class LinkTable(Sequence[Link]):
         #: Each link's region; ``None`` until :meth:`region` builds it.
         self._regions: list[Any] = [link and link.region
                                     for link in self._links]
-        #: :meth:`cut` per restriction box ``(lo, hi)``, oldest first.
-        self._cuts: dict[tuple[Any, Any], Any] = {}
+        #: :meth:`cut` per restriction value, oldest first: ``(lo, hi)``
+        #: for a box, else the region itself.
+        self._cuts: dict[Hashable, Any] = {}
 
     @classmethod
     def from_boxes(cls, peer_of: "Callable[[int], PeerLike]",
@@ -108,6 +113,7 @@ class LinkTable(Sequence[Link]):
         table = cls([None] * len(targets))
         table._peer_of, table._targets = peer_of, targets
         table.peer_ids, table._bounds = peer_ids, (lo, hi)
+        table._starts, table._boxes = None, True
         return table
 
     def __len__(self) -> int:
@@ -142,37 +148,53 @@ class LinkTable(Sequence[Link]):
                 tuple(lo[index].tolist()), tuple(hi[index].tolist())))
         return region
 
-    def cut(self, rect: Rect
-            ) -> "int | tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """The box links meeting ``rect`` (zero-volume overlaps count as
-        empty, as in ``Rect.intersection``), memoised per box.
+    def cut(self, restriction: Region) -> "int | tuple[Any, ...]":
+        """The links meeting ``restriction``, memoised per restriction
+        value.
 
-        An ``int`` ``start`` when they are ``table[start:]``, each inside
-        ``rect``: every overlap is then the link's own region.  That is
-        the only cut a tree overlay makes when restrictions are node
-        boxes — the links inside a subtree are the deeper ones — and the
-        boxes a peer receives are its ancestors, so the memo keeps
-        ``len(self) + 1`` boxes (by value), dropping the oldest beyond
-        that.  Otherwise ``(keep, lo, hi)``: the kept indexes and their
-        clipped overlaps.  Only for tables with :meth:`bounds`.
+        An ``int`` ``start`` when, on a table of boxes under a box
+        restriction, they are ``table[start:]``, each inside the box
+        (zero-volume overlaps count as empty, as in
+        ``Rect.intersection``): every overlap is then the link's own
+        region.  That is the only cut a tree overlay makes when
+        restrictions are node boxes — the links inside a subtree are the
+        deeper ones — and one array pass over the boxes finds it.
+        Otherwise ``(keep, subs, lo, hi, starts)``: the kept indexes,
+        their overlaps by ``Region.intersect`` and the overlaps' cover
+        boxes, ``starts`` as in :meth:`bounds`.
+        The regions a peer receives repeat.  A tree peer's are its
+        ancestors, so a table of boxes keeps ``len(self) + 1`` cuts; the
+        arcs and frustums a ring or CAN peer receives are its
+        in-neighbours' regions cut down by their own restrictions, which
+        nothing in the table bounds, so those keep up to ``_CUT_CAP``.
+        Beyond the cap the oldest is dropped.
         """
-        cuts, key = self._cuts, (rect.lo, rect.hi)
+        rect = restriction.rect if isinstance(restriction, RectRegion) \
+            else None
+        cuts = self._cuts
+        key = restriction if rect is None else (rect.lo, rect.hi)
         cut = cuts.get(key)
         if cut is not None:
             return cut
         own_lo, own_hi = self.bounds()
-        lo = np.maximum(own_lo, rect.lo)
-        hi = np.minimum(own_hi, rect.hi)
-        keep = np.logical_and.reduce(lo < hi, axis=1).nonzero()[0]
-        start = cut = len(self._links) - len(keep)
-        # Inside the box iff clipping left the link's own box as it was,
-        # bit for bit — so its own region is exactly the overlap.
-        if len(keep) and not (
-                keep[0] == start
-                and lo[start:].tobytes() == own_lo[start:].tobytes()
-                and hi[start:].tobytes() == own_hi[start:].tobytes()):
-            cut = (keep, lo[keep], hi[keep])
-        if len(cuts) > len(self._links):
+        if rect is not None and self._boxes:
+            lo = np.maximum(own_lo, rect.lo)
+            hi = np.minimum(own_hi, rect.hi)
+            keep = np.logical_and.reduce(lo < hi, axis=1).nonzero()[0]
+            start = len(self._links) - len(keep)
+            # Inside the box iff clipping left the link's own box as it
+            # was, bit for bit — so its own region is exactly the overlap.
+            if not len(keep) or (
+                    keep[0] == start
+                    and lo[start:].tobytes() == own_lo[start:].tobytes()
+                    and hi[start:].tobytes() == own_hi[start:].tobytes()):
+                cut = start
+        if cut is None:
+            kept = [(i, sub) for i in range(len(self._links)) if (
+                sub := self.region(i).intersect(restriction)) is not None]
+            subs = [sub for _, sub in kept]
+            cut = ([i for i, _ in kept], subs, *_cover_arrays(subs))
+        if len(cuts) > (len(self._links) if self._boxes else _CUT_CAP - 1):
             del cuts[next(iter(cuts))]
         cuts[key] = cut
         return cut
@@ -189,28 +211,62 @@ class LinkTable(Sequence[Link]):
             table._bounds = self._bounds
         except AttributeError:
             return table
-        if table._bounds is not None:
-            table.peer_ids = list(self.peer_ids)
-            for i, peer in targets.items():
-                table.peer_ids[i] = peer.peer_id
+        table._starts, table._boxes = self._starts, self._boxes
+        table.peer_ids = list(self.peer_ids)
+        for i, peer in targets.items():
+            table.peer_ids[i] = peer.peer_id
         return table
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(lo, hi)``, each ``(L, d)``, when every region is a box;
-        :attr:`peer_ids` then lists the targets' ids in table order."""
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``, each ``(B, d)``: every link's cover boxes in
+        table order; :attr:`peer_ids` lists the targets' ids.  ``B`` is
+        ``len(self)`` unless some link's cover has more than one box
+        (a wrapping arc); link ``i``'s boxes then start at row
+        ``starts[i]`` (``_starts``, else None)."""
         try:
             return self._bounds
         except AttributeError:
             pass
-        rects = [link.region.rect for link in self._links
-                 if isinstance(link.region, RectRegion)]
-        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
-        if rects and len(rects) == len(self._links):
-            self._bounds = (np.array([rect.lo for rect in rects]),
-                            np.array([rect.hi for rect in rects]))
-            self.peer_ids: list[Hashable] = [link.peer.peer_id
-                                             for link in self._links]
+        regions = [link.region for link in self._links]
+        lo, hi, self._starts = _cover_arrays(regions)
+        self._boxes = all(isinstance(region, RectRegion)
+                          for region in regions)
+        self.peer_ids: list[Hashable] = [link.peer.peer_id
+                                         for link in self._links]
+        self._bounds: tuple[np.ndarray, np.ndarray] = (lo, hi)
         return self._bounds
+
+    def link_bounds(self, handler: QueryHandler) -> np.ndarray | None:
+        """``handler.box_bounds`` of each link's own region — the max over
+        its cover boxes, as ``TopKHandler`` bounds a region — or None
+        for a handler without it."""
+        bounds = handler.box_bounds(*self.bounds())
+        return _per_link(bounds, self._starts)
+
+
+def _per_link(bounds: np.ndarray | None, starts: np.ndarray | None
+              ) -> np.ndarray | None:
+    """Cover-box ``bounds`` as one value per region: the max over each
+    region's boxes, which start at ``starts`` (None: one box each)."""
+    if bounds is None or starts is None:
+        return bounds
+    return np.maximum.reduceat(bounds, starts)
+
+
+def _cover_arrays(regions: Sequence[Region]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(lo, hi, starts)`` of the regions' cover boxes: ``(B, d)`` rows
+    in region order, and where each region's run starts when some region
+    has more than one box (else None)."""
+    covers = [region.cover() for region in regions]
+    rects = [rect for cover in covers for rect in cover]
+    shape = (len(rects), rects[0].dims if rects else 0)
+    lo = np.array([rect.lo for rect in rects], dtype=float).reshape(shape)
+    hi = np.array([rect.hi for rect in rects], dtype=float).reshape(shape)
+    starts = None
+    if len(rects) != len(covers):
+        starts = np.cumsum([0, *map(len, covers[:-1])])
+    return lo, hi, starts
 
 
 def _box_regions(lo: np.ndarray, hi: np.ndarray) -> list[Region]:
@@ -219,35 +275,30 @@ def _box_regions(lo: np.ndarray, hi: np.ndarray) -> list[Region]:
         map(tuple, lo.tolist()), map(tuple, hi.tolist()))]
 
 
-def _candidates(links: Sequence[Link], restriction: Region,
+def _candidates(links: LinkTable, restriction: Region,
                 handler: QueryHandler, r: int
                 ) -> list[tuple[int, Any, float | None]]:
     """The links whose region meets ``restriction`` (the geometric half of
     the link test), in forwarding order: table order, by ``link_priority``
     of the link's own region when ``r > 0`` (stable).
 
-    One ``(link index, overlap region, bound)`` each.  A bounded table
-    under a box restriction is cut by :meth:`LinkTable.cut`, and a
-    handler with ``box_bounds`` then bounds every overlap in one call.
-    On a suffix cut — every cut a tree overlay makes with node boxes —
-    each overlap is the link's own region, so that one call orders the
-    links too, and a lazy table's region not built yet is None until
-    the forward.  Without a ``box_bounds`` ``bound`` is None and the
-    handler is asked about the region; arcs, frustums and plain lists
-    get there link by link.
+    One ``(link index, overlap region, bound)`` each, from the table's
+    memoised :meth:`LinkTable.cut`.  A handler with ``box_bounds`` bounds
+    every overlap in one call over their cover boxes (the max over a
+    region's boxes), and orders the links by the same bound of their own
+    covers.  On a suffix cut — every cut a tree overlay makes with node
+    boxes — each overlap is the link's own region, so that one call
+    orders the links too, and a lazy table's region not built yet is
+    None until the forward.  Without a ``box_bounds`` ``bound`` is None
+    and the handler is asked about each region.
     """
-    bounds = links.bounds() if isinstance(links, LinkTable) else None
-    if bounds is None or not isinstance(restriction, RectRegion):
-        pending = [(i, sub, None) for i, link in enumerate(links)
-                   if (sub := link.region.intersect(restriction)) is not None]
-        if r > 0:
-            pending.sort(key=lambda candidate: handler.link_priority(
-                links[candidate[0]].region))
-        return pending
-    cut = links.cut(restriction.rect)
+    if not len(links):
+        return []
+    cut = links.cut(restriction)
     if isinstance(cut, int):
         keep: Any = range(cut, len(links))
-        lo, hi = bounds[0][cut:], bounds[1][cut:]
+        lo, hi = links.bounds()
+        lo, hi = lo[cut:], hi[cut:]
         own = overlap = handler.box_bounds(lo, hi) if keep else None
         # The regions built so far; a handler that asks about regions gets
         # them all, built in one pass the first time the table lacks one.
@@ -255,18 +306,17 @@ def _candidates(links: Sequence[Link], restriction: Region,
         if own is None and not all(subs):
             subs = links._regions[cut:] = _box_regions(lo, hi)
     else:
-        keep, lo, hi = cut
-        subs = _box_regions(lo, hi)
-        overlap = handler.box_bounds(lo, hi)
-        own = handler.box_bounds(bounds[0][keep], bounds[1][keep]) \
-            if r > 0 else None
-        keep = keep.tolist()
+        keep, subs, lo, hi, starts = cut
+        if not keep:
+            return []
+        overlap = _per_link(handler.box_bounds(lo, hi), starts)
+        own = links.link_bounds(handler)[keep] \
+            if r > 0 and overlap is not None else None
     pending = list(zip(keep, subs, [None] * len(subs) if overlap is None
                        else overlap.tolist()))
     if r > 0:
         priority = (-own).tolist() if own is not None else [
-            handler.link_priority(region) for region in (
-                subs if isinstance(cut, int) else map(links.region, keep))]
+            handler.link_priority(links.region(i)) for i in keep]
         pending = [pending[j] for j in sorted(range(len(pending)),
                                               key=priority.__getitem__)]
     return pending
@@ -461,7 +511,9 @@ class _Visit:
                 state_size=state_size(self.local_state))
         else:
             self.span = 0
-        self.links = peer.links()
+        links = peer.links()
+        self.links = links if isinstance(links, LinkTable) \
+            else LinkTable(links)
         self.pending = _candidates(self.links, restriction, handler, r)
         if r > 0:
             #: Parallel-mode accumulator of subtree states; sequential

@@ -42,6 +42,18 @@ __all__ = ["QueryHandler"]
 class QueryHandler(ABC):
     """Query-specific callbacks consumed by the RIPPLE templates."""
 
+    #: Dimensionality of the tuples the query reads; None reads any.
+    dims: int | None = None
+
+    def check_restriction(self, restriction: Region) -> None:
+        """The API-boundary check of every entry point: ``ValueError``,
+        naming both, unless ``restriction`` has the query's dimensionality."""
+        area = restriction.cover()[0].dims
+        if self.dims is not None and self.dims != area:
+            raise ValueError(f"{type(self).__name__} reads {self.dims}-d "
+                             f"tuples, restriction {restriction!r} is "
+                             f"{area}-d")
+
     @abstractmethod
     def initial_state(self) -> Any:
         """The neutral global state the initiator starts from."""
@@ -115,5 +127,6 @@ class QueryHandler(ABC):
         return 0.0
 
     def answer_size(self, answer: Any) -> int:
-        """Number of tuples shipped to the initiator for ``answer``."""
-        return len(answer) if answer else 0
+        """Number of tuples shipped to the initiator for ``answer`` (a
+        sequence of points or an ``(m, d)`` row block)."""
+        return len(answer)

@@ -329,6 +329,7 @@ class QueryEngine:
         strict: bool | None = None,
     ) -> int:
         """Submit a query at the current simulation time; returns its id."""
+        handler.check_restriction(restriction)
         job = QueryJob(job_id=next(self._job_ids), initiator=initiator,
                        handler=handler, r=r, restriction=restriction,
                        priority=priority, weight_class=weight_class,
@@ -358,6 +359,7 @@ class QueryEngine:
         """
         if time < self.sim.now:
             raise ValueError("cannot submit into the past")
+        handler.check_restriction(restriction)
         job = QueryJob(job_id=next(self._job_ids), initiator=initiator,
                        handler=handler, r=r, restriction=restriction,
                        priority=priority, weight_class=weight_class,

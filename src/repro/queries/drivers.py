@@ -26,7 +26,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from ..common.geometry import Point
-from ..core.framework import Link, LinkTable, PeerLike, execute
+from ..core.framework import LinkTable, PeerLike, execute
 from ..core.handler import QueryHandler
 from ..core.regions import Region
 from ..net.context import QueryContext, QueryResult, QueryStats
@@ -201,24 +201,21 @@ def _best_first_probe(ctx: QueryContext, handler: QueryHandler,
     counter = itertools.count()
     #: (priority, tie-break, target id, f+ or None, link table, link index)
     frontier: list[tuple[float, int, Hashable, float | None,
-                         Sequence[Link], int]] = []
+                         LinkTable, int]] = []
 
     def push_links(peer: PeerLike) -> None:
         links = peer.links()
-        bounds = links.bounds() if isinstance(links, LinkTable) else None
-        fplus = None if bounds is None else handler.box_bounds(*bounds)
-        if fplus is None:
-            for i, link in enumerate(links):
-                if link.peer.peer_id not in ctx.processed:
-                    heapq.heappush(frontier, (
-                        handler.link_priority(link.region), next(counter),
-                        link.peer.peer_id, None, links, i))
+        if not isinstance(links, LinkTable):
+            links = LinkTable(links)
+        if not len(links):
             return
-        for i, (peer_id, bound) in enumerate(zip(links.peer_ids,
-                                                 fplus.tolist())):
+        fplus = links.link_bounds(handler)
+        bounds = [None] * len(links) if fplus is None else fplus.tolist()
+        for i, (peer_id, bound) in enumerate(zip(links.peer_ids, bounds)):
             if peer_id not in ctx.processed:
-                heapq.heappush(frontier, (-bound, next(counter), peer_id,
-                                          bound, links, i))
+                heapq.heappush(frontier, (
+                    handler.link_priority(links.region(i)) if bound is None
+                    else -bound, next(counter), peer_id, bound, links, i))
 
     state, gathered = _probe_peer(ctx, handler, seed_peer, state,
                                   initiator_id, t=base_t,

@@ -328,6 +328,7 @@ def distributed_skyline(
     from .drivers import run_seeded
 
     handler = SkylineHandler(dims, constraint=constraint)
+    handler.check_restriction(restriction)
     if not seeded:
         if cache is not None:
             raise ValueError("answer caching requires the seeded driver")
@@ -525,9 +526,6 @@ class SkylineHandler(QueryHandler):
         mine = _all_pairs(_dims_major(rows), _dims_major(local),
                           np.equal).any(1)
         return rows if mine.all() else rows[mine]
-
-    def answer_size(self, answer: np.ndarray) -> int:
-        return len(answer)
 
     def finalize(self, answers: Sequence[np.ndarray]) -> list[Point]:
         rows = _union_skyline([self._empty, *answers])

@@ -73,6 +73,7 @@ class TopKHandler(QueryHandler):
         if epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         self.fn = fn
+        self.dims = fn.dims
         self.k = k
         self.epsilon = epsilon
 
@@ -120,14 +121,14 @@ class TopKHandler(QueryHandler):
                             global_state: TopKState) -> TopKState:
         """Algorithm 4: the best local scores that can still matter.
 
-        ``top_scoring`` rides on the store's cached per-``fn`` score
-        index, so this scan and the answer scan of Algorithm 6 score the
-        peer's array once per query (and once across an entire sweep of
-        queries on a static network).
+        ``top_scores`` reads a prefix of the store's cached per-``fn``
+        score index, so this scan and the answer scan of Algorithm 6
+        score the peer's array once per query (and once across an entire
+        sweep of queries on a static network).
         """
         cutoff = self.tau(global_state)
-        retrieved = store.top_scoring(self.fn, self.k, above=cutoff)
-        return TopKState(tuple(score for score, _ in retrieved), cutoff)
+        return TopKState(store.top_scores(self.fn, self.k, above=cutoff),
+                         cutoff)
 
     def compute_global_state(self, global_state: TopKState,
                              local_state: TopKState) -> TopKState:
@@ -141,20 +142,28 @@ class TopKHandler(QueryHandler):
     # -- answers (Algorithm 6) --------------------------------------------
 
     def compute_local_answer(self, store: LocalStore,
-                             local_state: TopKState) -> list[Point]:
+                             local_state: TopKState) -> np.ndarray:
+        """The qualifying tuples as an ``(m, d)`` row block, store order."""
         return store.scoring_at_least(self.fn, self.tau(local_state))
 
-    def finalize(self, answers: Sequence[Sequence[Point]]
+    def finalize(self, answers: Sequence[np.ndarray]
                  ) -> list[tuple[float, Point]]:
-        """Merge the collected local answers into the global top-k.
+        """Merge the collected row blocks into the global top-k.
 
-        Returns ``(score, tuple)`` pairs, best first, with deterministic
-        lexicographic tie-breaking.
+        Returns ``(score, tuple)`` pairs, best first, ties broken by the
+        tuple.  Rows are scored once by ``score_rows`` (bit-equal to
+        ``fn.score``) and ordered by one ``lexsort`` on ``(-score,
+        coordinates)`` — the ``(-score, tuple)`` sort key, stable, with
+        ``-0.0 == 0.0`` as Python compares them.
         """
-        tuples = [t for answer in answers for t in answer]
-        scored = sorted(zip(self.fn.score_rows(tuples), tuples),
-                        key=lambda pair: (-pair[0], pair[1]))
-        return scored[: self.k]
+        blocks = [answer for answer in answers if len(answer)]
+        if not blocks:
+            return []
+        rows = np.concatenate(blocks)
+        scores = self.fn.score_rows(rows)
+        order = np.lexsort((*rows.T[::-1], -np.array(scores)))[: self.k]
+        return [(scores[i], tuple(row)) for i, row in
+                zip(order.tolist(), rows[order].tolist())]
 
     # -- link decisions (Algorithms 8, 9) ----------------------------------
 
@@ -217,17 +226,15 @@ def distributed_topk(
     from ..core.framework import run_ripple
     from .drivers import run_seeded
 
-    domain = restriction.cover()[0]
-    if fn.dims != domain.dims:
-        raise ValueError(f"scoring function scores {fn.dims}-d tuples, "
-                         f"restriction {restriction!r} is {domain.dims}-d")
     handler = TopKHandler(fn, k)
+    handler.check_restriction(restriction)
     if not seeded:
         if cache is not None:
             raise ValueError("answer caching requires the seeded driver")
         return run_ripple(initiator, handler, r,
                           restriction=restriction, strict=strict, sink=sink,
                           executor=executor)
+    domain = restriction.cover()[0]
     seed_point = tuple(min(v, h - 1e-12)
                        for v, h in zip(fn.peak(domain), domain.hi))
     return run_seeded(initiator, handler, r, restriction=restriction,

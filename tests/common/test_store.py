@@ -130,25 +130,25 @@ class TestScans:
     def test_scoring_at_least(self):
         fn = LinearScore([1, 1])
         out = self.store().scoring_at_least(fn, 0.79)
-        assert sorted(out) == [(0.5, 0.5), (0.7, 0.1), (0.9, 0.9)]
+        assert out.tolist() == [[0.9, 0.9], [0.5, 0.5], [0.7, 0.1]]
 
     @given(st.lists(st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 0.75])] * 2),
                     max_size=12),
            st.sampled_from([-np.inf, 0.0, 0.5, 0.75, 1.5, 9.0]))
     def test_scoring_at_least_is_the_per_row_form(self, points, tau):
-        """One fancy index + ``tolist()`` returns what the row-at-a-time
-        ``as_point(buf[i])`` loop did: same tuples, store order, Python
-        floats — with ties at ``tau``, empty results and ``tau = -inf``."""
+        """One fancy index returns the rows the row-at-a-time
+        ``as_point(buf[i])`` loop did: same tuples, store order, as an
+        ``(m, d)`` float block — with ties at ``tau``, empty results and
+        ``tau = -inf``."""
         fn = LinearScore([1, 1])
         store = LocalStore(2, points)
         out = store.scoring_at_least(fn, tau)
         scores = fn.score_batch(store.array)
-        assert out == [as_point(store.array[i])
-                       for i in np.flatnonzero(scores >= tau)]
-        assert all(type(v) is float for t in out for v in t)
-        assert all(type(t) is tuple for t in out)
+        assert list(map(tuple, out.tolist())) == [
+            as_point(store.array[i]) for i in np.flatnonzero(scores >= tau)]
+        assert out.dtype == float and out.shape == (len(out), 2)
 
     def test_scoring_at_least_inclusive(self):
         fn = LinearScore([1, 1])
         store = LocalStore(2, [(0.25, 0.25)])
-        assert (0.25, 0.25) in store.scoring_at_least(fn, 0.5)
+        assert store.scoring_at_least(fn, 0.5).tolist() == [[0.25, 0.25]]

@@ -1,10 +1,11 @@
 """The batched link step of a visit equals the per-link one.
 
-``_Visit`` intersects every link of a box-bounded table with its
-restriction area in one array pass; tables without bounds take
-``Region.intersect`` link by link.  The per-link loop — intersect, then
-ask the handler against the state as it stands — stays here as the
-oracle, and both must yield the same ``(target, sub-region)`` sequence.
+``_Visit`` cuts every link table with its restriction area once per
+restriction value — one array pass for boxes, ``Region.intersect`` per
+link for arcs and frustums — and bounds the kept links over their cover
+boxes.  The per-link loop — intersect, then ask the handler against the
+state as it stands — stays here as the oracle, and both must yield the
+same ``(target, sub-region)`` sequence.
 """
 
 from types import SimpleNamespace
@@ -14,15 +15,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro import (LinearScore, NearestScore, SkylineHandler, TopKHandler,
                    run_ripple)
-from repro.common.geometry import Rect
+from repro.common.geometry import Interval, Rect
 from repro.common.store import LocalStore
-from repro.core.framework import Link, LinkTable, _Visit
+from repro.core.framework import (_CUT_CAP, Link, LinkTable, _candidates,
+                                  _Visit)
 from repro.core.handler import QueryHandler
-from repro.core.regions import RectRegion
+from repro.core.regions import ArcRegion, RectRegion
 from repro.net.context import QueryContext
 from repro.obs.trace import QueryTrace
+from repro.overlays import from_overlay
+from repro.overlays.replication import ReplicaDirectory
+from repro.queries.diversify import (DiversificationObjective,
+                                     SingleDiversificationHandler)
 from repro.queries.topk import TopKState
-from tests.netlib import build_network
+from tests.netlib import DIMS, build_network
 
 #: A coarse grid, so boxes abut, coincide and nest all the time.
 GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -140,11 +146,12 @@ class TestBatchedEqualsPerLink:
         assert [(t.peer_id, sub) for t, sub in stepped(visit)] == [
             (1, RectRegion(Rect((0.5, 0.0), (1.0, 1.0))))]
 
-    def test_a_plain_list_of_box_links_takes_the_per_link_loop(self):
+    def test_a_plain_list_of_box_links_is_wrapped(self):
         links = [Link(fake_peer(0), RectRegion(Rect((0.0,), (0.75,))))]
         visit = _Visit(QueryContext(strict=True), CountingHandler(),
                        fake_peer("visited", links), 0,
                        RectRegion(Rect((0.25,), (1.0,))), 0, "initiator", 0)
+        assert isinstance(visit.links, LinkTable)
         assert [sub for _, sub in stepped(visit)] == [
             RectRegion(Rect((0.25,), (0.75,)))]
 
@@ -272,25 +279,107 @@ class TestTracesEqualPerLink:
         assert all(span.region is not None for span in runs[0][0])
 
 
-class TestTablesWithoutBounds:
-    @pytest.mark.parametrize("kind, handler", [
-        ("chord", TopKHandler(NearestScore((0.4,)), 3)),
-        ("skipgraph", TopKHandler(LinearScore((1.0,)), 3)),
-        ("can", SkylineHandler(2)),
-    ])
+def every_handler(dims):
+    """Top-k under linear and nearest scoring, skyline, diversification."""
+    query = (0.4,) * dims
+    return [TopKHandler(LinearScore((1.0,) * dims), 3),
+            *(TopKHandler(NearestScore(query, p=p), 3)
+              for p in (1, 2, float("inf"))),
+            SkylineHandler(dims),
+            SingleDiversificationHandler(
+                DiversificationObjective(query, lam=0.5),
+                members=[(0.2,) * dims, (0.7,) * dims])]
+
+
+def per_link_candidates(handler, links, restriction, r):
+    """The per-link step: intersect every link, order by ``link_priority``
+    of its own region (stable)."""
+    out = [(i, sub) for i, link in enumerate(links)
+           if (sub := link.region.intersect(restriction)) is not None]
+    if r > 0:
+        out.sort(key=lambda c: handler.link_priority(links[c[0]].region))
+    return out
+
+
+def received_regions(peers, domain):
+    """Restrictions visits receive: the domain, link regions, and the
+    overlaps of two links' regions (multi-piece arcs, frustum chains)."""
+    regions = [domain] + [link.region for peer in peers
+                          for link in peer.links()]
+    overlaps = [a.intersect(b) for a in regions[1:9] for b in regions[9:17]]
+    return regions + [region for region in overlaps if region is not None]
+
+
+class TestEveryTableCarriesBounds:
+    """Arcs and frustums are cut like boxes: one memoised cut per
+    restriction value, bounded over cover boxes, and the candidates
+    equal the per-link step's."""
+
+    @pytest.mark.parametrize("mirror", [False, True],
+                             ids=["object", "mirror"])
+    @pytest.mark.parametrize("kind", ["chord", "skipgraph", "can"])
     @pytest.mark.parametrize("r", [0, 2])
-    def test_arcs_and_frustums_traverse_link_by_link(self, kind, handler, r):
+    def test_same_as_per_link(self, r, kind, mirror):
         overlay = build_network(kind, 5, peers=16, tuples=80)
-        for peer in overlay.peers()[:4]:
-            links = peer.links()
-            assert isinstance(links, LinkTable) and links.bounds() is None
-            received = handler.initial_state()
-            visit = _Visit(QueryContext(strict=False), handler, peer,
-                           received, overlay.domain(), r, peer.peer_id, 0)
-            forwarding = handler.compute_global_state(
-                received, handler.compute_local_state(peer.store, received))
-            assert list(iter(visit.next_forward, None)) == per_link(
-                handler, links, overlay.domain(), r, forwarding)
+        network = from_overlay(overlay) if mirror else overlay
+        peers = network.peers()[:6]
+        restrictions = received_regions(peers, network.domain())
+        for handler in every_handler(DIMS[kind]):
+            for peer in peers:
+                links = peer.links()
+                lo, hi = links.bounds()
+                assert lo.shape == hi.shape and lo.shape[0] >= len(links)
+                for restriction in restrictions:
+                    got = _candidates(links, restriction, handler, r)
+                    want = per_link_candidates(handler, links, restriction, r)
+                    assert [(i, sub) for i, sub, _ in got] == want
+                    if not isinstance(handler, TopKHandler):
+                        assert all(bound is None for _, _, bound in got)
+                        continue
+                    bounds = [bound for _, _, bound in got]
+                    assert bounds == [handler._region_upper_bound(sub)
+                                      for _, sub in want]
+                    for floor in [float("-inf"), *bounds]:
+                        state = TopKState((), floor)
+                        cutoff = handler.bound_cutoff(state)
+                        assert [bound >= cutoff for bound in bounds] == [
+                            handler.is_link_relevant(sub, state)
+                            for _, sub in want]
+
+    @pytest.mark.parametrize("kind", ["chord", "skipgraph", "can"])
+    def test_copies_share_the_memo(self, kind):
+        overlay = build_network(kind, 5, peers=16, tuples=80)
+        peer, other = overlay.peers()[2], overlay.peers()[7]
+        table = peer.links()
+        restriction = table[0].region.intersect(overlay.domain())
+        cut = table.cut(restriction)
+        copy = table.retargeted({0: other})
+        assert copy._cuts is table._cuts and copy[0].peer is other
+        assert copy.cut(restriction) is cut
+        directory = ReplicaDirectory(overlay, copies=1)
+        assert directory.repair(peer.peer_id, lambda _: True) is not None
+        stand_in = directory.promote(peer.peer_id, lambda _: True)
+        assert stand_in.links() is table
+        assert stand_in.links().cut(restriction) is cut
+
+    def test_arc_memos_keep_the_cap_oldest_out(self):
+        links = LinkTable([Link(fake_peer(0), ArcRegion(((0.0, 0.5),))),
+                           Link(fake_peer(1), ArcRegion(((0.5, 1.0),)))])
+        arcs = [ArcRegion(((i / 200, 0.9),)) for i in range(_CUT_CAP + 5)]
+        for n, arc in enumerate(arcs):
+            links.cut(arc)
+            assert len(links._cuts) == min(n + 1, _CUT_CAP)
+        assert list(links._cuts) == arcs[-_CUT_CAP:]
+
+    def test_a_wrapping_arc_is_two_boxes(self):
+        arc = ArcRegion.from_interval(Interval(0.75, 0.25))
+        links = LinkTable([Link(fake_peer(0), arc),
+                           Link(fake_peer(1), ArcRegion(((0.25, 0.75),)))])
+        lo, hi = links.bounds()
+        assert lo.tolist() == [[0.75], [0.0], [0.25]]
+        assert hi.tolist() == [[1.0], [0.25], [0.75]]
+        handler = TopKHandler(LinearScore((1.0,)), 1)
+        assert links.link_bounds(handler).tolist() == [1.0, 0.75]
 
     def test_midas_tables_carry_bounds(self):
         overlay = build_network("midas", 5, peers=16, tuples=80)

@@ -10,9 +10,9 @@ MIDAS under churn (both link policies), on ``midas_arena`` and on
 ``from_overlay`` mirrors, for restrictions that are tree nodes and for
 arbitrary boxes: partial overlaps, shared faces, zero volume.
 
-The other two lean parts of the top-k visit have their references here
-too: the generic ``_merge`` for the two-state one, the score mask for the
-prefix ``scoring_at_least``.
+The other lean parts of the top-k visit have their references here too:
+the generic ``_merge`` for the two-state one, the score mask for the
+prefix ``scoring_at_least`` and ``top_scoring`` for ``top_scores``.
 """
 
 import math
@@ -155,7 +155,7 @@ def handlers(draw, dims):
 
 def assert_candidates_equal(peer, restriction, handler, r):
     table = peer.links()
-    if table.bounds() is None:          # a peer with no links
+    if not len(table):                  # a peer with no links
         assert _candidates(table, restriction, handler, r) == []
         return
     region = RectRegion(restriction)
@@ -164,7 +164,7 @@ def assert_candidates_equal(peer, restriction, handler, r):
         got = _candidates(table, region, handler, r)
         assert normalised(table, got) == want
         assert len(table._cuts) <= len(table) + 1
-    cut = table.cut(restriction)
+    cut = table.cut(region)
     if isinstance(cut, int):
         # A suffix cut hands on the links' own regions: an object table's
         # own region objects; on a lazy table the regions built so far,
@@ -255,7 +255,7 @@ class TestForwardsEqualTheArrayPass:
         original = framework._candidates
 
         def the_pass(links, restriction, handler, r):
-            if links.bounds() is None:       # no links at all
+            if not len(links):               # no links at all
                 return original(links, restriction, handler, r)
             # A pair became a fresh region when its link was forwarded.
             return [(i, sub if isinstance(sub, RectRegion)
@@ -279,17 +279,20 @@ class TestMemo:
         restrictions = [Rect((0.0, 0.0), (x, 1.0))
                         for x in np.linspace(0.05, 1.0, 3 * size).tolist()]
         for n, rect in enumerate(restrictions):
-            table.cut(rect)
+            table.cut(RectRegion(rect))
             assert len(table._cuts) == min(n + 1, size)
         assert list(table._cuts) == [(rect.lo, rect.hi)
                                      for rect in restrictions[-size:]]
         # An evicted box is cut again, to the same result.
         first = restrictions[0]
-        again = table.cut(first)
-        fresh = LinkTable(list(table)).cut(first)
+        again = table.cut(RectRegion(first))
+        fresh = LinkTable(list(table)).cut(RectRegion(first))
         assert type(again) is type(fresh)
         if isinstance(again, tuple):
-            assert all(np.array_equal(a, b) for a, b in zip(again, fresh))
+            keep, subs, lo, hi, starts = again
+            assert (keep, subs, starts) == fresh[:2] + (fresh[4],)
+            assert np.array_equal(lo, fresh[2])
+            assert np.array_equal(hi, fresh[3])
         else:
             assert again == fresh
 
@@ -299,7 +302,7 @@ class TestMemo:
             table = peer.links()
             node = peer.leaf
             while node is not None:
-                cut = table.cut(node.rect)
+                cut = table.cut(RectRegion(node.rect))
                 # The links inside an ancestor are the deeper ones.
                 assert cut == len(table) - sum(
                     node.rect.contains_rect(link.region.rect)
@@ -307,13 +310,15 @@ class TestMemo:
                 node = node.parent
         table = self.table()
         partial = Rect((0.1, 0.1), (0.9, 0.9))
-        keep, lo, hi = table.cut(partial)
-        assert len(keep) == len(lo) == len(hi) > 0
-        assert table.cut(Rect((0.5, 0.0), (0.5, 1.0))) == len(table)
+        keep, subs, lo, hi, starts = table.cut(RectRegion(partial))
+        assert len(keep) == len(subs) == len(lo) == len(hi) > 0
+        assert starts is None
+        assert table.cut(RectRegion(Rect((0.5, 0.0), (0.5, 1.0)))) \
+            == len(table)
 
     def test_retargeted_tables_carry_the_memo(self):
         table = self.table()
-        table.cut(Rect.unit(2))
+        table.cut(RectRegion(Rect.unit(2)))
         copy = table.retargeted({0: table[1].peer})
         assert copy._cuts is table._cuts
         assert copy[0].peer is table[1].peer
@@ -406,14 +411,35 @@ class TestScoringAtLeastPrefix:
         # Every stored score is a tie at its own tau.
         for tau in [-math.inf, math.inf, -0.0, 0.3, *scores]:
             got = store.scoring_at_least(fn, tau)
-            assert got == score_mask(store, fn, tau)
-            assert all(type(v) is float for row in got for v in row)
+            assert got.shape == (len(got), 2)
+            assert list(map(tuple, got.tolist())) == score_mask(store, fn,
+                                                                tau)
+            # A copy: a later insert cannot rewrite a shipped answer.
+            assert not np.shares_memory(got, store.array)
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                              st.sampled_from([-0.0, 0.0, 0.5])),
+                    max_size=30),
+           st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                    min_size=2, max_size=2),
+           st.sampled_from([0, 1, 3, 40]))
+    @settings(max_examples=200, deadline=None)
+    def test_the_score_prefix_is_top_scorings_scores(self, points, weights,
+                                                     limit):
+        fn = LinearScore(weights)
+        store = LocalStore(2, points)
+        scores = fn.score_batch(store.array).tolist() if points else []
+        for above in [-math.inf, math.inf, -0.0, 0.0, 0.3, *scores]:
+            want = [s for s, _ in store.top_scoring(fn, limit, above=above)]
+            got = store.top_scores(fn, limit, above=above)
+            # repr tells -0.0 from 0.0.
+            assert repr(got) == repr(tuple(want))
 
     def test_an_empty_store_answers_nothing(self):
-        assert LocalStore(2).scoring_at_least(LinearScore([1, 1]),
-                                              -math.inf) == []
-        assert LocalStore.view_of(np.empty((0, 2))).scoring_at_least(
-            LinearScore([1, 1]), -math.inf) == []
+        for store in (LocalStore(2), LocalStore.view_of(np.empty((0, 2)))):
+            got = store.scoring_at_least(LinearScore([1, 1]), -math.inf)
+            assert got.shape == (0, 2)
+            assert store.top_scores(LinearScore([1, 1]), 3) == ()
 
 
 # -- lazy tables ------------------------------------------------------------

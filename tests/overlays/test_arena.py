@@ -236,8 +236,12 @@ class TestLazyLinkTables:
         for overlay in (chord, can):
             arena = from_overlay(overlay)
             table = arena.peer(3).links()
-            assert table.bounds() is None
             assert list(table) == arena.decode_links(3)
+            # Bounded like box tables: the decoded regions' cover boxes.
+            covers = [rect for link in table for rect in link.region.cover()]
+            lo, hi = table.bounds()
+            assert lo.tolist() == [list(rect.lo) for rect in covers]
+            assert hi.tolist() == [list(rect.hi) for rect in covers]
 
     @pytest.mark.parametrize("seeded", [False, True])
     def test_a_wavefront_topk_builds_only_the_links_it_crosses(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import LinearScore, MidasOverlay, NearestScore
+from repro import LinearScore, MidasOverlay, NearestScore, SkylineHandler
 from repro.common.store import LocalStore
 from repro.core.regions import RectRegion
 from repro.common.geometry import Rect
@@ -68,29 +68,43 @@ class TestState:
 
 
 def _scalar_finalize(h, answers):
-    """``finalize`` as it was: one ``fn.score`` call per collected tuple."""
-    scored = sorted(((h.fn.score(t), t) for answer in answers for t in answer),
+    """``finalize`` as it was: one ``fn.score`` call per collected tuple,
+    a sort on ``(-score, tuple)``."""
+    tuples = [t for answer in answers for t in map(tuple, answer.tolist())]
+    scored = sorted(((h.fn.score(t), t) for t in tuples),
                     key=lambda pair: (-pair[0], pair[1]))
     return scored[: h.k]
 
 
-_GRID = st.sampled_from([0.0, 0.1, 0.3, 1 / 3, 0.7, 0.9])
-_WEIGHTS = st.sampled_from([-2.5, -1.0, -0.1, 0.0, 0.3, 1.0, 1 / 7, 3.0])
+_GRID = st.sampled_from([-0.0, 0.0, 0.1, 0.3, 1 / 3, 0.7, 0.9])
+_WEIGHTS = st.sampled_from([-2.5, -1.0, -0.1, -0.0, 0.0, 0.3, 1.0, 1 / 7,
+                            3.0])
 
 
 def _answers(dims):
+    """Row blocks as peers ship them; a block may repeat a row, and the
+    grid makes equal scores and signed zeros common."""
     point = st.tuples(*[_GRID] * dims)
-    return st.lists(st.lists(point, max_size=6), max_size=5)
+    return st.lists(st.lists(point, max_size=6).map(
+        lambda rows: np.array(rows, dtype=float).reshape(len(rows), dims)),
+        max_size=5)
+
+
+def _blocks(*answers):
+    return [np.array(rows, dtype=float).reshape(len(rows), 2)
+            for rows in answers]
 
 
 class TestFinalizeBlock:
-    """``finalize`` scores the collected tuples in one call; the result
-    equals the sort over scalar ``fn.score``, floats compared with ``==``."""
+    """``finalize`` scores the collected row blocks in one call and orders
+    them with one lexsort; the result equals the sort over scalar
+    ``fn.score``, floats compared with ``==``."""
 
-    @given(st.data(), st.sampled_from([1, 4, 9]), st.integers(1, 8))
+    @given(st.data(), st.sampled_from([1, 4, 9]), st.integers(1, 40))
     @settings(max_examples=150, deadline=None)
     def test_linear_mixed_sign_weights(self, data, dims, k):
-        # nine terms cross ndarray.sum's pairwise threshold
+        # nine terms cross ndarray.sum's pairwise threshold; k may exceed
+        # the number of rows
         fn = LinearScore(data.draw(st.lists(_WEIGHTS, min_size=dims,
                                             max_size=dims)))
         h = TopKHandler(fn, k)
@@ -98,7 +112,7 @@ class TestFinalizeBlock:
         assert h.finalize(answers) == _scalar_finalize(h, answers)
 
     @given(st.data(), st.sampled_from([1, 2, 3, math.inf]),
-           st.integers(1, 8))
+           st.integers(1, 40))
     @settings(max_examples=150, deadline=None)
     def test_nearest_every_metric(self, data, p, k):
         h = TopKHandler(NearestScore((0.3, 1 / 3, 0.8), p=p), k)
@@ -107,16 +121,57 @@ class TestFinalizeBlock:
 
     def test_equal_scores_break_by_tuple(self):
         h = handler(k=3)
-        answers = [[(0.75, 0.25), (0.25, 0.75)], [(0.5, 0.5), (1.0, 1.0)]]
+        answers = _blocks([(0.75, 0.25), (0.25, 0.75)],
+                          [(0.5, 0.5), (1.0, 1.0)])
         got = h.finalize(answers)
         assert [t for _, t in got] == [(1.0, 1.0), (0.25, 0.75), (0.5, 0.5)]
         assert got == _scalar_finalize(h, answers)
         assert all(type(score) is float for score, _ in got)
+        assert all(type(v) is float for _, t in got for v in t)
+
+    def test_signed_zeros_and_duplicates_keep_arrival_order(self):
+        """``-0.0 == 0.0`` in both the score and the tuple: the stable
+        sort keeps the block order, as the scalar sort does."""
+        h = handler(k=4, weights=(1, -1))
+        answers = _blocks([(0.0, -0.0), (0.5, 0.5)],
+                          [(-0.0, 0.0), (0.0, -0.0), (0.5, 0.5)])
+        got = h.finalize(answers)
+        want = _scalar_finalize(h, answers)
+        assert repr(got) == repr(want)
+        assert repr(got[0]) == "(0.0, (0.0, -0.0))"
 
     def test_empty_answers(self):
+        empty = np.empty((0, 2))
         assert handler().finalize([]) == []
-        assert handler().finalize([[], []]) == []
-        assert TopKHandler(NearestScore((0.5, 0.5)), 2).finalize([[]]) == []
+        assert handler().finalize([empty, empty]) == []
+        assert TopKHandler(NearestScore((0.5, 0.5)), 2).finalize(
+            [empty]) == []
+
+
+class TestArrayAnswers:
+    """Row-block answers never reach a truthiness test."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_answer_size_is_the_row_count(self, rows):
+        block = np.full((rows, 2), 0.5)
+        for h in (handler(), SkylineHandler(2)):
+            assert h.answer_size(block) == rows
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_score_rows_takes_a_block(self, rows):
+        fn = LinearScore((0.3, 1 / 7))
+        block = np.linspace(0.0, 0.9, 2 * rows).reshape(rows, 2)
+        assert fn.score_rows(block) == fn.score_rows(
+            list(map(tuple, block.tolist()))) == [fn.score(t) for t in block]
+
+    def test_local_answer_is_a_copy_in_store_order(self):
+        store = LocalStore(2, [(0.9, 0.9), (0.1, 0.1), (0.5, 0.5)])
+        h = handler(k=2)
+        state = h.compute_local_state(store, h.initial_state())
+        answer = h.compute_local_answer(store, state)
+        assert answer.tolist() == [[0.9, 0.9], [0.5, 0.5]]
+        store.insert((0.2, 0.2))
+        assert answer.tolist() == [[0.9, 0.9], [0.5, 0.5]]
 
 
 class TestLinkDecisions:

@@ -32,7 +32,8 @@ def test_emit_snapshot_covers_every_engine():
     assert set(snapshot) == {
         "recursive_topk", "skyline", "event_driven_topk", "can_topk",
         "skipgraph_topk", "resilient_churn", "workload", "cached_workload",
-        "weighted_fair_workload", "arena_wavefront", "diversify"}
+        "weighted_fair_workload", "arena_wavefront", "diversify",
+        "chord_mirror_topk", "can_mirror_topk"}
     for name, entry in snapshot.items():
         assert entry.get("answer", True), f"empty answer in {name}"
     assert snapshot["resilient_churn"]["stats"]["timeouts"] > 0
