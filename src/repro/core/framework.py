@@ -396,6 +396,7 @@ def run_ripple(
     signature-compatible with :func:`execute` — the arena's batched
     wavefront engine is the in-repo alternative.
     """
+    handler.check_restriction(restriction)
     ctx = QueryContext(strict=strict)
     if sink is not None:
         ctx.sink = sink

@@ -147,10 +147,6 @@ class QueryContext:
     #: the completeness metric.  0.0 means "not tracked" (fault-free
     #: engines) and yields completeness 1.0.
     restriction_volume: float = 0.0
-    #: High-water mark of simulation time at which real query progress
-    #: happened; the latency of a resilient execution (control events such
-    #: as cancelled timers must not stretch the critical path).
-    last_activity: int = 0
     # -- concurrent scheduling (see repro.net.scheduler, docs/LOAD.md) ----
     #: Identity of this query inside a concurrent engine; ``None`` for
     #: standalone single-query executions.
@@ -167,12 +163,11 @@ class QueryContext:
     #: Simulation time this query's root invocation was launched; the
     #: zero point of its latency measurements under concurrency.
     started_at: int = 0
-    #: Set when the query is cancelled (deadline blown, budget exhausted):
-    #: the simulator drops the query's still-queued events instead of
-    #: executing them, so a dead query cannot poison shared peer queues.
+    #: Set when the query settles (completed, deadline blown, budget
+    #: exhausted): the simulator drops the query's still-queued events
+    #: instead of executing them, so a settled query cannot poison shared
+    #: peer queues or keep counting work after its answer is fixed.
     cancelled: bool = False
-    #: Why the query was cancelled (``"deadline"`` / ``"budget"``).
-    cancel_reason: str | None = None
     #: Accumulated time units this query's messages spent queued behind
     #: other traffic at busy peers (see EventSimulator.service_time).
     queue_delay: int = 0
@@ -242,15 +237,6 @@ class QueryContext:
         """A message waited ``wait`` time units in a peer's service queue."""
         if wait > 0:
             self.queue_delay += wait
-
-    def cancel(self, reason: str) -> None:
-        """Stop this query: its still-queued events will be dropped."""
-        self.cancelled = True
-        self.cancel_reason = reason
-
-    def note_time(self, now: int) -> None:
-        if now > self.last_activity:
-            self.last_activity = now
 
     def completeness(self) -> float:
         if self.restriction_volume <= 0.0:

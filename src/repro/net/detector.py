@@ -50,10 +50,11 @@ DEAD = "dead"
 class FailureDetector:
     """Periodic heartbeat sweeps over a set of monitored peers.
 
-    Every ``period`` time units the detector probes each monitored peer.
-    A failed probe (peer down, or probe lost on a lossy network) bumps the
-    peer's miss counter: ``suspect_after`` consecutive misses mark it
-    SUSPECT, ``dead_after`` mark it DEAD and fire ``on_dead`` (the repair
+    Every ``period`` (the plan's ``heartbeat_period``) time units the
+    detector probes each monitored peer.  A failed probe (peer down, or
+    probe lost on a lossy network) bumps the peer's miss counter: the
+    plan's ``suspect_after`` consecutive misses mark it SUSPECT,
+    ``dead_after`` mark it DEAD and fire ``on_dead`` (the repair
     hook — e.g. :meth:`~repro.overlays.replication.ReplicaDirectory.repair`).
     A successful probe resets the peer to ALIVE and fires ``on_alive`` if
     it was previously declared dead or returned with a new incarnation
@@ -76,23 +77,16 @@ class FailureDetector:
         plan: "FaultPlan",
         peer_ids: Iterable[Hashable],
         *,
-        period: int | None = None,
-        suspect_after: int | None = None,
-        dead_after: int | None = None,
         on_dead: Callable[[Hashable], None] | None = None,
         on_alive: Callable[[Hashable], None] | None = None,
     ) -> None:
         self.sim = sim
         self.plan = plan
         self.peer_ids = [pid for pid in peer_ids if pid not in plan.protected]
-        self.period = plan.heartbeat_period if period is None else period
-        self.suspect_after = plan.suspect_after if suspect_after is None \
-            else suspect_after
-        self.dead_after = plan.dead_after if dead_after is None else dead_after
-        if self.period <= 0:
-            raise ValueError("heartbeat period must be positive")
-        if not 0 < self.suspect_after <= self.dead_after:
-            raise ValueError("need 0 < suspect_after <= dead_after")
+        # FaultPlan validated all three knobs.
+        self.period = plan.heartbeat_period
+        self.suspect_after = plan.suspect_after
+        self.dead_after = plan.dead_after
         self.on_dead = on_dead
         self.on_alive = on_alive
         #: Total heartbeat probes issued (observability).

@@ -31,6 +31,11 @@ terminates with an explicit completeness bound.  With a zero-fault plan
 the supervised execution reproduces the plain one exactly.  The entry
 point is :func:`repro.net.faults.resilient_ripple`.
 
+One way onto the queue: :class:`~repro.net.scheduler.QueryEngine` is the
+only code that builds a simulator and launches a query's root visit.
+:func:`event_driven_ripple` and :func:`~repro.net.faults.resilient_ripple`
+each run one job on a fresh one-slot engine.
+
 Both the plain and the supervised paths invoke the query handlers, which
 back their per-peer reductions with the
 :class:`~repro.common.store.LocalStore` computation cache — so a retried
@@ -41,13 +46,11 @@ Concurrency (see :mod:`repro.net.scheduler` and ``docs/LOAD.md``): the
 simulator multiplexes many :class:`~repro.net.context.QueryContext`\\ s
 over one event queue.  Every scheduled event may carry the context it
 works for; the run loop attributes executed events to their query
-(per-query event budgets), drops events of cancelled queries (deadline
-enforcement without poisoning shared queues), and — when a per-peer
-``service_time`` is configured — funnels message handling through
-per-peer FIFO service queues so queueing delay at hot peers becomes part
-of the latency model.  With the default ``service_time = 0`` and a single
-context the engine is bit-identical to the historical single-query
-behaviour.
+(per-query event budgets), drops events of cancelled queries (a query is
+cancelled when it settles: completed, past its deadline or over its
+budget), and — when a per-peer ``service_time`` is configured — funnels
+message handling through per-peer FIFO service queues so queueing delay
+at hot peers becomes part of the latency model.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
-from ..core.framework import PeerLike, _checked_r, _Visit, physical_id
+from ..core.framework import PeerLike, _Visit, physical_id
 from ..core.handler import QueryHandler
 from ..core.regions import Region, region_volume
 from ..obs.trace import TraceSink
@@ -84,8 +87,8 @@ class SimulationBudgetExceeded(RuntimeError):
 
     A loud safety net against retry storms and self-rescheduling bugs.
     Carries the budget (``cap``), how many events actually executed
-    (``executed``), and — when the simulator had a
-    :class:`~repro.net.context.QueryContext` attached — the partial
+    (``executed``), and — when the event that blew it worked for a
+    :class:`~repro.net.context.QueryContext` — that query's partial
     :class:`~repro.net.context.QueryStats` at the moment the budget blew,
     so callers can report how far the degraded query got instead of
     losing all observability.  Subclasses ``RuntimeError`` for backward
@@ -155,9 +158,6 @@ class EventSimulator:
         #: failure detector steering proactive link patching.
         self.replicas: "ReplicaDirectory | None" = None
         self.detector: "FailureDetector | None" = None
-        #: The running query's context; lets a blown event budget surface
-        #: partial stats through SimulationBudgetExceeded.
-        self.context: QueryContext | None = None
 
     def new_message_id(self) -> int:
         """Sequence number identifying one message delivery (fault draws)."""
@@ -178,8 +178,8 @@ class EventSimulator:
 
         ``ctx`` attributes the event to one query: the run loop charges
         it against that query's event budget and silently drops it if the
-        query has been cancelled.  Unattributed events fall back to the
-        simulator-wide :attr:`context` (the single-query convention).
+        query has been cancelled.  Unattributed events (detector sweeps,
+        deferred admissions) charge only the simulator-wide cap.
         """
         if delay < 0:
             raise ValueError("cannot schedule into the past")
@@ -229,39 +229,37 @@ class EventSimulator:
 
     def _overrun(self, owner: QueryContext, reason: str) -> None:
         """Cancel ``owner`` and notify the scheduler hook, if any."""
-        owner.cancel(reason)
+        owner.cancelled = True
         if self.on_overrun is not None:
             self.on_overrun(owner, reason)
 
-    def run(self, max_events: int | None = None) -> int:
+    def run(self) -> int:
         """Drain the queue; returns the time of the last event.
 
         Raises :class:`SimulationBudgetExceeded` (a ``RuntimeError``) when
-        more than ``max_events`` (default: the constructor's cap) events
-        execute — a loud safety net against retry storms and
-        self-rescheduling bugs.  When a context is attached the exception
-        carries the partial stats collected so far.
+        more than the constructor's ``max_events`` events execute — a
+        loud safety net against retry storms and self-rescheduling bugs.
+        When the offending event works for a query the exception carries
+        that query's partial stats.
 
         Per-query enforcement: each executed event is attributed to the
-        context it was scheduled for (falling back to :attr:`context`).
-        Events of a cancelled query are dropped unexecuted; an event past
-        its query's ``deadline`` cancels the query instead of running;
-        and a query whose own ``max_events`` budget blows is cancelled
-        through :attr:`on_overrun` when a scheduler is listening, else
-        raises with the per-query cap and ``query_id``.
+        context it was scheduled for.  Events of a cancelled (settled)
+        query are dropped unexecuted; an event past its query's
+        ``deadline`` cancels the query instead of running; and a query
+        whose own ``max_events`` budget blows is cancelled through
+        :attr:`on_overrun` when a scheduler is listening, else raises
+        with the per-query cap and ``query_id``.
         """
-        cap = self.max_events if max_events is None else max_events
+        cap = self.max_events
         last = 0
         executed = 0
         while self._queue:
-            time, _, action, ctx = heapq.heappop(self._queue)
-            owner = ctx if ctx is not None else self.context
+            time, _, action, owner = heapq.heappop(self._queue)
             if owner is not None and owner.cancelled:
-                continue  # in-flight work of a dead query: drop it
+                continue  # in-flight work of a settled query: drop it
             executed += 1
             if cap is not None and executed > cap:
-                stats = None if self.context is None \
-                    else self.context.stats(self.now)
+                stats = None if owner is None else owner.stats(self.now)
                 raise SimulationBudgetExceeded(
                     f"EventSimulator exceeded its event budget of {cap}; "
                     "likely a retry storm or a scheduling bug "
@@ -277,7 +275,7 @@ class EventSimulator:
                     if self.on_overrun is not None:
                         self._overrun(owner, "budget")
                         continue
-                    owner.cancel("budget")
+                    owner.cancelled = True
                     raise SimulationBudgetExceeded(
                         f"query {owner.query_id!r} exceeded its per-query "
                         f"event budget of {qcap}; likely a retry storm "
@@ -345,7 +343,6 @@ class _Invocation:
         faults = sim.faults
         if faults is not None:
             ctx, peer = visit.ctx, visit.peer
-            ctx.note_time(sim.now)
             # Liveness and incarnation track the *machine* doing the work:
             # a promoted replica holder executes under the dead owner's
             # logical peer_id but crashes (or not) as itself.
@@ -656,7 +653,6 @@ class _Attempt:
             return
         if self.parent._dead():
             return
-        self.ctx.note_time(self.sim.now)
         self._settle("ok")
         self.parent._settled(list(states))
 
@@ -697,7 +693,6 @@ class _Attempt:
             return
         volume = region_volume(self.sub)
         self.ctx.on_unreachable(volume)
-        self.ctx.note_time(self.sim.now)
         self._event("unreachable", volume=volume)
         self._settle("abandoned")
         self.parent._settled()
@@ -708,24 +703,6 @@ class _Attempt:
         self._settle(status)
         _Attempt(self.parent, target, self.sub, route_depth, extra_delay,
                  tried).send()
-
-
-def _launch_root(sim: EventSimulator, ctx: QueryContext, initiator: PeerLike,
-                 handler: QueryHandler, r: int, restriction: Region,
-                 on_done: Callable[[list[Any]], None], *,
-                 initial_state: Any | None = None,
-                 parent_span: int | None = None) -> None:
-    """Schedule one query's root invocation at the current time.
-
-    The one way a query enters the event engines — plain, supervised or
-    multiplexed — so a bad ``r`` is refused here, before anything is
-    queued.
-    """
-    r = _checked_r(r)
-    state = handler.initial_state() if initial_state is None else initial_state
-    sim.schedule(0, lambda: _Invocation(sim, _Visit(
-        ctx, handler, initiator, state, restriction, r, initiator.peer_id,
-        sim.now, parent_span), on_done).start(), ctx)
 
 
 def event_driven_ripple(
@@ -743,15 +720,9 @@ def event_driven_ripple(
     latency falls out of message timestamps instead of the recursive
     max/sum computation.  For execution under injected faults see
     :func:`repro.net.faults.resilient_ripple`.  ``sink`` attaches a trace
-    recorder (see :mod:`repro.obs.trace`).
+    recorder (see :mod:`repro.obs.trace`).  Runs as the one job of a
+    fresh :class:`~repro.net.scheduler.QueryEngine`.
     """
-    sim = EventSimulator()
-    ctx = QueryContext(strict=strict)
-    if sink is not None:
-        ctx.sink = sink
-    sim.context = ctx
-    _launch_root(sim, ctx, initiator, handler, r, restriction,
-                 lambda states: None)
-    latency = sim.run()
-    answer = handler.finalize(ctx.collected_answers)
-    return QueryResult(answer=answer, stats=ctx.stats(latency))
+    from .scheduler import _run_one_job  # the scheduler imports this module
+    return _run_one_job(initiator, handler, r, restriction=restriction,
+                        strict=strict, sink=sink)

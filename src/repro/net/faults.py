@@ -45,7 +45,7 @@ cross-validates property-style against the recursive engine.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,9 +54,8 @@ from ..core.framework import OverlayLike, PeerLike
 from ..core.handler import QueryHandler
 from ..core.regions import Region, region_volume
 from ..obs.trace import TraceSink
-from .context import QueryContext, QueryResult
-from .detector import FailureDetector
-from .eventsim import EventSimulator, _launch_root
+from .context import QueryResult
+from .scheduler import _run_one_job
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (avoids an import cycle)
     from ..overlays.replication import ReplicaDirectory
@@ -301,34 +300,16 @@ def resilient_ripple(
     at-least-once delivery, so duplicate visits are deduplicated (their
     local answers are never double-counted) rather than treated as a
     simulator error.
+
+    Runs as the one job of a fresh
+    :class:`~repro.net.scheduler.QueryEngine`, so the query settles when
+    its root answer is complete: latency is the critical path of that
+    answer, and work still queued for subtrees orphaned by crashed peers
+    is dropped.  ``max_events`` is the query's event budget; blowing it
+    raises :class:`~repro.net.eventsim.SimulationBudgetExceeded` with the
+    partial stats.
     """
-    plan = faults if faults is not None else FaultPlan.none()
-    plan.protect(initiator.peer_id)
-    sim = EventSimulator(faults=plan) if max_events is None else \
-        EventSimulator(faults=plan, max_events=max_events)
-    ctx = QueryContext(strict=False)
-    if sink is not None:
-        ctx.sink = sink
-    ctx.restriction_volume = region_volume(restriction)
-    sim.context = ctx
-    detector = None
-    if replicas is not None:
-        replicas.refresh()
-        sim.replicas = replicas
-        if plan.can_fail:
-            detector = FailureDetector(
-                sim, plan, (p.peer_id for p in replicas.owners()),
-                on_dead=lambda pid: replicas.repair(
-                    pid, lambda hid: plan.alive(hid, sim.now)),
-                on_alive=replicas.demote)
-            sim.detector = detector
-            detector.start()
-
-    def finish(states: list[Any]) -> None:
-        if detector is not None:
-            detector.stop()
-
-    _launch_root(sim, ctx, initiator, handler, r, restriction, finish)
-    sim.run()
-    answer = handler.finalize(ctx.collected_answers)
-    return QueryResult(answer=answer, stats=ctx.stats(ctx.last_activity))
+    return _run_one_job(initiator, handler, r, restriction=restriction,
+                        faults=faults if faults is not None
+                        else FaultPlan.none(),
+                        replicas=replicas, max_events=max_events, sink=sink)

@@ -1,12 +1,9 @@
 """Admission control and concurrent scheduling of RIPPLE queries.
 
-The single-query engines (:func:`~repro.net.eventsim.event_driven_ripple`,
-:func:`~repro.net.faults.resilient_ripple`) run one query to completion
-on a private simulator — overload literally cannot happen.  This module
-supplies the serving-stack view the ROADMAP's north star implies: a
-:class:`QueryEngine` multiplexes many queries over one shared
-:class:`~repro.net.eventsim.EventSimulator` (and therefore over shared
-per-peer service queues), with
+A :class:`QueryEngine` is the one way onto the event queue: it is the
+only code that builds an :class:`~repro.net.eventsim.EventSimulator` and
+launches a query's root visit.  It multiplexes many queries over that
+one simulator (and therefore over shared per-peer service queues), with
 
 * **admission control** — at most ``capacity`` queries run concurrently;
   excess arrivals wait in a bounded admission queue ordered by a
@@ -25,16 +22,24 @@ per-peer service queues), with
 
 Degradation is graceful by construction: every submitted query produces
 exactly one :class:`QueryOutcome`, admitted queries that complete do so
-with the same answers and stats the single-query engines would produce,
-and overload only ever converts *whole* queries into typed rejected /
-deadline outcomes — it never silently corrupts an admitted query.
+with the same answers and stats as a lone run, and overload only ever
+converts *whole* queries into typed rejected / deadline outcomes — it
+never silently corrupts an admitted query.
 
-Bit-identity: with one in-flight query, ``service_time == 0`` and no
-faults the engine reproduces :func:`event_driven_ripple` exactly; with a
-fault plan it reproduces :func:`resilient_ripple` (same event order,
-answers and :class:`~repro.net.context.QueryStats`).  The property tests
-in ``tests/net/test_scheduler.py`` pin this across the overlay × handler
-matrix.  See ``docs/LOAD.md`` for the queueing model and guarantees.
+Settlement: a query settles when its root answer is complete, when it
+passes its deadline, or when it blows its event budget.  In every case
+its context is cancelled, so the simulator drops its still-queued events
+(timers, orphaned subtrees), and its latency is the settlement time
+minus its launch time.
+
+The single-query entry points
+(:func:`~repro.net.eventsim.event_driven_ripple`,
+:func:`~repro.net.faults.resilient_ripple`) run one job on a fresh
+``QueryEngine(capacity=1)``.  With ``service_time == 0``
+and no faults that reproduces :func:`~repro.core.framework.run_ripple`
+exactly; ``tests/net/test_scheduler.py`` pins this across the overlay ×
+handler matrix.  See ``docs/LOAD.md`` for the queueing model and
+guarantees.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence
 
-from ..core.framework import PeerLike, _checked_r
+from ..core.framework import PeerLike, _checked_r, _Visit
 from ..core.handler import QueryHandler
 from ..core.regions import Region, region_volume
 from ..obs.metrics import MetricsRegistry
@@ -51,7 +56,8 @@ from ..obs.trace import TraceSink, state_size
 from .adaptive import AdaptiveFanout, EngineLoad
 from .context import QueryContext, QueryResult, QueryStats
 from .detector import FailureDetector
-from .eventsim import DEFAULT_MAX_EVENTS, EventSimulator, _launch_root
+from .eventsim import (DEFAULT_MAX_EVENTS, EventSimulator,
+                       SimulationBudgetExceeded, _Invocation)
 from .resultcache import CacheDirectory
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (avoids an import cycle)
@@ -76,8 +82,9 @@ class QueryJob:
     units, covering admission queueing, retries, and replica recovery),
     the event budget bounds simulator work done on the query's behalf.
     ``strict`` overrides the engine's default duplicate-visit mode
-    (strict without faults, dedup under a fault plan — matching the
-    single-query engines).
+    (strict without faults, dedup under a fault plan).  A negative
+    ``deadline``, a non-positive ``max_events`` or a bad ``r`` is a
+    ``ValueError`` before the job is queued.
     """
 
     job_id: int
@@ -92,7 +99,13 @@ class QueryJob:
     strict: bool | None = None
 
     def __post_init__(self) -> None:
-        _checked_r(self.r)  # refuse a bad job before it is queued
+        _checked_r(self.r)
+        if self.deadline is not None and self.deadline < 0:
+            raise ValueError(f"deadline must be non-negative, got "
+                             f"{self.deadline}")
+        if self.max_events is not None and self.max_events <= 0:
+            raise ValueError(f"max_events must be positive, got "
+                             f"{self.max_events}")
 
 
 @dataclass
@@ -276,6 +289,9 @@ class QueryEngine:
             raise ValueError("capacity must be positive")
         if queue_limit < 0:
             raise ValueError("queue_limit must be non-negative")
+        if max_events_per_query is not None and max_events_per_query <= 0:
+            raise ValueError(f"max_events_per_query must be positive, got "
+                             f"{max_events_per_query}")
         self.capacity = capacity
         self.queue_limit = queue_limit
         self.policy = policy if policy is not None else FifoPolicy()
@@ -329,12 +345,10 @@ class QueryEngine:
         strict: bool | None = None,
     ) -> int:
         """Submit a query at the current simulation time; returns its id."""
-        handler.check_restriction(restriction)
-        job = QueryJob(job_id=next(self._job_ids), initiator=initiator,
-                       handler=handler, r=r, restriction=restriction,
-                       priority=priority, weight_class=weight_class,
-                       deadline=deadline, max_events=max_events,
-                       strict=strict)
+        job = self._job(initiator, handler, r, restriction=restriction,
+                        priority=priority, weight_class=weight_class,
+                        deadline=deadline, max_events=max_events,
+                        strict=strict)
         self._admit(job)
         return job.job_id
 
@@ -359,14 +373,20 @@ class QueryEngine:
         """
         if time < self.sim.now:
             raise ValueError("cannot submit into the past")
-        handler.check_restriction(restriction)
-        job = QueryJob(job_id=next(self._job_ids), initiator=initiator,
-                       handler=handler, r=r, restriction=restriction,
-                       priority=priority, weight_class=weight_class,
-                       deadline=deadline, max_events=max_events,
-                       strict=strict)
+        job = self._job(initiator, handler, r, restriction=restriction,
+                        priority=priority, weight_class=weight_class,
+                        deadline=deadline, max_events=max_events,
+                        strict=strict)
         self.sim.schedule(time - self.sim.now, lambda: self._admit(job))
         return job.job_id
+
+    def _job(self, initiator: PeerLike, handler: QueryHandler, r: int, *,
+             restriction: Region, **options: Any) -> QueryJob:
+        """The API-boundary checks of both submission paths, then the job."""
+        handler.check_restriction(restriction)
+        return QueryJob(job_id=next(self._job_ids), initiator=initiator,
+                        handler=handler, r=r, restriction=restriction,
+                        **options)
 
     def _admit(self, job: QueryJob) -> None:
         self._submitted_at[job.job_id] = self.sim.now
@@ -419,10 +439,8 @@ class QueryEngine:
         if plan is not None:
             plan.protect(job.initiator.peer_id)
         # The detector is built lazily, after the first initiator is
-        # protected, and started before the root is scheduled — the same
-        # construction order as resilient_ripple (bit-identity: protected
-        # peers are excluded from the probe set, so probe-loss draws stay
-        # aligned with the single-query engine's).
+        # protected (protected peers are excluded from the probe set), and
+        # started before the root is scheduled.
         if (self.detector is None and self._replicas is not None
                 and plan is not None and plan.can_fail):
             replicas = self._replicas
@@ -468,23 +486,26 @@ class QueryEngine:
         self._running[job.job_id] = entry
         self._count("queries.admitted")
 
-        def finish(states: list[Any]) -> None:
-            self._complete(job.job_id)
+        state = job.handler.initial_state() if seed_state is None \
+            else seed_state
 
-        _launch_root(self.sim, ctx, job.initiator, job.handler, r,
-                     job.restriction, finish, initial_state=seed_state,
-                     parent_span=entry.span or None)
+        def root() -> None:
+            visit = _Visit(ctx, job.handler, job.initiator, state,
+                           job.restriction, _checked_r(r),
+                           job.initiator.peer_id, self.sim.now,
+                           entry.span or None)
+            _Invocation(self.sim, visit,
+                        lambda states: self._complete(job.job_id)).start()
+
+        self.sim.schedule(0, root, ctx)
 
     def _complete(self, job_id: int) -> None:
         entry = self._running.pop(job_id, None)
         if entry is None:  # already settled (cancelled while finishing)
             return
         ctx, job = entry.ctx, entry.job
-        if self.faults is not None:
-            latency = max(0, ctx.last_activity - ctx.started_at)
-        else:
-            latency = self.sim.now - ctx.started_at
-        stats = ctx.stats(latency)
+        ctx.cancelled = True  # orphaned work still queued is dropped
+        stats = ctx.stats(self.sim.now - ctx.started_at)
         answer = job.handler.finalize(ctx.collected_answers)
         if ctx.sink.enabled:
             ctx.sink.end_span(entry.span, self.sim.now, status="completed")
@@ -575,3 +596,38 @@ class QueryEngine:
 
     def result_of(self, job_id: int) -> QueryOutcome:
         return self.outcomes[job_id]
+
+
+def _run_one_job(
+    initiator: PeerLike,
+    handler: QueryHandler,
+    r: int,
+    *,
+    restriction: Region,
+    strict: bool | None = None,
+    faults: "FaultPlan | None" = None,
+    replicas: "ReplicaDirectory | None" = None,
+    max_events: int | None = None,
+    sink: TraceSink | None = None,
+) -> QueryResult:
+    """Run one query as the only job of a fresh ``QueryEngine(capacity=1)``.
+
+    The body of the single-query entry points
+    (:func:`~repro.net.eventsim.event_driven_ripple`,
+    :func:`~repro.net.faults.resilient_ripple`).  A blown event budget
+    raises :class:`~repro.net.eventsim.SimulationBudgetExceeded` carrying
+    the query's partial stats.
+    """
+    engine = QueryEngine(capacity=1, faults=faults, replicas=replicas,
+                         sink=sink)
+    job = engine.submit(initiator, handler, r, restriction=restriction,
+                        max_events=max_events, strict=strict)
+    outcome = engine.run()[job]
+    if isinstance(outcome, QueryBudgetExceeded):
+        raise SimulationBudgetExceeded(
+            f"query exceeded its event budget of {outcome.cap}; likely a "
+            "retry storm (raise max_events if the workload is legitimate)",
+            cap=outcome.cap, executed=outcome.cap + 1, stats=outcome.stats,
+            query_id=job)
+    assert isinstance(outcome, QueryCompleted)
+    return QueryResult(answer=outcome.answer, stats=outcome.stats)

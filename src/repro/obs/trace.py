@@ -64,9 +64,9 @@ __all__ = [
 
 #: Point-event kinds that witness real query progress; together with
 #: ``process`` span begins and successful ``attempt`` span ends they are
-#: exactly the sites where the engines advance their latency clocks
-#: (``note_time`` / the analytic fold), so :func:`replay` rebuilds the
-#: critical path from them.
+#: exactly the sites where the engines advance their latency clocks (the
+#: analytic fold; in the event engine the query settles at the last of
+#: them), so :func:`replay` rebuilds the critical path from them.
 ACTIVITY_EVENTS = frozenset({"response", "unreachable"})
 
 

@@ -2,15 +2,16 @@
 
 The linter these classes once tested is gone; the checks it alone made
 now live in ``tests/test_source_invariants.py``, and each class below
-pins one of them (named after the rule it replaced) on small fixtures,
-so a check that silently stops firing fails here.
+pins one of them (named after the rule it replaced, if any) on small
+fixtures, so a check that silently stops firing fails here.
 """
 
 import types
 
 from tests.test_source_invariants import (arena_violations,
                                           bad_type_ignores, clock_reads,
-                                          package_api_problems)
+                                          package_api_problems,
+                                          simulator_constructions)
 
 MODULE = "src/repro/somewhere/mod.py"
 ARENA_PATH = "src/repro/overlays/arena.py"
@@ -143,3 +144,34 @@ class TestRPL012:
     def test_outside_arena_modules_exempt(self):
         source = "links = [peer for peer in overlay.peers()]\n"
         assert arena_violations(source, "src/repro/overlays/midas.py") == []
+
+
+# -- one simulator builder: QueryEngine ------------------------------------
+
+
+class TestOneSimulatorBuilder:
+    def test_bad_second_entry_point(self):
+        source = ("from .eventsim import EventSimulator\n"
+                  "def my_ripple(peer, handler):\n"
+                  "    sim = EventSimulator(faults=None)\n"
+                  "    return sim.run()\n")
+        assert simulator_constructions(source, MODULE) == [3]
+
+    def test_bad_aliased_or_qualified_construction(self):
+        source = ("from repro.net.eventsim import EventSimulator as Sim\n"
+                  "from repro.net import eventsim\n"
+                  "a = Sim()\n"
+                  "b = eventsim.EventSimulator(service_time=1)\n")
+        assert simulator_constructions(source, MODULE) == [3, 4]
+
+    def test_good_inside_the_scheduler(self):
+        source = "sim = EventSimulator(max_events=None)\n"
+        assert simulator_constructions(
+            source, "src/repro/net/scheduler.py") == []
+
+    def test_good_tests_and_type_mentions(self):
+        assert simulator_constructions(
+            "sim = EventSimulator()\n", "tests/net/test_eventsim.py") == []
+        assert simulator_constructions(
+            "def f(sim: EventSimulator) -> None:\n    sim.run()\n",
+            MODULE) == []

@@ -124,11 +124,3 @@ class TestQueryContext:
         assert ctx.completeness() == 1.0
         ctx.on_unreachable(0.1)
         assert ctx.completeness() == 0.0
-
-    def test_note_time_keeps_high_watermark(self):
-        ctx = QueryContext()
-        ctx.note_time(4)
-        ctx.note_time(2)
-        assert ctx.last_activity == 4
-        ctx.note_time(9)
-        assert ctx.last_activity == 9

@@ -132,14 +132,6 @@ class TestLifecycle:
         sim.run()
         assert detector.probes == 1            # one chain: the sweep at 6
 
-    def test_knob_validation(self):
-        plan = FaultPlan.none()
-        sim = EventSimulator(faults=plan)
-        with pytest.raises(ValueError, match="period"):
-            FailureDetector(sim, plan, [], period=0)
-        with pytest.raises(ValueError, match="suspect_after"):
-            FailureDetector(sim, plan, [], suspect_after=3, dead_after=2)
-
 
 class TestDeterminism:
     def test_no_message_ids_consumed_on_reliable_networks(self):

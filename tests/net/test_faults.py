@@ -193,18 +193,6 @@ class TestMaxEventGuard:
         with pytest.raises(RuntimeError, match="event budget"):
             sim.run()
 
-    def test_run_override_takes_precedence(self):
-        sim = EventSimulator(max_events=None)
-        counter = [0]
-
-        def reschedule():
-            counter[0] += 1
-            sim.schedule(1, reschedule)
-
-        sim.schedule(0, reschedule)
-        with pytest.raises(RuntimeError, match="event budget"):
-            sim.run(max_events=10)
-
     def test_normal_queries_stay_far_under_default(self):
         overlay, _ = midas_network(0)
         handler = TopKHandler(LinearScore([1, 1]), 3)

@@ -240,23 +240,6 @@ class TestBudgetExceeded:
         assert exc.stats.processed >= 1  # partial progress is visible
         assert exc.stats.forward_messages > 0
 
-    def test_plain_run_carries_stats_from_attached_context(self):
-        from repro.net.context import QueryContext
-        from repro.net.eventsim import EventSimulator
-
-        sim = EventSimulator(max_events=3)
-        sim.context = QueryContext(strict=False)
-        sim.context.on_forward()
-
-        def spin():
-            sim.schedule(1, spin)
-
-        sim.schedule(0, spin)
-        with pytest.raises(SimulationBudgetExceeded) as info:
-            sim.run()
-        assert info.value.stats.forward_messages == 1
-        assert info.value.executed == 4
-
     def test_no_context_means_no_stats(self):
         from repro.net.eventsim import EventSimulator
 

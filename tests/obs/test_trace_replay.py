@@ -13,12 +13,13 @@ configurations.
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (FaultPlan, LinearScore, QueryTrace, SLOW, SkylineHandler,
                    TopKHandler, distributed_skyline, distributed_topk,
                    event_driven_ripple, resilient_ripple, run_ripple)
+from repro.net.scheduler import QueryEngine
 from repro.obs import replay
 
 from tests import netlib
@@ -81,6 +82,10 @@ def test_replay_matches_fault_free_engines(kind, net_seed, query, r,
     drop=st.sampled_from([0.0, 0.08]),
     jitter=st.sampled_from([0, 2]),
 )
+# Crashed peers orphan subtrees here that would keep working after the
+# answer is complete (see test_settled_query_stops_counting).
+@example(kind="can", net_seed=1, query="topk", r=SLOW, fault_seed=3,
+         crash=0.4, drop=0.08, jitter=2)
 def test_replay_matches_supervised_engine(kind, net_seed, query, r,
                                           fault_seed, crash, drop, jitter):
     overlay = network(kind, net_seed)
@@ -94,6 +99,32 @@ def test_replay_matches_supervised_engine(kind, net_seed, query, r,
                               restriction=overlay.domain(),
                               faults=plan, sink=trace)
     check(trace, result.stats)
+
+
+def test_settled_query_stops_counting():
+    """A query settles when its answer is complete: work still queued for
+    subtrees orphaned by crashed peers is dropped, so it stretches neither
+    the latency (546 if it ran) nor the forwards (89) of either entry
+    point, and the engine's trace replays to its stats."""
+    overlay = network("can", 1)
+    handler = handler_for("topk", netlib.DIMS["can"])
+    peer = overlay.random_peer(np.random.default_rng(3))
+
+    def plan():
+        return FaultPlan.churn(overlay, crash_fraction=0.4, seed=3,
+                               drop_prob=0.08, jitter=2)
+
+    trace = QueryTrace()
+    engine = QueryEngine(capacity=1, faults=plan(), sink=trace)
+    job = engine.submit(peer, handler, SLOW, restriction=overlay.domain())
+    outcome = engine.run()[job]
+    check(trace, outcome.stats)
+    assert (outcome.stats.latency, outcome.stats.forward_messages) \
+        == (362, 68)
+    solo = resilient_ripple(peer, handler, SLOW,
+                            restriction=overlay.domain(), faults=plan())
+    assert solo.stats == outcome.stats
+    assert solo.answer == outcome.answer
 
 
 @settings(max_examples=20, deadline=None)

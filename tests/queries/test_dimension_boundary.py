@@ -5,7 +5,8 @@ event or kernel is touched."""
 import numpy as np
 import pytest
 
-from repro import LinearScore, MidasOverlay, SkylineHandler, TopKHandler
+from repro import (LinearScore, MidasOverlay, SkylineHandler, TopKHandler,
+                   event_driven_ripple, resilient_ripple, run_ripple)
 from repro.net.scheduler import QueryEngine
 from repro.queries.skyline import distributed_skyline
 from repro.queries.topk import distributed_topk
@@ -48,9 +49,19 @@ def submit_at(handler):
     lambda overlay: distributed_topk(overlay.peers()[0],
                                      LinearScore([1, 1, 1]), 3,
                                      restriction=overlay.domain()),
+    lambda overlay: run_ripple(overlay.peers()[0],
+                               TopKHandler(LinearScore([1, 1, 1]), 3), 0,
+                               restriction=overlay.domain()),
+    lambda overlay: event_driven_ripple(overlay.peers()[0],
+                                        SkylineHandler(3), 2,
+                                        restriction=overlay.domain()),
+    lambda overlay: resilient_ripple(overlay.peers()[0],
+                                     TopKHandler(LinearScore([1, 1, 1]), 3),
+                                     restriction=overlay.domain()),
 ], ids=["submit-topk", "submit_at-topk", "submit-skyline",
         "submit_at-skyline", "distributed_skyline",
-        "distributed_skyline-unseeded", "distributed_topk"])
+        "distributed_skyline-unseeded", "distributed_topk", "run_ripple",
+        "event_driven_ripple", "resilient_ripple"])
 def test_a_3d_query_on_a_2d_network_is_a_value_error(monkeypatch, entry):
     overlay = network()
 

@@ -313,3 +313,34 @@ def test_answers_are_cached_only_through_cache_directory():
            for line in ad_hoc_cache_writes(path.read_text(), rel)]
     assert not bad, "ad-hoc answer cache outside CacheDirectory:\n" \
         + "\n".join(bad)
+
+
+#: The one module that builds an event simulator: every query reaches the
+#: event queue through ``QueryEngine``.
+_SIMULATOR_BUILDER = "src/repro/net/scheduler.py"
+
+
+def simulator_constructions(source, rel):
+    """Lines of ``source`` (at repo-relative ``rel``) that construct an
+    ``EventSimulator`` outside the scheduler; code outside ``src/`` (tests,
+    benchmark drivers) may build its own."""
+    if not rel.startswith("src/") or rel == _SIMULATOR_BUILDER:
+        return []
+    tree = ast.parse(source)
+    names = {"EventSimulator"} | {
+        alias.asname for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+        if alias.name == "EventSimulator" and alias.asname}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (_chain(node.func) or [""])[-1] in names]
+
+
+def test_only_the_scheduler_builds_an_event_simulator():
+    """One way onto the event queue: a second place that builds a
+    simulator is a second engine entry point, with its own launch,
+    settlement and latency rules."""
+    bad = [f"{rel}:{line}" for path, rel in _shipped_files()
+           for line in simulator_constructions(path.read_text(), rel)]
+    assert not bad, "EventSimulator built outside " \
+        f"{_SIMULATOR_BUILDER}:\n" + "\n".join(bad)
