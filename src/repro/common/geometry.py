@@ -162,7 +162,11 @@ class Rect:
         """
         if closed:
             return all(l <= p <= h for p, l, h in zip(point, self.lo, self.hi))
-        return all(l <= p < h for p, l, h in zip(point, self.lo, self.hi))
+        # A plain loop: greedy routing asks this of every link it passes.
+        for p, l, h in zip(point, self.lo, self.hi):
+            if not l <= p < h:
+                return False
+        return True
 
     def contains_rect(self, other: "Rect") -> bool:
         return all(sl <= ol and oh <= sh

@@ -93,7 +93,8 @@ class LinearScore(ScoringFunction):
         self.dims = len(self.weights)
         self._w = np.asarray(self.weights, dtype=float)
         self._maximize = tuple(w >= 0 for w in self.weights)
-        self._maximize_mask = self._w >= 0
+        #: Which corner maximises each axis; None when it is ``hi`` on all.
+        self._maximize_mask = None if all(self._maximize) else self._w >= 0
         self._hash = hash((LinearScore, self.weights))
 
     def __eq__(self, other: object) -> bool:
@@ -123,7 +124,8 @@ class LinearScore(ScoringFunction):
         return self.score(rect.corner(self._maximize))
 
     def upper_bound_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        return self._dot_rows(np.where(self._maximize_mask, hi, lo))
+        mask = self._maximize_mask
+        return self._dot_rows(hi if mask is None else np.where(mask, hi, lo))
 
     def peak(self, rect: Rect) -> Point:
         return rect.corner(self._maximize)

@@ -30,6 +30,7 @@ compare by value, so equal weights built twice share it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isfinite
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -225,7 +226,9 @@ class LocalStore:
         ``order`` is the stable descending argsort of ``scores`` (ties
         keep insertion order) and ``negated = -scores[order]``, ascending,
         which turns every threshold scan into a binary search over a
-        prefix.
+        prefix: ``bisect_right`` on the array itself, where ``-0.0`` ties
+        ``0.0`` as in ``searchsorted(side="right")``.  (A ``memoryview``
+        would leave NumPy's buffer description on every cached array.)
         """
         def compute() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             scores = fn.score_batch(self.array)
@@ -329,14 +332,16 @@ class LocalStore:
                    above: float = -np.inf) -> tuple[float, ...]:
         """The scores of :meth:`top_scoring`, without its tuples.
 
-        A prefix of the cached index: ``-negated[:n]`` is
-        ``scores[order[:n]]`` bit for bit.
+        A prefix of the cached index: ``-negated[i]`` is
+        ``scores[order[i]]`` bit for bit (a sign flip).
         """
         if self._size == 0 or limit <= 0:
             return ()
         negated = self._score_index(fn)[2]
-        cut = min(int(negated.searchsorted(-above, side="right")), limit)
-        return tuple((-negated[:cut]).tolist())
+        cut = bisect_right(negated, -above)
+        if cut == 0:
+            return ()
+        return tuple([-v for v in negated[:min(cut, limit)].tolist()])
 
     def scoring_at_least(self, fn: ScoringFunction, tau: float) -> np.ndarray:
         """Every local tuple with score >= ``tau`` (Algorithm 6), as an
@@ -346,10 +351,10 @@ class LocalStore:
         if self._size == 0:
             return self._buf[:0]
         _, order, negated = self._score_index(fn)
-        cut = int(negated.searchsorted(-tau, side="right"))
+        cut = bisect_right(negated, -tau)
         if cut == 0:
             return self._buf[:0]
-        return self._buf[np.sort(order[:cut])]
+        return self._buf.take(sorted(order[:cut].tolist()), axis=0)
 
 
 class Replica:

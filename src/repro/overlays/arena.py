@@ -43,7 +43,7 @@ from typing import Any, Hashable, Iterator, Sequence, overload
 import numpy as np
 
 from ..common.geometry import Frustum, Rect, as_point, contains_batch
-from ..common.hashing import mix
+from ..common.hashing import mix, mix_step
 from ..common.scoring import ScoringFunction
 from ..common.store import LocalStore, Replica
 from ..core.framework import Link, LinkTable, PeerLike, _Visit, execute
@@ -428,7 +428,8 @@ class MidasArena(OverlayArena):
             return self.link_target[
                 self.link_ptr[index]:self.link_ptr[index + 1]].tolist()
         path, depth = self.path_of(index), self.depth_of(index)
-        return [self._descend(index, (path >> (depth - 1 - level)) ^ 1,
+        prefix = mix(self.seed, index)
+        return [self._descend(prefix, (path >> (depth - 1 - level)) ^ 1,
                               level + 1) for level in range(depth)]
 
     def decode_links(self, index: int) -> list[Link]:
@@ -447,15 +448,16 @@ class MidasArena(OverlayArena):
         return LinkTable.from_boxes(self.peer, targets, targets,
                                     boxes[:, 0], boxes[:, 1])
 
-    def _descend(self, owner: int, value: int, length: int) -> int:
+    def _descend(self, prefix: int, value: int, length: int) -> int:
         """The MIDAS random-descent representative of a sibling subtree.
 
         Reproduces ``MidasOverlay._random_descent``: at every internal
         node the branch bit is ``mix(seed, owner, path_key) & 1``, with
-        ``path_key`` the 1-prefixed packed path.
+        ``path_key`` the 1-prefixed packed path, continued from ``prefix
+        = mix(seed, owner)`` by one ``mix_step``.
         """
         while not self._is_leaf(value, length):
-            bit = mix(self.seed, owner, (1 << length) | value) & 1
+            bit = mix_step(prefix, (1 << length) | value) & 1
             value = (value << 1) | bit
             length += 1
         return self._leaf_index(value, length)

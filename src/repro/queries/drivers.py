@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..common.geometry import Point
 from ..core.framework import LinkTable, PeerLike, execute
@@ -198,10 +198,14 @@ def _best_first_probe(ctx: QueryContext, handler: QueryHandler,
     ``seed_satisfied`` returning True immediately (the default) the probe
     degenerates to processing the seed peer only.
     """
-    counter = itertools.count()
-    #: (priority, tie-break, target id, f+ or None, link table, link index)
-    frontier: list[tuple[float, int, Hashable, float | None,
-                         LinkTable, int]] = []
+    tables = itertools.count()
+    #: One entry per pushed link table with links left to pop: (priority
+    #: of its next link, push order, rank, (table's unprocessed link
+    #: indexes best first, their priorities, f+ or None, link table)).
+    #: Popping an entry pushes the table's next link, so links leave in
+    #: (priority, push order, table order): the order of a heap holding
+    #: every link, without pushing them all.
+    frontier: list[tuple[float, int, int, tuple[Any, ...]]] = []
 
     def push_links(peer: PeerLike) -> None:
         links = peer.links()
@@ -211,11 +215,14 @@ def _best_first_probe(ctx: QueryContext, handler: QueryHandler,
             return
         fplus = links.link_bounds(handler)
         bounds = [None] * len(links) if fplus is None else fplus.tolist()
-        for i, (peer_id, bound) in enumerate(zip(links.peer_ids, bounds)):
-            if peer_id not in ctx.processed:
-                heapq.heappush(frontier, (
-                    handler.link_priority(links.region(i)) if bound is None
-                    else -bound, next(counter), peer_id, bound, links, i))
+        priority = {i: handler.link_priority(links.region(i)) if bound is None
+                    else -bound for i, (peer_id, bound) in enumerate(
+                        zip(links.peer_ids, bounds))
+                    if peer_id not in ctx.processed}
+        if priority:
+            ranked = sorted(priority, key=priority.__getitem__)
+            heapq.heappush(frontier, (priority[ranked[0]], next(tables), 0,
+                                      (ranked, priority, bounds, links)))
 
     state, gathered = _probe_peer(ctx, handler, seed_peer, state,
                                   initiator_id, t=base_t,
@@ -224,13 +231,19 @@ def _best_first_probe(ctx: QueryContext, handler: QueryHandler,
     stale = 0
     push_links(seed_peer)
     while frontier and hops < _PROBE_BUDGET:
-        if handler.seed_satisfied(gathered) and stale >= _PROBE_PATIENCE:
+        if stale >= _PROBE_PATIENCE and handler.seed_satisfied(gathered):
             break
-        _, _, peer_id, bound, links, i = heapq.heappop(frontier)
-        if peer_id in ctx.processed:
+        _, order, rank, table = heapq.heappop(frontier)
+        ranked, priority, bounds, links = table
+        i = ranked[rank]
+        if rank + 1 < len(ranked):
+            heapq.heappush(frontier, (priority[ranked[rank + 1]], order,
+                                      rank + 1, table))
+        if links.peer_ids[i] in ctx.processed:
             continue
         if not (handler.is_link_relevant(links[i].region, state)
-                if bound is None else bound >= handler.bound_cutoff(state)):
+                if bounds[i] is None
+                else bounds[i] >= handler.bound_cutoff(state)):
             continue
         peer = links[i].peer
         ctx.on_forward()

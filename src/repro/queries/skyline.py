@@ -35,13 +35,13 @@ skyline pass over their concatenation.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import isfinite
+from math import isfinite, sqrt
 from operator import le
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ..common.geometry import Point, Rect, as_point, dominates, mindist
+from ..common.geometry import Point, Rect, as_point, dominates
 from ..common.store import LocalStore
 from ..core.handler import QueryHandler
 from ..core.regions import Region
@@ -547,4 +547,13 @@ class SkylineHandler(QueryHandler):
         return not all(_dominates_corner(view, rect.lo) for rect in cover)
 
     def link_priority(self, region: Region) -> float:
-        return min(mindist(self.origin, rect) for rect in region.cover())
+        """``min(mindist(origin, rect) for rect in region.cover())``:
+        subtract, square (``** 2``), sum in order and ``sqrt`` as
+        :func:`~repro.common.geometry.mindist` does, without its
+        per-dimension generators.  The clamp picks the same coordinate
+        ``min(max(q, l), h)`` does, by comparisons (a box has ``l <= h``).
+        """
+        return min([sqrt(sum([(q - (l if q < l else h if q > h else q)) ** 2
+                              for q, l, h in zip(self.origin, rect.lo,
+                                                 rect.hi)]))
+                    for rect in region.cover()])

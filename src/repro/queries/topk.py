@@ -38,7 +38,7 @@ from ..core.regions import Region
 __all__ = ["TopKState", "TopKHandler", "distributed_topk", "topk_reference"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TopKState:
     """The best scores retrieved so far, plus the strongest known floor.
 
@@ -48,12 +48,24 @@ class TopKState:
     the paper's pseudocode is ``(len(scores), min(scores))``.
     """
 
-    scores: tuple[float, ...] = ()
-    floor: float = -math.inf
+    scores: tuple[float, ...]
+    floor: float
+
+    def __init__(self, scores: tuple[float, ...] = (),
+                 floor: float = -math.inf) -> None:
+        # Every peer step builds states: set the slots directly rather
+        # than through the frozen ``__setattr__`` guard.
+        _set_scores(self, scores)
+        _set_floor(self, floor)
 
     @property
     def count(self) -> int:
         return len(self.scores)
+
+
+# The slot descriptors; mypy types class-level field access as the field.
+_set_scores = TopKState.scores.__set__  # type: ignore[attr-defined]  # slot
+_set_floor = TopKState.floor.__set__  # type: ignore[attr-defined]  # slot
 
 
 class TopKHandler(QueryHandler):
@@ -68,10 +80,12 @@ class TopKHandler(QueryHandler):
     """
 
     def __init__(self, fn: ScoringFunction, k: int, *, epsilon: float = 0.0):
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        # ``k`` slices score tuples; a bool is an int that means no count.
+        if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
+            raise ValueError(f"k must be a positive int, got {k!r}")
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got "
+                             f"{epsilon!r}")
         self.fn = fn
         self.dims = fn.dims
         self.k = k
@@ -84,12 +98,16 @@ class TopKHandler(QueryHandler):
         else the inherited floor; ``-inf`` means nothing can be pruned yet
         (the ``m < k`` clause of Algorithm 8).
         """
-        if len(state.scores) >= self.k:
-            return max(state.floor, state.scores[self.k - 1])
-        return state.floor
+        scores, floor = state.scores, state.floor
+        if len(scores) >= self.k:
+            kth = scores[self.k - 1]
+            # ``max(floor, kth)``: the first of equals, so -0.0 stays.
+            return kth if kth > floor else floor
+        return floor
 
     def _merge(self, states: Sequence[TopKState]) -> TopKState:
         k = self.k
+        first: TopKState | None = None
         if len(states) == 2:
             # The arity of every fold on the query path.  Scores are
             # descending by construction, so an empty side or a full one
@@ -103,18 +121,30 @@ class TopKHandler(QueryHandler):
                 scores = b[:k]
             else:
                 scores = tuple(sorted(a + b, reverse=True)[:k])
-            floor = max(first.floor, second.floor)
+            floor = first.floor
+            if second.floor > floor:
+                floor = second.floor
         else:
             scores = tuple(sorted((s for state in states
                                    for s in state.scores), reverse=True)[:k])
             floor = max((state.floor for state in states), default=-math.inf)
         # A full merged list is itself a certificate; remember it.
-        return TopKState(scores, max(floor, scores[k - 1])
-                         if len(scores) >= k else floor)
+        if len(scores) >= k and scores[k - 1] > floor:
+            floor = scores[k - 1]
+        if first is not None and scores is first.scores \
+                and floor is first.floor:
+            # Nothing on the second side mattered (a peer with nothing
+            # above the threshold): the first state is the merge.
+            return first
+        return TopKState(scores, floor)
 
     # -- states (Algorithms 4, 5, 7) --------------------------------------
 
     def initial_state(self) -> TopKState:
+        return TopKState()
+
+    def neutral_local_state(self) -> TopKState:
+        """``update_local_state(())``, without the generic merge."""
         return TopKState()
 
     def compute_local_state(self, store: LocalStore,

@@ -30,6 +30,7 @@ from repro.core.framework import Link, LinkTable, _candidates
 from repro.core.regions import RectRegion
 from repro.obs.trace import QueryTrace
 from repro.overlays import from_overlay, midas_arena, run_wavefront
+from repro.overlays.arena import prime_topk_wave
 from repro.queries.topk import TopKState
 
 
@@ -440,6 +441,53 @@ class TestScoringAtLeastPrefix:
             got = store.scoring_at_least(LinearScore([1, 1]), -math.inf)
             assert got.shape == (0, 2)
             assert store.top_scores(LinearScore([1, 1]), 3) == ()
+
+    @given(st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75]),
+                              st.sampled_from([-0.0, 0.0, 0.5])),
+                    max_size=30),
+           st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+                    min_size=2, max_size=2),
+           st.sampled_from(["computed", "view", "primed", "inserted",
+                            "extracted"]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_index_producer_scans_alike(self, points, weights,
+                                              producer):
+        """Whoever built the score index — the store, a view, the wave
+        kernel, or the store again after a mutation dropped a warm one —
+        the threshold scans cut it where the score mask does, ties at
+        ``tau`` and signed zeros included."""
+        fn = LinearScore(weights)
+        array = np.array(points, dtype=float).reshape(-1, 2)
+        if producer == "view":
+            store = LocalStore.view_of(array)
+        elif producer == "primed":
+            store = LocalStore(2, points)
+            prime_topk_wave(fn, [LocalStore(2, [(0.5, 0.5)]), store])
+        else:
+            store = LocalStore(2, points[:-1] if producer == "inserted"
+                               else points)
+            store.top_scores(fn, 3)                  # a warm index
+            if producer == "inserted" and points:
+                store.insert(points[-1])
+            elif producer == "extracted":
+                store.extract(Rect((-1.0, -1.0), (0.5, 1.0)))
+        misses = store.cache_misses
+        scores = fn.score_batch(store.array).tolist()
+        best_first = sorted(range(len(scores)), key=lambda i: -scores[i])
+        for tau in [-math.inf, math.inf, -0.0, 0.0, 0.3, *scores]:
+            got = store.scoring_at_least(fn, tau)
+            assert got.shape == (len(got), 2)
+            assert list(map(tuple, got.tolist())) == score_mask(store, fn,
+                                                                tau)
+            assert not np.shares_memory(got, store.array)
+            for limit in (1, 3, 40):
+                want = tuple(scores[i] for i in best_first
+                             if scores[i] >= tau)[:limit]
+                # repr tells -0.0 from 0.0.
+                assert repr(store.top_scores(fn, limit, above=tau)) \
+                    == repr(want)
+        if producer == "primed" and points:
+            assert store.cache_misses == misses      # the primed entry
 
 
 # -- lazy tables ------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import MidasOverlay, dominates
-from repro.common.geometry import Rect, as_point
+from repro.common.geometry import Rect, as_point, mindist
 from repro.common.store import LocalStore
-from repro.core.regions import RectRegion
+from repro.core.regions import ArcRegion, RectRegion
 from repro.queries.skyline import (
     SkylineHandler,
     distributed_skyline,
@@ -92,6 +92,25 @@ class TestHandler:
         near = RectRegion(Rect((0.0, 0.0), (0.2, 0.2)))
         far = RectRegion(Rect((0.5, 0.5), (1.0, 1.0)))
         assert h.link_priority(near) < h.link_priority(far)
+
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_priority_is_mindist_bit_for_bit(self, data, dims):
+        """Origins and boxes anywhere: inside, outside, straddling, on a
+        face; a ring arc's cover has two boxes."""
+        coords = st.sampled_from([-0.5, -0.0, 0.0, 0.1, 1 / 3, 0.5, 0.7,
+                                  1.0, 1.5])
+        origin = data.draw(st.lists(coords, min_size=dims, max_size=dims))
+        h = SkylineHandler(dims, origin=origin)
+        sides = [sorted(data.draw(st.lists(coords, min_size=2, max_size=2)))
+                 for _ in range(dims)]
+        rect = Rect(tuple(lo for lo, _ in sides), tuple(hi for _, hi in sides))
+        regions = [RectRegion(rect)]
+        if dims == 1:
+            regions.append(ArcRegion(((0.0, 0.2), (0.7, 1.0))))
+        for region in regions:
+            want = min(mindist(h.origin, box) for box in region.cover())
+            assert h.link_priority(region).hex() == want.hex()
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):

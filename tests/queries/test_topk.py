@@ -66,6 +66,13 @@ class TestState:
         with pytest.raises(ValueError):
             handler(k=0)
 
+    @pytest.mark.parametrize("k", [True, False, 2.5, 3.0, "3", None])
+    def test_k_must_be_a_plain_int(self, k):
+        # 2.5 used to fail deep in the handler (slice indices must be
+        # integers); True sliced one score.
+        with pytest.raises(ValueError, match="k must be a positive int"):
+            TopKHandler(LinearScore([1, 1]), k)
+
 
 def _scalar_finalize(h, answers):
     """``finalize`` as it was: one ``fn.score`` call per collected tuple,

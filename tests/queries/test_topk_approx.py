@@ -31,6 +31,14 @@ class TestApproximateTopK:
         with pytest.raises(ValueError):
             TopKHandler(LinearScore([1]), 3, epsilon=-0.1)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # A NaN epsilon made every cutoff NaN: run_ripple on midas seed 0
+        # processed 1 of 36 peers and returned a wrong answer.
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            TopKHandler(LinearScore([1, 1]), 3, epsilon=epsilon)
+
     def test_bounded_error(self, network):
         overlay, data = network
         fn = LinearScore([1, 1, 1])
