@@ -37,8 +37,7 @@ from .net.adaptive import (AdaptiveFanout, CostEstimate, CostModel,
                            EngineLoad, calibrate_fanout)
 from .net.context import QueryResult, QueryStats
 from .net.detector import FailureDetector
-from .net.resultcache import (CacheDirectory, CacheEntry, CacheLookup,
-                              handler_fingerprint, region_fingerprint)
+from .net.resultcache import CacheDirectory, CacheEntry, CacheLookup
 from .net.eventsim import SimulationBudgetExceeded, event_driven_ripple
 from .net.faults import FaultPlan, resilient_ripple
 from .net.scheduler import (AdmissionPolicy, FifoPolicy, PriorityPolicy,
@@ -136,11 +135,9 @@ __all__ = [
     "dominates",
     "event_driven_ripple",
     "greedy_diversify",
-    "handler_fingerprint",
     "metrics_of",
     "physical_id",
     "poisson_arrivals",
-    "region_fingerprint",
     "replay",
     "resilient_ripple",
     "run_fast",

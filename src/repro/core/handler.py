@@ -20,6 +20,11 @@ Handlers whose two link decisions reduce to one number per box region
 (top-k's ``f^+``) may also answer them for all links of a visit at once
 through :meth:`QueryHandler.box_bounds`.
 
+A handler is the query's value: its :attr:`~QueryHandler.key` holds the
+query's parameters, and two handlers of one type with equal keys are
+equal and hash alike, so the result cache recognises a repeat of a query
+however many times it is rebuilt.
+
 States are opaque to the framework: it only moves them around.  The
 geometric half of ``isLinkRelevant`` — does the link's region overlap the
 restriction area? — lives in the framework; the handler only answers the
@@ -29,7 +34,7 @@ query-specific half over the (already restricted) region.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import Any, Hashable, Sequence
 
 import numpy as np
 
@@ -44,6 +49,24 @@ class QueryHandler(ABC):
 
     #: Dimensionality of the tuples the query reads; None reads any.
     dims: int | None = None
+    #: The query's parameters: handlers of one type with equal keys are
+    #: equal and hash alike.  None compares by identity and keeps the
+    #: query out of the result cache.
+    key: Hashable = None
+    _hash: int
+
+    def _keyed(self, key: Hashable) -> None:
+        """Set :attr:`key` and hash it once, as the scoring functions do."""
+        self.key = key
+        self._hash = hash((type(self), key))
+
+    def __eq__(self, other: object) -> bool:
+        if self.key is None or not isinstance(other, QueryHandler):
+            return self is other
+        return type(other) is type(self) and other.key == self.key
+
+    def __hash__(self) -> int:
+        return object.__hash__(self) if self.key is None else self._hash
 
     def check_restriction(self, restriction: Region) -> None:
         """The API-boundary check of every entry point: ``ValueError``,

@@ -18,7 +18,6 @@ __all__ = ["DuplicateVisitError", "QueryContext", "QueryResult",
            "WorkloadSpec", "WorkloadReport", "poisson_arrivals",
            "run_workload",
            "CacheDirectory", "CacheEntry", "CacheLookup",
-           "handler_fingerprint", "region_fingerprint",
            "AdaptiveFanout", "CostEstimate", "CostModel", "EngineLoad",
            "calibrate_fanout"]
 
@@ -32,8 +31,7 @@ _SCHEDULER = {"AdmissionPolicy", "FifoPolicy", "PriorityPolicy",
               "QueryBudgetExceeded", "QueryEngine"}
 _WORKLOAD = {"WorkloadSpec", "WorkloadReport", "poisson_arrivals",
              "run_workload"}
-_RESULTCACHE = {"CacheDirectory", "CacheEntry", "CacheLookup",
-                "handler_fingerprint", "region_fingerprint"}
+_RESULTCACHE = {"CacheDirectory", "CacheEntry", "CacheLookup"}
 _ADAPTIVE = {"AdaptiveFanout", "CostEstimate", "CostModel", "EngineLoad",
              "calibrate_fanout"}
 

@@ -7,7 +7,9 @@ which preserve the repo's bit-identity contract — a warm answer is the
 answer the cold run would have produced, byte for byte.
 
 **Exact reuse.**  A completed query is remembered under the key
-``(handler fingerprint, restriction fingerprint)`` together with the
+``(handler, restriction)`` — both compare by value: a handler's
+:attr:`~repro.core.handler.QueryHandler.key` holds the query's
+parameters, and regions are frozen dataclasses — together with the
 frozen set of ``(peer_id, store version)`` pairs it actually touched
 (the query context's ``processed`` ledger joined with the live store
 versions — sound because the simulation is single-threaded and queries
@@ -57,74 +59,23 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable
 
 from ..common.geometry import Rect
-from ..common.scoring import LinearScore, NearestScore, ScoringFunction
 from ..common.store import LocalStore
 from ..core.handler import QueryHandler
 from ..core.regions import ArcRegion, RectRegion, Region
-from ..obs.metrics import MetricsRegistry
+from ..obs.trace import TraceSink, state_size
 from ..queries.rangeq import RangeHandler
 from ..queries.skyline import SkylineHandler
 from ..queries.topk import TopKHandler, TopKState
 from .context import QueryResult
 
-__all__ = ["CacheDirectory", "CacheEntry", "CacheLookup",
-           "handler_fingerprint", "region_fingerprint"]
+__all__ = ["CacheDirectory", "CacheEntry", "CacheLookup"]
 
 #: Default bound on retained entries; far above any benchmark's working
 #: set, small enough that a directory never dominates memory.
 DEFAULT_CAPACITY = 256
 
-Fingerprint = tuple[Any, ...]
-
-
-def _scoring_key(fn: ScoringFunction) -> Fingerprint | None:
-    """A value-equality key for a scoring function, or None if unknown.
-
-    Two structurally equal functions (same weights / same query point)
-    must hit the same entries even when they are distinct objects — the
-    workload generator builds a fresh ``LinearScore`` per arrival.
-    """
-    if isinstance(fn, LinearScore):
-        return ("linear", fn.weights)
-    if isinstance(fn, NearestScore):
-        return ("nearest", fn.query, float(fn.p))
-    return None
-
-
-def handler_fingerprint(handler: QueryHandler) -> Fingerprint | None:
-    """A value-equality cache key for a handler, or None if uncacheable.
-
-    Only the single-round families are cacheable (multi-round
-    diversification re-plans between rounds); unknown handler types are
-    conservatively uncacheable.
-    """
-    if isinstance(handler, TopKHandler):
-        fn_key = _scoring_key(handler.fn)
-        if fn_key is None:
-            return None
-        return ("topk", fn_key, handler.k, float(handler.epsilon))
-    if isinstance(handler, SkylineHandler):
-        box = handler.constraint
-        constraint = None if box is None else (box.lo, box.hi)
-        return ("skyline", handler.dims, handler.origin, constraint)
-    if isinstance(handler, RangeHandler):
-        return ("range", handler.box.lo, handler.box.hi)
-    return None
-
-
-def region_fingerprint(region: Region) -> Fingerprint | None:
-    """A value-equality key for a restriction area, or None if uncacheable.
-
-    Frustum regions (CAN) are excluded: their covers are conservative
-    and their executions run in dedup mode, so two issues of the "same"
-    query may legitimately differ hop-for-hop — exactly the situation a
-    bit-identity cache must stay out of.
-    """
-    if isinstance(region, RectRegion):
-        return ("rect", region.rect.lo, region.rect.hi)
-    if isinstance(region, ArcRegion):
-        return ("arc", region.pieces)
-    return None
+#: An entry's key: the handler and the restriction it ran over.
+_Key = tuple[QueryHandler, Region]
 
 
 def _region_covers(outer: Region, inner: Region) -> bool:
@@ -146,11 +97,15 @@ def _constraint_covers(outer: Rect | None, inner: Rect | None) -> bool:
     return outer.contains_rect(inner)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CacheEntry:
-    """One remembered answer plus the exact evidence it rests on."""
+    """One remembered answer plus the exact evidence it rests on.
 
-    key: Fingerprint
+    Entries compare and hash by identity: the bookkeeping indexes below
+    touch one per touched peer, and a key's value hash runs Python code.
+    """
+
+    key: _Key
     handler: QueryHandler
     region: Region
     answer: Any
@@ -197,22 +152,22 @@ class CacheDirectory:
     subscribes to its version bumps; :meth:`lookup` / :meth:`store` are
     the whole client API (``tests/test_source_invariants.py`` checks that
     simulation code caches query answers through this class and nowhere
-    else).  ``semantic`` turns the superset-reuse tier on; ``registry``
-    mirrors the hit / miss / invalidation counts into shared metrics
-    counters.
+    else), and :meth:`consult` / :meth:`trace_run` are the traced lookup
+    both query drivers start with.  A query is cacheable when its
+    handler has a :attr:`~repro.core.handler.QueryHandler.key` and its
+    restriction an exact cover (frustums have none).
     """
 
-    def __init__(self, overlay: Any, *, semantic: bool = True,
-                 capacity: int = DEFAULT_CAPACITY,
-                 registry: MetricsRegistry | None = None) -> None:
+    def __init__(self, overlay: Any, *,
+                 capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._overlay = overlay
-        self.semantic = semantic
         self.capacity = capacity
-        self.registry = registry
-        self._entries: dict[Fingerprint, CacheEntry] = {}
-        self._by_peer: dict[Hashable, set[Fingerprint]] = {}
+        self._entries: dict[_Key, CacheEntry] = {}
+        #: The entries resting on each peer, in insertion order (a dict
+        #: used as an ordered set).
+        self._by_peer: dict[Hashable, dict[CacheEntry, None]] = {}
         self._stores: dict[Hashable, LocalStore] = {}
         self._listeners: dict[Hashable, Callable[[], None]] = {}
         self._epoch = overlay.epoch
@@ -220,7 +175,7 @@ class CacheDirectory:
         #: or was declared dead) counts here; ``_validated`` remembers the
         #: count at which an entry's evidence was last checked in full.
         self._events = 0
-        self._validated: dict[Fingerprint, int] = {}
+        self._validated: dict[CacheEntry, int] = {}
         weakref.finalize(self, _unsubscribe, self._stores, self._listeners)
         for peer in overlay.peers():
             self._register(peer.peer_id, peer.store)
@@ -297,22 +252,26 @@ class CacheDirectory:
 
     def _drop_peer(self, peer_id: Hashable) -> None:
         self._events += 1
-        for key in sorted(self._by_peer.pop(peer_id, ()), key=repr):
-            self._remove(key)
+        for entry in self._by_peer.pop(peer_id, ()):
+            self._invalidate(entry.key)
 
-    def _remove(self, key: Fingerprint) -> None:
+    def _invalidate(self, key: _Key) -> None:
+        """Drop an entry whose evidence moved, or the oldest on overflow."""
+        if self._remove(key):
+            self.invalidations += 1
+
+    def _remove(self, key: _Key) -> bool:
         entry = self._entries.pop(key, None)
         if entry is None:
-            return
-        del self._validated[key]
-        self.invalidations += 1
-        self._count("cache.invalidations")
+            return False
+        del self._validated[entry]
         for peer_id, _ in entry.touched:
-            keys = self._by_peer.get(peer_id)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
+            entries = self._by_peer.get(peer_id)
+            if entries is not None:
+                entries.pop(entry, None)
+                if not entries:
                     del self._by_peer[peer_id]
+        return True
 
     def _fresh(self, entry: CacheEntry) -> bool:
         """Lazy double-check that every touched store is live and
@@ -320,13 +279,13 @@ class CacheDirectory:
         serving decision locally auditable).  Nothing can have moved
         while no store, departure or crash has reported in, so the walk
         runs once per such event, not once per hit."""
-        if self._validated[entry.key] == self._events:
+        if self._validated[entry] == self._events:
             return True
         for peer_id, version in entry.touched:
             store = self._stores.get(peer_id)
             if store is None or store.version != version:
                 return False
-        self._validated[entry.key] = self._events
+        self._validated[entry] = self._events
         return True
 
     # -- the client API ----------------------------------------------------
@@ -334,31 +293,58 @@ class CacheDirectory:
     def lookup(self, handler: QueryHandler,
                restriction: Region) -> CacheLookup:
         """The best reuse available for ``(handler, restriction)``."""
+        handler.check_restriction(restriction)
         self.sync()
-        handler_key = handler_fingerprint(handler)
-        region_key = region_fingerprint(restriction)
-        if handler_key is None or region_key is None:
-            return self._miss()
-        entry = self._entries.get((handler_key, region_key))
+        if handler.key is None or not restriction.exact:
+            self.misses += 1
+            return _MISS
+        entry = self._entries.get((handler, restriction))
         if entry is not None:
             if self._fresh(entry):
                 self.hits += 1
                 self.messages_saved += entry.cost
-                self._count("cache.hits")
-                self._count("cache.messages_saved", entry.cost)
                 return CacheLookup("exact", answer=entry.answer,
                                    saved=entry.cost)
-            self._remove(entry.key)
-        if self.semantic:
-            found = self._semantic(handler, restriction)
-            if found is not None:
-                self.semantic_hits += 1
-                self._count("cache.semantic_hits")
-                if found.is_exact:
-                    self.messages_saved += found.saved
-                    self._count("cache.messages_saved", found.saved)
-                return found
-        return self._miss()
+            self._invalidate(entry.key)
+        found = self._semantic(handler, restriction)
+        if found is None:
+            self.misses += 1
+            return _MISS
+        self.semantic_hits += 1
+        if found.is_exact:
+            self.messages_saved += found.saved
+        return found
+
+    def consult(self, handler: QueryHandler, restriction: Region,
+                sink: TraceSink | None, t: int, peer: Hashable,
+                attrs: dict[str, Any], closing: dict[str, Any]
+                ) -> CacheLookup:
+        """:meth:`lookup` as the first step of a query run at ``t`` from
+        ``peer``.
+
+        An exact hit settles the query: an enabled ``sink`` records it
+        as a whole ``query`` span (``attrs`` plus ``cache="exact"``,
+        closed with ``closing``) holding a ``cache-hit`` event.  Any
+        other outcome runs the query; :meth:`trace_run` marks its root
+        span.
+        """
+        found = self.lookup(handler, restriction)
+        if found.is_exact and sink is not None and sink.enabled:
+            span = sink.begin_span("query", peer, t, region=repr(restriction),
+                                   **attrs, cache="exact")
+            sink.event("cache-hit", t, span=span, saved=found.saved)
+            sink.end_span(span, t, **closing)
+        return found
+
+    @staticmethod
+    def trace_run(sink: TraceSink, span: int, t: int, seed: Any) -> None:
+        """Mark the root span of a query that :meth:`consult` did not
+        settle: ``cache-seed`` with the size of its ``seed`` state, or
+        ``cache-miss`` when it starts cold."""
+        if seed is not None:
+            sink.event("cache-seed", t, span=span, size=state_size(seed))
+        else:
+            sink.event("cache-miss", t, span=span)
 
     def store(self, handler: QueryHandler, restriction: Region,
               result: QueryResult, processed: Iterable[Hashable]) -> bool:
@@ -367,15 +353,16 @@ class CacheDirectory:
         Only full-fidelity runs are cacheable: partial answers
         (``completeness < 1``) and runs that read promoted replicas
         (whose stores the directory does not track) are refused, as are
-        handlers/regions without a fingerprint.
+        uncacheable queries (see the class docstring).  A query stored
+        again replaces its entry, which moves to the end of the
+        insertion order; that is not an invalidation.
         """
+        handler.check_restriction(restriction)
         self.sync()
         stats = result.stats
         if stats.completeness < 1.0 or stats.replica_reads > 0:
             return False
-        handler_key = handler_fingerprint(handler)
-        region_key = region_fingerprint(restriction)
-        if handler_key is None or region_key is None:
+        if handler.key is None or not restriction.exact:
             return False
         touched: list[tuple[Hashable, int]] = []
         for peer_id in sorted(processed, key=repr):
@@ -386,19 +373,17 @@ class CacheDirectory:
         if not touched:
             # A run that processed no tracked peer carries no evidence.
             return False
-        key: Fingerprint = (handler_key, region_key)
-        if key in self._entries:
-            self._remove(key)
+        key: _Key = (handler, restriction)
+        self._remove(key)
         while len(self._entries) >= self.capacity:
-            self._remove(next(iter(self._entries)))
+            self._invalidate(next(iter(self._entries)))
         entry = CacheEntry(key=key, handler=handler, region=restriction,
                            answer=result.answer, touched=tuple(touched),
                            cost=stats.total_messages)
         self._entries[key] = entry
-        self._validated[key] = self._events
+        self._validated[entry] = self._events
         for peer_id, _ in entry.touched:
-            self._by_peer.setdefault(peer_id, set()).add(key)
-        self._count("cache.stores")
+            self._by_peer.setdefault(peer_id, {})[entry] = None
         return True
 
     def __len__(self) -> int:
@@ -425,7 +410,7 @@ class CacheDirectory:
             if match is None:
                 continue
             if not self._fresh(entry):
-                self._remove(entry.key)
+                self._invalidate(entry.key)
                 continue
             return match
         return None
@@ -455,11 +440,9 @@ class CacheDirectory:
         # Only the exact family participates in semantic reuse.
         if handler.epsilon != 0.0 or cached.epsilon != 0.0:
             return None
-        if _scoring_key(handler.fn) != _scoring_key(cached.fn):
+        if handler.fn != cached.fn:
             return None
-        same_region = region_fingerprint(entry.region) \
-            == region_fingerprint(restriction)
-        if same_region and cached.k >= handler.k:
+        if entry.region == restriction and cached.k >= handler.k:
             # The top-k is a prefix of the deterministically tie-broken
             # top-k' of the same scope.
             return CacheLookup("exact", answer=entry.answer[: handler.k],
@@ -514,14 +497,3 @@ class CacheDirectory:
                         if handler.box.contains(point)
                         and restriction.contains(point))
         return CacheLookup("exact", answer=answer, saved=entry.cost)
-
-    # -- accounting --------------------------------------------------------
-
-    def _miss(self) -> CacheLookup:
-        self.misses += 1
-        self._count("cache.misses")
-        return _MISS
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.registry is not None:
-            self.registry.counter(name).inc(amount)

@@ -51,8 +51,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence
 from ..core.framework import PeerLike, _checked_r, _Visit
 from ..core.handler import QueryHandler
 from ..core.regions import Region, region_volume
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import TraceSink, state_size
+from ..obs.trace import TraceSink
 from .adaptive import AdaptiveFanout, EngineLoad
 from .context import QueryContext, QueryResult, QueryStats
 from .detector import FailureDetector
@@ -68,9 +67,6 @@ __all__ = ["AdmissionPolicy", "FifoPolicy", "PriorityPolicy",
            "WeightedFairPolicy", "QueryJob", "QueryOutcome",
            "QueryCompleted", "QueryRejected", "QueryDeadlineExceeded",
            "QueryBudgetExceeded", "QueryEngine"]
-
-#: Histogram bounds (time units) for the end-to-end query latency metric.
-DEFAULT_LATENCY_BUCKETS = (4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,6 @@ class QueryEngine:
         replicas: "ReplicaDirectory | None" = None,
         service_time: int = 0,
         max_events_per_query: int | None = DEFAULT_MAX_EVENTS,
-        registry: MetricsRegistry | None = None,
         sink: TraceSink | None = None,
         cache: CacheDirectory | None = None,
         fanout: AdaptiveFanout | None = None,
@@ -297,7 +292,6 @@ class QueryEngine:
         self.policy = policy if policy is not None else FifoPolicy()
         self.faults = faults
         self.max_events_per_query = max_events_per_query
-        self.registry = registry
         self.sink = sink
         # The shared simulator carries no global cap: budgets are per
         # query, so one runaway cannot take down its co-tenants.
@@ -390,7 +384,6 @@ class QueryEngine:
 
     def _admit(self, job: QueryJob) -> None:
         self._submitted_at[job.job_id] = self.sim.now
-        self._count("queries.submitted")
         if len(self._running) < self.capacity:
             self.policy.admitted(job)
             self._launch(job)
@@ -400,7 +393,6 @@ class QueryEngine:
             self._shed(job)
 
     def _shed(self, job: QueryJob) -> None:
-        self._count("queries.shed")
         stats = QueryStats(completeness=0.0)
         self._settle(QueryRejected(job=job, stats=stats,
                                    submitted_at=self._submitted_at[job.job_id],
@@ -410,31 +402,21 @@ class QueryEngine:
 
     def _launch(self, job: QueryJob) -> None:
         seed_state: Any = None
-        consulted = self.cache is not None and self.faults is None
-        if consulted:
-            assert self.cache is not None
-            hit = self.cache.lookup(job.handler, job.restriction)
+        cache = self.cache if self.faults is None else None
+        if cache is not None:
+            hit = cache.consult(job.handler, job.restriction, self.sink,
+                                self.sim.now, job.initiator.peer_id,
+                                {"query": job.job_id, "r": job.r},
+                                {"status": "completed"})
             if hit.is_exact:
                 # Settled at admission: the remembered answer, zero cost.
                 # No capacity was consumed, so nothing frees up either.
-                self._count("queries.admitted")
-                self._count("queries.completed")
-                if self.sink is not None and self.sink.enabled:
-                    span = self.sink.begin_span(
-                        "query", job.initiator.peer_id, self.sim.now,
-                        query=job.job_id, r=job.r,
-                        region=repr(job.restriction), cache="exact")
-                    self.sink.event("cache-hit", self.sim.now, span=span,
-                                    saved=hit.saved)
-                    self.sink.end_span(span, self.sim.now,
-                                       status="completed")
                 self._settle(QueryCompleted(
                     job=job, stats=QueryStats(), answer=hit.answer,
                     submitted_at=self._submitted_at[job.job_id],
                     finished_at=self.sim.now))
                 return
-            if hit.kind == "seed":
-                seed_state = hit.state
+            seed_state = hit.state
         plan = self.faults
         if plan is not None:
             plan.protect(job.initiator.peer_id)
@@ -475,16 +457,10 @@ class QueryEngine:
                 "query", job.initiator.peer_id, self.sim.now,
                 query=job.job_id, r=r, region=repr(job.restriction),
                 weight_class=job.weight_class, priority=job.priority)
-            if consulted:
-                if seed_state is not None:
-                    ctx.sink.event("cache-seed", self.sim.now,
-                                   span=entry.span,
-                                   size=state_size(seed_state))
-                else:
-                    ctx.sink.event("cache-miss", self.sim.now,
-                                   span=entry.span)
+            if cache is not None:
+                cache.trace_run(ctx.sink, entry.span, self.sim.now,
+                                seed_state)
         self._running[job.job_id] = entry
-        self._count("queries.admitted")
 
         state = job.handler.initial_state() if seed_state is None \
             else seed_state
@@ -512,7 +488,6 @@ class QueryEngine:
         if self.cache is not None and self.faults is None:
             self.cache.store(job.handler, job.restriction,
                              QueryResult(answer, stats), ctx.processed)
-        self._count("queries.completed")
         self._settle(QueryCompleted(
             job=job, stats=stats, answer=answer,
             submitted_at=self._submitted_at[job_id],
@@ -532,14 +507,12 @@ class QueryEngine:
         if reason == "deadline":
             assert ctx.deadline is not None
             stats = ctx.stats(max(0, ctx.deadline - ctx.started_at))
-            self._count("queries.deadline_exceeded")
             outcome = QueryDeadlineExceeded(
                 job=job, stats=stats, submitted_at=submitted,
                 finished_at=ctx.deadline, deadline=ctx.deadline)
         else:
             stats = ctx.stats(max(0, self.sim.now - ctx.started_at))
             assert ctx.max_events is not None
-            self._count("queries.budget_exceeded")
             outcome = QueryBudgetExceeded(
                 job=job, stats=stats, submitted_at=submitted,
                 finished_at=self.sim.now, cap=ctx.max_events)
@@ -556,7 +529,6 @@ class QueryEngine:
             if job.deadline is not None \
                     and self.sim.now > submitted + job.deadline:
                 # Its whole wall budget drained in the admission queue.
-                self._count("queries.deadline_exceeded")
                 self._settle(QueryDeadlineExceeded(
                     job=job, stats=QueryStats(completeness=0.0),
                     submitted_at=submitted,
@@ -573,17 +545,9 @@ class QueryEngine:
         self.outcomes[outcome.job.job_id] = outcome
         if self.fanout is not None and isinstance(outcome, QueryCompleted):
             self.fanout.observe(outcome)
-        if self.registry is not None and isinstance(outcome, QueryCompleted):
-            self.registry.histogram(
-                "query.latency",
-                DEFAULT_LATENCY_BUCKETS).observe(outcome.turnaround)
         if not self._running and not self._waiting \
                 and self.detector is not None:
             self.detector.stop()
-
-    def _count(self, name: str) -> None:
-        if self.registry is not None:
-            self.registry.counter(name).inc()
 
     # -- draining ----------------------------------------------------------
 

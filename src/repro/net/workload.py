@@ -33,7 +33,6 @@ from ..common.hashing import mix
 from ..common.scoring import LinearScore
 from ..core.framework import PeerLike
 from ..core.regions import Region
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceSink
 from ..queries.skyline import SkylineHandler
 from ..queries.topk import TopKHandler
@@ -57,9 +56,6 @@ class QueryableOverlay(Protocol):
 
     def domain(self) -> Region:  # pragma: no cover - protocol
         ...
-
-#: Histogram bounds for the per-peer saturation metric (busy fraction).
-DEFAULT_SATURATION_BUCKETS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
 @dataclass(frozen=True)
@@ -228,7 +224,6 @@ def run_workload(
     spec: WorkloadSpec,
     *,
     engine: QueryEngine,
-    registry: MetricsRegistry | None = None,
     sink: TraceSink | None = None,
 ) -> WorkloadReport:
     """Drive ``engine`` with the spec's arrival schedule and reduce it.
@@ -239,19 +234,13 @@ def run_workload(
     ``spec.population`` the handler draw is replaced by a Zipf pick from
     a pre-drawn template pool (the repeated-query regime; all other
     per-arrival draws keep their order, and ``population=None`` runs
-    are draw-for-draw identical to the legacy generator).  ``registry``
-    (defaulting to the engine's) additionally receives the per-peer
-    saturation histogram on top of the engine's own counters and
-    latency histogram.
+    are draw-for-draw identical to the legacy generator).
     """
     if sink is not None:
         engine.sink = sink
-    if registry is not None:
-        engine.registry = registry
     if spec.adaptive_r and engine.fanout is None:
         from .adaptive import AdaptiveFanout
         engine.fanout = AdaptiveFanout(rs=spec.rs)
-    metrics = engine.registry
     cache_before = engine.cache.snapshot() if engine.cache is not None else {}
     rng = np.random.default_rng(mix(spec.seed, _QUERY_SALT))
     peers = overlay.peers()
@@ -291,12 +280,4 @@ def run_workload(
                          weight_class=weight_class, deadline=spec.deadline,
                          max_events=spec.max_events, strict=spec.strict)
     outcomes = engine.run()
-    report = _reduce(outcomes, engine, cache_before)
-    if metrics is not None:
-        elapsed = engine.sim.now
-        if elapsed > 0:
-            saturation = metrics.histogram("peer.saturation",
-                                           DEFAULT_SATURATION_BUCKETS)
-            for busy in engine.sim.busy_time.values():
-                saturation.observe(min(1.0, busy / elapsed))
-    return report
+    return _reduce(outcomes, engine, cache_before)

@@ -93,18 +93,14 @@ def run_seeded(
     """
     seeded_state = None
     if cache is not None:
-        found = cache.lookup(handler, restriction)
+        found = cache.consult(handler, restriction, sink, 0,
+                              initiator.peer_id, {"r": r}, {})
         if found.is_exact:
             stats = QueryStats()
             if sink is not None and sink.enabled:
-                span = sink.begin_span(
-                    "query", initiator.peer_id, 0, region=repr(restriction),
-                    r=r, cache="exact")
-                sink.event("cache-hit", 0, span=span, saved=found.saved)
-                sink.end_span(span, 0)
                 sink.on_stats(stats)
             return QueryResult(found.answer, stats)
-        if found.kind == "seed" and initial_state is None:
+        if initial_state is None:
             seeded_state = found.state
     seed_peer, path = greedy_route(initiator, seed_point)
     ctx = QueryContext(strict=strict)
@@ -120,11 +116,8 @@ def run_seeded(
         query_span = ctx.sink.begin_span(
             "query", initiator.peer_id, 0, region=repr(restriction), r=r,
             seed_point=tuple(float(v) for v in seed_point))
-        if seeded_state is not None:
-            ctx.sink.event("cache-seed", 0, span=query_span,
-                           size=state_size(seeded_state))
-        elif cache is not None:
-            ctx.sink.event("cache-miss", 0, span=query_span)
+        if cache is not None:
+            cache.trace_run(ctx.sink, query_span, 0, seeded_state)
     for hop, peer in enumerate(path[:-1]):
         state, _ = _probe_peer(ctx, handler, peer, state, initiator.peer_id,
                                t=hop, parent_span=query_span)

@@ -10,6 +10,7 @@ stateless query, which the test-suite uses.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -23,10 +24,21 @@ __all__ = ["RangeHandler", "range_reference"]
 
 
 class RangeHandler(QueryHandler):
-    """Retrieve every tuple inside an axis-aligned query box."""
+    """Retrieve every tuple inside an axis-aligned query box.
+
+    A box with a non-finite coordinate or with ``lo >= hi`` along some
+    dimension (half-open, it selects nothing) is rejected.
+    """
 
     def __init__(self, box: Rect):
+        if not all(map(isfinite, box.lo + box.hi)):
+            raise ValueError(f"box needs finite coordinates, got {box}")
+        if any(lo >= hi for lo, hi in zip(box.lo, box.hi)):
+            raise ValueError(f"box {box} is empty: it needs lo < hi in "
+                             f"every dimension")
         self.box = box
+        self.dims = box.dims
+        self._keyed(box)
 
     # The state is inert: nothing about the search area is learned.
     def initial_state(self) -> None:

@@ -379,6 +379,7 @@ class SkylineHandler(QueryHandler):
             self.origin = constraint.lo
         else:
             self.origin = (0.0,) * dims
+        self._keyed((dims, self.origin, constraint))
         self._empty = np.empty((0, dims))
         #: The last sequence-of-points state seen and its rows: callers
         #: that hold such a state hand the same object to every callback.

@@ -90,6 +90,7 @@ class TopKHandler(QueryHandler):
         self.dims = fn.dims
         self.k = k
         self.epsilon = epsilon
+        self._keyed((fn, k, epsilon))
 
     def tau(self, state: TopKState) -> float:
         """The pruning threshold this state certifies.

@@ -15,8 +15,7 @@ from repro import (Frustum, FrustumRegion, LinearScore, RangeHandler,
                    Rect, RectRegion, SkylineHandler, TopKHandler,
                    run_ripple)
 from repro.net.context import QueryResult, QueryStats
-from repro.net.resultcache import (CacheDirectory, CacheLookup,
-                                   handler_fingerprint, region_fingerprint)
+from repro.net.resultcache import CacheDirectory, CacheLookup
 from repro.net.scheduler import QueryCompleted, QueryEngine
 from repro.overlays.replication import ReplicaDirectory
 
@@ -42,38 +41,110 @@ def run_warm(overlay, cache, handler, restriction=None, *,
     return outcome
 
 
-# -- fingerprints -----------------------------------------------------------
+# -- keys ---------------------------------------------------------------------
+
+
+def remember(cache, overlay, handler, restriction=None):
+    """Store ``handler``'s cold run over ``restriction``; its result."""
+    restriction = overlay.domain() if restriction is None else restriction
+    result = run_cold(overlay, handler, restriction)
+    peer_ids = [peer.peer_id for peer in overlay.peers()]
+    assert cache.store(handler, restriction, result, peer_ids)
+    return result
+
+
+def equal_pairs(dims=2):
+    """One pair per family of distinct handlers built from equal values."""
+    box = ((0.1,) * dims, (0.8,) * dims)
+    return [(TopKHandler(LinearScore([1.0] * dims), 4, epsilon=0.0),
+             TopKHandler(LinearScore([1.0] * dims), 4)),
+            (SkylineHandler(dims, constraint=Rect(*box)),
+             SkylineHandler(dims, constraint=Rect(*box))),
+            (RangeHandler(Rect(*box)), RangeHandler(Rect(*box)))]
 
 
 class TestFingerprints:
+    """A handler is its own cache key: its parameters, by value."""
+
     def test_structurally_equal_handlers_share_a_key(self):
         # The workload generator builds a fresh handler per arrival;
-        # value equality (not object identity) must key the cache.
-        a = TopKHandler(LinearScore([1.0, 2.0]), 4)
-        b = TopKHandler(LinearScore([1.0, 2.0]), 4)
-        assert a is not b
-        assert handler_fingerprint(a) == handler_fingerprint(b)
+        # value equality (not object identity) must key the cache, and a
+        # fresh but equal handler gets the exact hit an earlier one stored.
+        overlay = midas_network(7)
+        for first, again in equal_pairs():
+            assert first is not again
+            assert first == again and hash(first) == hash(again)
+            cache = CacheDirectory(overlay)
+            cold = remember(cache, overlay, first)
+            found = cache.lookup(again, overlay.domain())
+            assert found.is_exact and found.answer == cold.answer
+            assert cache.hits == 1
 
     def test_different_k_different_key(self):
+        # Each parameter separates keys on its own: storing the base
+        # query never gives the variant an exact-key hit.
+        overlay = midas_network(7)
         fn = LinearScore([1.0, 1.0])
-        assert handler_fingerprint(TopKHandler(fn, 4)) \
-            != handler_fingerprint(TopKHandler(fn, 8))
+        box = Rect((0.1, 0.1), (0.8, 0.8))
+        cases = {
+            "k": (TopKHandler(fn, 4), TopKHandler(fn, 8)),
+            "epsilon": (TopKHandler(fn, 4), TopKHandler(fn, 4, epsilon=0.1)),
+            "fn": (TopKHandler(fn, 4),
+                   TopKHandler(LinearScore([1.0, 2.0]), 4)),
+            "origin": (SkylineHandler(2),
+                       SkylineHandler(2, origin=(0.1, 0.1))),
+            "constraint": (SkylineHandler(2, constraint=box),
+                           SkylineHandler(2, constraint=Rect(
+                               (0.1, 0.1), (0.8, 0.9)))),
+            "box": (RangeHandler(box),
+                    RangeHandler(Rect((0.1, 0.1), (0.8, 0.9)))),
+        }
+        for name, (base, variant) in cases.items():
+            assert base != variant, name
+            cache = CacheDirectory(overlay)
+            remember(cache, overlay, base)
+            cache.lookup(variant, overlay.domain())
+            assert cache.hits == 0, name
+            assert cache.lookup(base, overlay.domain()).is_exact, name
+            assert cache.hits == 1, name
 
     def test_multi_round_handler_uncacheable(self):
+        overlay = midas_network(7)
+        cache = CacheDirectory(overlay)
         diversify = handlers_for(2, third="diversify")[2]
-        assert handler_fingerprint(diversify) is None
+        assert diversify.key is None
+        assert diversify == diversify
+        assert diversify != handlers_for(2, third="diversify")[2]
+        peer_ids = [p.peer_id for p in overlay.peers()]
+        done = QueryResult([], QueryStats())
+        assert not cache.store(diversify, overlay.domain(), done, peer_ids)
+        assert len(cache) == 0
+        assert cache.lookup(diversify, overlay.domain()) == CacheLookup("miss")
 
     def test_frustum_region_uncacheable(self):
         # CAN link restrictions are frusta with conservative covers; two
-        # issues of the "same" query may differ hop-for-hop, so no key.
+        # issues of the "same" query may differ hop-for-hop, so no entry.
+        overlay = midas_network(7)
+        cache = CacheDirectory(overlay)
         frustum = Frustum(axis=0, base=Rect((0.0, 0.0), (0.0, 1.0)),
                           top=Rect((0.5, 0.2), (0.5, 0.8)))
-        assert region_fingerprint(FrustumRegion(frustum)) is None
+        region = FrustumRegion(frustum)
+        handler = TopKHandler(LinearScore([1.0, 1.0]), 4)
+        peer_ids = [p.peer_id for p in overlay.peers()]
+        done = QueryResult([], QueryStats())
+        assert not cache.store(handler, region, done, peer_ids)
+        assert len(cache) == 0
+        assert cache.lookup(handler, region) == CacheLookup("miss")
 
     def test_rect_and_arc_regions_cacheable(self):
         for kind in ("midas", "chord"):
-            overlay = ENGINE_CASES[kind][0](3)
-            assert region_fingerprint(overlay.domain()) is not None
+            build, dims, _ = ENGINE_CASES[kind]
+            overlay = build(3)
+            cache = CacheDirectory(overlay)
+            for handler in handlers_for(dims):
+                cold = remember(cache, overlay, handler)
+                found = cache.lookup(handler, overlay.domain())
+                assert found.is_exact and found.answer == cold.answer
 
 
 # -- exact reuse ------------------------------------------------------------
@@ -115,6 +186,23 @@ class TestExactReuse:
         assert not cache.store(handler, overlay.domain(), ok, ["no-such"])
         assert not cache.store(handler, overlay.domain(), ok, [])
 
+    def test_a_concurrent_repeat_replaces_its_entry(self):
+        # Both runs miss, both store: the second store replaces the
+        # first's entry, which is not an invalidation.
+        overlay = midas_network(7)
+        cache = CacheDirectory(overlay)
+        engine = QueryEngine(capacity=2, cache=cache)
+        for _ in range(2):
+            engine.submit(overlay.peers()[0],
+                          TopKHandler(LinearScore([1.0, 1.0]), 4), 0,
+                          restriction=overlay.domain())
+        cold = run_cold(overlay, TopKHandler(LinearScore([1.0, 1.0]), 4))
+        assert [outcome.answer for outcome in engine.run().values()] \
+            == [cold.answer] * 2
+        assert len(cache) == 1
+        assert cache.snapshot()["misses"] == 2
+        assert cache.invalidations == 0
+
     def test_capacity_evicts_oldest_first(self):
         overlay = midas_network(7)
         cache = CacheDirectory(overlay, capacity=1)
@@ -134,7 +222,7 @@ class TestExactReuse:
 class TestInvalidation:
     def test_store_mutation_drops_exactly_the_affected_entries(self):
         overlay = midas_network(7)
-        cache = CacheDirectory(overlay, semantic=False)
+        cache = CacheDirectory(overlay)
         handler = TopKHandler(LinearScore([1.0, 1.0]), 4)
         run_warm(overlay, cache, handler)
         (entry,) = cache._entries.values()
@@ -162,7 +250,7 @@ class TestInvalidation:
         from repro.common.store import LocalStore
 
         overlay = midas_network(7)
-        cache = CacheDirectory(overlay, semantic=False)
+        cache = CacheDirectory(overlay)
         handler = TopKHandler(LinearScore([1.0, 1.0]), 4)
         run_warm(overlay, cache, handler)
         (entry,) = cache._entries.values()
@@ -224,7 +312,7 @@ class TestInvalidation:
 
     def test_crash_promotion_invalidates_via_repair(self):
         overlay = midas_network(7)
-        cache = CacheDirectory(overlay, semantic=False)
+        cache = CacheDirectory(overlay)
         replicas = ReplicaDirectory(overlay, copies=1)
         cache.watch_replicas(replicas)
         handler = TopKHandler(LinearScore([1.0, 1.0]), 4)

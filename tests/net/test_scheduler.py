@@ -31,7 +31,6 @@ from repro.net.scheduler import (FifoPolicy, PriorityPolicy,
                                  QueryBudgetExceeded, QueryCompleted,
                                  QueryDeadlineExceeded, QueryEngine,
                                  QueryRejected, WeightedFairPolicy)
-from repro.obs.metrics import MetricsRegistry
 from repro.overlays.replication import ReplicaDirectory
 
 from tests.netlib import ENGINE_CASES as NETWORKS
@@ -234,21 +233,6 @@ class TestAdmissionControl:
         outcome = engine.run()[job]
         assert isinstance(outcome, QueryDeadlineExceeded)
         assert outcome.turnaround == 0
-
-    def test_counters_reach_registry(self):
-        registry = MetricsRegistry()
-        overlay = midas_network(5, peers=16, tuples=100)
-        handler = SkylineHandler(2)
-        engine = QueryEngine(capacity=1, queue_limit=0, registry=registry)
-        for i in range(2):
-            engine.submit(overlay.peers()[i], handler, 0,
-                          restriction=overlay.domain(), strict=False)
-        engine.run()
-        counters = registry.as_dict()["counters"]
-        assert counters["queries.submitted"] == 2
-        assert counters["queries.admitted"] == 1
-        assert counters["queries.completed"] == 1
-        assert counters["queries.shed"] == 1
 
 
 class _RecordingSink:

@@ -21,7 +21,6 @@ from repro.net.scheduler import (QueryCompleted, QueryEngine,
                                  QueryRejected)
 from repro.net.workload import (WorkloadReport, WorkloadSpec,
                                 poisson_arrivals, run_workload)
-from repro.obs.metrics import MetricsRegistry
 
 
 def midas_network(seed, peers=24, tuples=200):
@@ -133,12 +132,12 @@ class TestConcurrentDeterminism:
 
 class TestWorkloadReport:
     def _run(self, *, capacity=2, queue_limit=4, rate=0.8, queries=60,
-             registry=None, service_time=1):
+             service_time=1):
         overlay = midas_network(3)
         spec = WorkloadSpec(queries=queries, rate=rate, seed=7,
                             strict=False)
         engine = QueryEngine(capacity=capacity, queue_limit=queue_limit,
-                             service_time=service_time, registry=registry)
+                             service_time=service_time)
         return run_workload(overlay, spec, engine=engine)
 
     def test_outcomes_partition_submissions(self):
@@ -173,14 +172,6 @@ class TestWorkloadReport:
         calm = self._run(capacity=8, queue_limit=60, rate=0.01)
         assert calm.shed_rate == 0.0
         assert calm.completed == calm.submitted
-
-    def test_registry_gets_saturation_and_latency(self):
-        registry = MetricsRegistry()
-        self._run(registry=registry)
-        payload = registry.as_dict()
-        assert payload["counters"]["queries.submitted"] == 60
-        assert "query.latency" in payload["histograms"]
-        assert "peer.saturation" in payload["histograms"]
 
     def test_cache_counters_are_this_runs_own(self):
         """Two runs over one directory: each reports what it added, so

@@ -52,6 +52,17 @@ class TestRangeQueries:
                           restriction=overlay.domain())
         assert len(result.answer) == len(data)
 
+    def test_non_finite_box_is_rejected(self):
+        with pytest.raises(ValueError, match="box needs finite"):
+            RangeHandler(Rect((0.0, float("nan")), (0.2, 0.9)))
+        with pytest.raises(ValueError, match="box needs finite"):
+            RangeHandler(Rect((0.0, 0.0), (0.2, float("inf"))))
+
+    def test_empty_box_is_rejected(self):
+        # Half-open, a box with lo == hi in some dimension selects nothing.
+        with pytest.raises(ValueError, match="is empty"):
+            RangeHandler(Rect((0.0, 0.3), (0.2, 0.3)))
+
     @given(st.floats(0, 0.7), st.floats(0, 0.7),
            st.floats(0.05, 0.3), st.floats(0.05, 0.3), st.integers(0, 4))
     @settings(max_examples=20, deadline=None)
