@@ -1,7 +1,7 @@
 """Kernel microbenchmarks and the BENCH_kernels.json regression baseline.
 
 Times the vectorized rank-query kernels (array skyline, skyline merge,
-k-skyband, the store's cached top-k score index) against faithful copies
+the store's cached top-k score index) against faithful copies
 of the pre-optimization implementations, plus fig7/fig8-style end-to-end
 skyline sweeps over a 200-peer MIDAS network run once with and once
 without the kernel/caching fast paths.  Every timed pair is also a
@@ -36,9 +36,8 @@ from repro.common.store import LocalStore
 from repro.core.framework import SLOW
 from repro.experiments import builders
 from repro.obs.clock import wallclock
-from repro.queries.skyline import (distributed_skyline, k_skyband_of_array,
-                                   merge_skylines, skyline_of_array,
-                                   skyline_reference)
+from repro.queries.skyline import (distributed_skyline, merge_skylines,
+                                   skyline_of_array, skyline_reference)
 
 from ._gate import add_gate_arguments, gate, log, seeded_rng, write_json
 from .conftest import bench_config
@@ -47,8 +46,7 @@ BASELINE_PATH = "BENCH_kernels.json"
 
 # -- legacy kernels (verbatim pre-optimization implementations) --------------
 # These are the seed-tree kernels: incremental vstack survivor matrix,
-# 2-ary merge with separate <=/< tensors, per-row skyband scan, and a
-# score-everything top-k retrieval.  They are the speedup denominators and
+# 2-ary merge with separate <=/< tensors, and a score-everything top-k retrieval.  They are the speedup denominators and
 # the correctness oracles for everything below.
 
 
@@ -100,22 +98,6 @@ def legacy_merge_fold(*collections):
     for other in collections[1:]:
         acc = legacy_merge_skylines(acc, other)
     return acc
-
-
-def legacy_k_skyband_of_array(array, k, *, maximize=False):
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    array = np.asarray(array, dtype=float)
-    if len(array) == 0:
-        return array
-    data = -array if maximize else array
-    keep = []
-    for i, row in enumerate(data):
-        not_worse = np.all(data <= row, axis=1)
-        strictly = np.any(data < row, axis=1)
-        if int((not_worse & strictly).sum()) < k:
-            keep.append(i)
-    return array[keep]
 
 
 def legacy_top_scoring(store, fn, limit, *, above=-np.inf):
@@ -172,7 +154,7 @@ def entry(legacy_s, current_s, **extra):
 # -- kernel microbenchmarks --------------------------------------------------
 
 
-def kernel_suite(*, n, skyband_n, reps, log):
+def kernel_suite(*, n, reps, log):
     rng = seeded_rng(7)
     out = {}
 
@@ -206,14 +188,6 @@ def kernel_suite(*, n, skyband_n, reps, log):
     assert rl == rc, "merge mismatch"
     out["merge_fold16_d4"] = entry(tl, tc, parts=16, dims=4)
     log(f"merge fold 16 parts: {tl / tc:.1f}x")
-
-    data = rng.random((skyband_n, 4))
-    tl, rl = best_of(lambda: legacy_k_skyband_of_array(data, 8), reps)
-    tc, rc = best_of(lambda: k_skyband_of_array(data, 8), reps)
-    assert np.array_equal(rl, rc), "skyband mismatch"
-    out["skyband_d4_k8"] = entry(tl, tc, n=skyband_n, dims=4,
-                                               k=8)
-    log(f"skyband n={skyband_n}: {tl / tc:.1f}x")
 
     # cached score index: one top-k sweep = many top_scoring calls with a
     # tightening threshold against a static store
@@ -296,13 +270,13 @@ def compare(fresh, baseline, tolerance):
     return failures
 
 
-def run(*, n, skyband_n, peers, tuples, reps, log=lambda msg: None):
+def run(*, n, peers, tuples, reps, log=lambda msg: None):
     return {
-        "meta": {"n": n, "skyband_n": skyband_n, "peers": peers,
+        "meta": {"n": n, "peers": peers,
                  "tuples": tuples, "reps": reps,
                  "python": sys.version.split()[0],
                  "numpy": np.__version__},
-        "kernels": kernel_suite(n=n, skyband_n=skyband_n, reps=reps, log=log),
+        "kernels": kernel_suite(n=n, reps=reps, log=log),
         "end_to_end": e2e_suite(peers=peers, tuples=tuples, reps=reps,
                                 log=log),
     }
@@ -316,17 +290,16 @@ def main(argv=None):
         tolerance_help="fraction of a recorded speedup a fresh run must "
                        "retain (default 0.3: wall clocks are noisy)")
     parser.add_argument("--n", type=int, default=10_000)
-    parser.add_argument("--skyband-n", type=int, default=3_000)
     parser.add_argument("--peers", type=int, default=200)
     parser.add_argument("--tuples", type=int, default=8_000)
     parser.add_argument("--reps", type=int, default=3)
     args = parser.parse_args(argv)
 
     if args.smoke:
-        args.n, args.skyband_n = 4_000, 1_500
+        args.n = 4_000
         args.peers, args.tuples, args.reps = 48, 2_000, 2
 
-    fresh = run(n=args.n, skyband_n=args.skyband_n, peers=args.peers,
+    fresh = run(n=args.n, peers=args.peers,
                 tuples=args.tuples, reps=args.reps, log=log)
 
     if args.record:

@@ -1,15 +1,8 @@
-"""Competitor methods: the systems the paper compares against
-(Sections 2.1, 2.2, 7.1) plus the naive broadcast strawman."""
+"""Competitor methods: the systems the paper's Section 7 compares
+against (DSL, SSP over BATON, the flooding diversifier)."""
 
-from .div_baseline import FloodingDiversifier
+from .div_baseline import FloodingDiversifier, flood
 from .dsl import dsl_skyline
-from .naive import broadcast_query, flood
-from .skyframe import skyframe_skyline
-from .speerto import precompute_skybands, speerto_topk
 from .ssp import ssp_skyline
 
-__all__ = [
-    "FloodingDiversifier", "broadcast_query", "dsl_skyline", "flood",
-    "precompute_skybands", "skyframe_skyline", "speerto_topk",
-    "ssp_skyline",
-]
+__all__ = ["FloodingDiversifier", "dsl_skyline", "flood", "ssp_skyline"]

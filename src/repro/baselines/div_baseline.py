@@ -20,15 +20,36 @@ query is processed.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Sequence
 
 from ..common.geometry import Point
+from ..core.framework import PeerLike
 from ..net.context import QueryStats
 from ..overlays.can import CanOverlay, CanPeer
 from ..queries.diversify import DiversificationObjective
-from .naive import flood
 
-__all__ = ["FloodingDiversifier"]
+__all__ = ["FloodingDiversifier", "flood"]
+
+
+def flood(initiator: PeerLike) -> tuple[list[tuple[PeerLike, int]], int]:
+    """BFS over the link graph with duplicate suppression, as a real
+    broadcast would: ``(peer, depth)`` pairs plus the message count."""
+    seen = {initiator.peer_id}
+    order = [(initiator, 0)]
+    queue = deque(order)
+    messages = 0
+    while queue:
+        peer, depth = queue.popleft()
+        for link in peer.links():
+            messages += 1
+            if link.peer.peer_id in seen:
+                continue
+            seen.add(link.peer.peer_id)
+            entry = (link.peer, depth + 1)
+            order.append(entry)
+            queue.append(entry)
+    return order, messages
 
 
 class FloodingDiversifier:

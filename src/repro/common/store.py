@@ -36,7 +36,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TypeVa
 
 import numpy as np
 
-from .geometry import Point, Rect, as_point
+from .geometry import Point, Rect, as_point, contains_batch
 from .scoring import ScoringFunction
 
 __all__ = ["LocalStore", "Replica"]
@@ -277,7 +277,7 @@ class LocalStore:
         self._writable()
         live = self._buf[: self._size]
         if dim is None:
-            inside = np.all((live >= rect.lo) & (live < rect.hi), axis=1)
+            inside = contains_batch(live, rect.lo, rect.hi)
         else:
             column = live[:, dim]
             inside = (column >= rect.lo[dim]) & (column < rect.hi[dim])

@@ -434,12 +434,6 @@ class CacheDirectory:
     def _match_topk(self, entry: CacheEntry, cached: TopKHandler,
                     handler: TopKHandler,
                     restriction: Region) -> CacheLookup | None:
-        # Approximate retrieval (epsilon > 0) prunes against a slacked
-        # threshold, so a seeded tau could legally change the answer
-        # within the approximation bound — which breaks bit-identity.
-        # Only the exact family participates in semantic reuse.
-        if handler.epsilon != 0.0 or cached.epsilon != 0.0:
-            return None
         if handler.fn != cached.fn:
             return None
         if entry.region == restriction and cached.k >= handler.k:

@@ -1,4 +1,4 @@
-"""DHT overlays: MIDAS, CAN, Chord, skip graph, BATON (+ Z-curve, super-peer tier).
+"""DHT overlays: MIDAS, CAN, Chord, skip graph, BATON (+ Z-curve).
 
 The arena substrate (:mod:`repro.overlays.arena`) re-expresses MIDAS,
 Chord, and CAN networks as flat structure-of-arrays snapshots for
@@ -17,7 +17,6 @@ from .midas import MidasOverlay, MidasPeer
 from .patterns import alive_patterns, matches_any_pattern
 from .replication import PromotedPeer, ReplicaDirectory
 from .skipgraph import SkipGraphOverlay, SkipGraphPeer
-from .superpeer import SuperPeer, SuperPeerNetwork, SuperPeerNode
 from .zcurve import ZCurve
 
 __all__ = [
@@ -25,8 +24,7 @@ __all__ = [
     "CanPeer", "ChordOverlay", "ChordPeer", "MidasArena", "MidasOverlay",
     "MidasPeer", "MirrorArena", "Node", "OverlayArena", "PromotedPeer",
     "ReplicaDirectory", "SkipGraphOverlay", "SkipGraphPeer", "SplitTree",
-    "SuperPeer", "SuperPeerNetwork",
-    "SuperPeerNode", "ZCurve", "alive_patterns", "from_overlay",
+    "ZCurve", "alive_patterns", "from_overlay",
     "matches_any_pattern", "midas_arena", "run_wavefront",
     "wavefront_execute",
 ]

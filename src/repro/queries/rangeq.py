@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..common.geometry import Point, Rect, as_point
+from ..common.geometry import Point, Rect, as_point, contains_batch
 from ..common.store import LocalStore
 from ..core.handler import QueryHandler
 from ..core.regions import Region
@@ -58,8 +58,7 @@ class RangeHandler(QueryHandler):
         if len(store) == 0:
             return []
         array = store.array
-        inside = np.all((array >= self.box.lo) & (array < self.box.hi),
-                        axis=1)
+        inside = contains_batch(array, self.box.lo, self.box.hi)
         return [as_point(row) for row in array[inside]]
 
     def finalize(self, answers: Sequence[Sequence[Point]]) -> list[Point]:
@@ -76,5 +75,5 @@ class RangeHandler(QueryHandler):
 def range_reference(array: np.ndarray, box: Rect) -> list[Point]:
     """Centralized oracle for the half-open box query."""
     array = np.asarray(array, dtype=float)
-    inside = np.all((array >= box.lo) & (array < box.hi), axis=1)
+    inside = contains_batch(array, box.lo, box.hi)
     return sorted(as_point(row) for row in array[inside])

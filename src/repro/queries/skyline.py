@@ -41,7 +41,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ..common.geometry import Point, Rect, as_point, dominates
+from ..common.geometry import (Point, Rect, as_point, contains_batch,
+                               dominates)
 from ..common.store import LocalStore
 from ..core.handler import QueryHandler
 from ..core.regions import Region
@@ -49,7 +50,6 @@ from ..core.regions import Region
 __all__ = [
     "skyline_of",
     "skyline_of_array",
-    "k_skyband_of_array",
     "merge_skylines",
     "skyline_reference",
     "SkylineHandler",
@@ -170,45 +170,6 @@ def skyline_of_array(array: np.ndarray) -> np.ndarray:
     return np.repeat(uniq[keep], counts[keep], axis=0)
 
 
-def k_skyband_of_array(array: np.ndarray, k: int, *,
-                       maximize: bool = False) -> np.ndarray:
-    """The k-skyband: tuples dominated by fewer than ``k`` others.
-
-    The 1-skyband is the skyline.  The *max-oriented* k-skyband (higher
-    values dominate) contains the top-k answer of every monotone
-    increasing scoring function — the property SPEERTO's precomputation
-    rests on (Section 2.1).  Dominance counts are computed block-wise
-    (one ``(d, prefix, block)`` comparison tensor per chunk), keeping the
-    all-pairs scan vectorized at bounded memory.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    array = np.asarray(array, dtype=float)
-    if len(array) == 0:
-        return array
-    data = -array if maximize else array
-    # Dominance counts only depend on the row's value, so compute them per
-    # distinct row, weighting each candidate dominator by its multiplicity:
-    # #dominators(u) = sum_{v <= u} count(v) - count(u), the subtraction
-    # removing u itself and its exact duplicates (componentwise <= but not
-    # strictly better anywhere).
-    uniq, inverse, counts = np.unique(data, axis=0, return_inverse=True,
-                                      return_counts=True)
-    cols = _dims_major(uniq)
-    weights = counts.astype(np.int64)
-    dominators = np.empty(len(uniq), dtype=np.int64)
-    for start in range(0, len(uniq), _BLOCK):
-        stop = min(start + _BLOCK, len(uniq))
-        # np.unique sorts rows lexicographically, and a dominator of a
-        # distinct row is lexicographically smaller — so only the prefix
-        # up to the block's end can contain dominators, halving the
-        # all-pairs tensor on average.
-        dominators[start:stop] = weights[:stop] @ _all_pairs(
-            cols[:, :stop], cols[:, start:stop])
-    dominators -= weights
-    return array[(dominators < k)[inverse]]
-
-
 def _lexsorted(rows: np.ndarray) -> np.ndarray:
     """``rows`` in lexicographic order, first column most significant."""
     return rows.take(np.lexsort(rows.T[::-1]), axis=0) if len(rows) > 1 \
@@ -293,9 +254,7 @@ def skyline_reference(array: np.ndarray,
     """
     array = np.asarray(array, dtype=float)
     if constraint is not None and len(array):
-        inside = np.all((array >= constraint.lo) & (array < constraint.hi),
-                        axis=1)
-        array = array[inside]
+        array = array[contains_batch(array, constraint.lo, constraint.hi)]
     return sorted({as_point(row) for row in skyline_of_array(array)})
 
 
@@ -477,9 +436,8 @@ class SkylineHandler(QueryHandler):
     def _compute_local_skyline(self, store: LocalStore) -> SkylineState:
         array = store.array
         if self.constraint is not None and len(array):
-            inside = np.all((array >= self.constraint.lo)
-                            & (array < self.constraint.hi), axis=1)
-            array = array[inside]
+            array = array[contains_batch(array, self.constraint.lo,
+                                         self.constraint.hi)]
         return _lexsorted(skyline_of_array(array))
 
     # -- states (Algorithms 10, 11, 13) -------------------------------------

@@ -69,28 +69,16 @@ _set_floor = TopKState.floor.__set__  # type: ignore[attr-defined]  # slot
 
 
 class TopKHandler(QueryHandler):
-    """RIPPLE callbacks for ``top-k`` under scoring function ``fn``.
+    """RIPPLE callbacks for ``top-k`` under scoring function ``fn``."""
 
-    ``epsilon`` enables approximate retrieval in the spirit of KLEE
-    (Section 2.1): a region is pruned unless it could contain a tuple
-    beating the certified threshold by more than a ``(1 + epsilon)``
-    slack, cutting traffic at the price of a bounded answer error — every
-    returned score is within ``epsilon * |tau|`` of a true top-k score.
-    ``epsilon = 0`` (the default) is exact.
-    """
-
-    def __init__(self, fn: ScoringFunction, k: int, *, epsilon: float = 0.0):
+    def __init__(self, fn: ScoringFunction, k: int):
         # ``k`` slices score tuples; a bool is an int that means no count.
         if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
             raise ValueError(f"k must be a positive int, got {k!r}")
-        if not (math.isfinite(epsilon) and epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and >= 0, got "
-                             f"{epsilon!r}")
         self.fn = fn
         self.dims = fn.dims
         self.k = k
-        self.epsilon = epsilon
-        self._keyed((fn, k, epsilon))
+        self._keyed((fn, k))
 
     def tau(self, state: TopKState) -> float:
         """The pruning threshold this state certifies.
@@ -202,7 +190,7 @@ class TopKHandler(QueryHandler):
         return max(self.fn.upper_bound(rect) for rect in region.cover())
 
     def is_link_relevant(self, region: Region, global_state: TopKState) -> bool:
-        cutoff = self.bound_cutoff(global_state)
+        cutoff = self.tau(global_state)
         return cutoff == -math.inf \
             or self._region_upper_bound(region) >= cutoff
 
@@ -213,11 +201,9 @@ class TopKHandler(QueryHandler):
         """``f^+`` of every box in one call: both decisions read it."""
         return self.fn.upper_bound_batch(lo, hi)
 
-    def bound_cutoff(self, global_state: TopKState) -> float:
-        """``tau`` plus the approximation slack; ``-inf`` (nothing can be
-        pruned yet) admits every region."""
-        tau = self.tau(global_state)
-        return tau if tau == -math.inf else tau + self.epsilon * abs(tau)
+    #: A box is relevant iff ``f^+`` reaches the threshold; ``-inf``
+    #: (nothing can be pruned yet) admits every region.
+    bound_cutoff = tau
 
     # -- seeding ------------------------------------------------------------
 

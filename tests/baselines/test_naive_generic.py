@@ -1,13 +1,12 @@
-"""The naive broadcast works over any overlay (it only needs links)."""
+"""The flood under the diversification baseline works over any overlay
+(it only needs links)."""
 
 import numpy as np
-import pytest
 
-from repro.baselines.naive import broadcast_query, flood
-from repro.common.scoring import NearestScore
+from repro.baselines.div_baseline import FloodingDiversifier, flood
 from repro.overlays.can import CanOverlay
 from repro.overlays.chord import ChordOverlay
-from repro.queries.topk import TopKHandler, topk_reference
+from repro.queries.diversify import DiversificationObjective
 
 
 class TestFloodOverChord:
@@ -15,15 +14,6 @@ class TestFloodOverChord:
         overlay = ChordOverlay(size=40, seed=1)
         reached, _ = flood(overlay.random_peer())
         assert len(reached) == 40
-
-    def test_broadcast_topk(self):
-        overlay = ChordOverlay(size=24, seed=2)
-        data = np.random.default_rng(0).random((200, 1)) * 0.999
-        overlay.load(data)
-        fn = NearestScore((0.4,))
-        result = broadcast_query(overlay.random_peer(), TopKHandler(fn, 3))
-        assert [s for s, _ in result.answer] == pytest.approx(
-            [s for s, _ in topk_reference(data, fn, 3)])
 
 
 class TestFloodOverCan:
@@ -39,8 +29,10 @@ class TestFloodOverCan:
         start = overlay.random_peer()
         reached, _ = flood(start)
         depths = {peer.peer_id: depth for peer, depth in reached}
-        # BFS depth of the farthest peer == reported broadcast latency
-        handler = TopKHandler(NearestScore((0.5, 0.5)), 1)
+        # BFS depth of the farthest peer == one way of the baseline's
+        # broadcast-and-convergecast round trip
         overlay.load(np.random.default_rng(1).random((50, 2)) * 0.999)
-        result = broadcast_query(start, handler)
-        assert result.stats.latency == max(depths.values())
+        _, stats = FloodingDiversifier(overlay, start).solve_single(
+            DiversificationObjective((0.5, 0.5), 0.5), [], grow=True)
+        assert stats.latency == 2 * max(depths.values())
+        assert stats.processed == len(depths)

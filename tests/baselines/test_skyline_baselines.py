@@ -1,19 +1,18 @@
-"""Integration tests for the skyline competitors (DSL, SSP, naive)."""
+"""Integration tests for the skyline competitors (DSL, SSP) and the
+flood under the diversification baseline."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.dsl import dsl_skyline
-from repro.baselines.naive import broadcast_query, flood
+from repro.baselines.div_baseline import flood
 from repro.baselines.ssp import ssp_skyline
 from repro.overlays.baton import BatonOverlay
 from repro.overlays.can import CanOverlay
 from repro.overlays.midas import MidasOverlay
 from repro.overlays.zcurve import ZCurve
-from repro.queries.skyline import SkylineHandler, skyline_reference
-from repro.queries.topk import TopKHandler, topk_reference
-from repro.common.scoring import LinearScore
+from repro.queries.skyline import skyline_reference
 
 
 def can_network(data, size, seed=0):
@@ -109,21 +108,3 @@ class TestNaiveBroadcast:
         reached, messages = flood(overlay.random_peer())
         assert len(reached) == len(overlay)
         assert messages >= len(overlay) - 1
-
-    def test_broadcast_topk_correct_but_expensive(self, setup):
-        overlay, data = setup
-        fn = LinearScore([1, 1, 1])
-        result = broadcast_query(overlay.random_peer(), TopKHandler(fn, 5))
-        assert [s for s, _ in result.answer] == \
-            [s for s, _ in topk_reference(data, fn, 5)]
-        assert result.stats.processed == len(overlay)
-
-    def test_broadcast_skyline_correct(self, setup):
-        overlay, data = setup
-        result = broadcast_query(overlay.random_peer(), SkylineHandler(3))
-        assert sorted(result.answer) == skyline_reference(data)
-
-    def test_broadcast_latency_is_eccentricity(self, setup):
-        overlay, _ = setup
-        result = broadcast_query(overlay.random_peer(), SkylineHandler(3))
-        assert result.stats.latency <= overlay.tree.max_depth()

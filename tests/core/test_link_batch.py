@@ -159,7 +159,7 @@ class TestBatchedEqualsPerLink:
 @st.composite
 def topk_handlers(draw, dims):
     """Top-k under a linear or a nearest-neighbour score whose ``f+``
-    ties all the time on the grid; exact or approximate."""
+    ties all the time on the grid."""
     if draw(st.booleans()):
         fn = LinearScore(draw(st.lists(
             st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
@@ -167,7 +167,7 @@ def topk_handlers(draw, dims):
     else:
         fn = NearestScore(draw(st.lists(GRID, min_size=dims, max_size=dims)),
                           p=draw(st.sampled_from([1, 2, 3, float("inf")])))
-    return TopKHandler(fn, 2, epsilon=draw(st.sampled_from([0.0, 0.25])))
+    return TopKHandler(fn, 2)
 
 
 #: Received states: nothing certified yet, or a floor somewhere in the
@@ -211,11 +211,11 @@ class TestTopKBoundsEqualPerLink:
     A = Rect((0.0,), (1.0,))
     B = Rect((0.25,), (0.75,))
 
-    def forwards(self, rects, restriction, r, floor, epsilon=0.0):
+    def forwards(self, rects, restriction, r, floor):
         links = LinkTable(Link(fake_peer(name), RectRegion(rect))
                           for name, rect in rects)
         visit = _Visit(QueryContext(strict=True),
-                       TopKHandler(LinearScore([1.0]), 1, epsilon=epsilon),
+                       TopKHandler(LinearScore([1.0]), 1),
                        fake_peer("visited", links), TopKState((), floor),
                        RectRegion(restriction), r, "initiator", 0)
         return [(t.peer_id, sub.rect) for t, sub in stepped(
@@ -238,14 +238,6 @@ class TestTopKBoundsEqualPerLink:
         table = [("B", self.B), ("twin", twin), ("A", self.A)]
         assert [name for name, _ in self.forwards(
             table, Rect.unit(1), 3, 0.0)] == ["twin", "A", "B"]
-
-    def test_epsilon_raises_the_cutoff(self):
-        table = [("A", self.A)]
-        cut = Rect((0.0,), (0.5,))
-        assert self.forwards(table, cut, 0, 0.4, epsilon=0.2) != []
-        assert self.forwards(table, cut, 0, 0.4, epsilon=0.3) == []
-        # A negative threshold slackens by its magnitude, as the scalar.
-        assert self.forwards(table, cut, 0, -0.4, epsilon=0.3) != []
 
 
 class TestTracesEqualPerLink:

@@ -8,7 +8,8 @@ from repro.experiments.config import (ExperimentConfig, default_config,
                                       paper_config, smoke_config)
 from repro.experiments.diversify_figures import fig9_div_scale
 from repro.experiments.figures import merge_seed_rows, ripple_levels
-from repro.experiments.runner import Row, print_rows, rows_to_series
+from repro.experiments.runner import (Row, ascii_chart, print_rows,
+                                      rows_to_series)
 from repro.experiments.skyline_figures import fig7_skyline_scale
 from repro.experiments.topk_figures import fig4_topk_scale, fig6_topk_k
 
@@ -126,3 +127,16 @@ class TestCsvExport:
             parsed = list(csv.DictReader(handle))
         assert parsed[0]["method"] == "m"
         assert float(parsed[0]["latency"]) == 2.0
+
+
+class TestAsciiChart:
+    def test_renders(self):
+        rows = [Row("f", "n", x, m, latency=x * (1 + i), congestion=1,
+                    messages=1, tuples_shipped=0, queries=1)
+                for x in (1, 2, 4) for i, m in enumerate(("a", "b"))]
+        chart = ascii_chart(rows, "latency")
+        assert "latency" in chart
+        assert "* = a" in chart and "o = b" in chart
+
+    def test_empty(self):
+        assert ascii_chart([], "latency") == "(no data)"

@@ -56,7 +56,7 @@ def remember(cache, overlay, handler, restriction=None):
 def equal_pairs(dims=2):
     """One pair per family of distinct handlers built from equal values."""
     box = ((0.1,) * dims, (0.8,) * dims)
-    return [(TopKHandler(LinearScore([1.0] * dims), 4, epsilon=0.0),
+    return [(TopKHandler(LinearScore([1.0] * dims), 4),
              TopKHandler(LinearScore([1.0] * dims), 4)),
             (SkylineHandler(dims, constraint=Rect(*box)),
              SkylineHandler(dims, constraint=Rect(*box))),
@@ -88,7 +88,6 @@ class TestFingerprints:
         box = Rect((0.1, 0.1), (0.8, 0.8))
         cases = {
             "k": (TopKHandler(fn, 4), TopKHandler(fn, 8)),
-            "epsilon": (TopKHandler(fn, 4), TopKHandler(fn, 4, epsilon=0.1)),
             "fn": (TopKHandler(fn, 4),
                    TopKHandler(LinearScore([1.0, 2.0]), 4)),
             "origin": (SkylineHandler(2),
@@ -385,16 +384,6 @@ class TestSemanticReuse:
         assert warm.answer == run_cold(overlay, narrower).answer
         assert warm.stats == QueryStats()   # exact: no network at all
         assert cache.semantic_hits == 1
-
-    def test_approximate_topk_never_reuses_semantically(self):
-        overlay = midas_network(7)
-        cache = CacheDirectory(overlay)
-        fn = LinearScore([1.0, 1.0])
-        run_warm(overlay, cache, TopKHandler(fn, 8))
-        approx = TopKHandler(fn, 4, epsilon=0.1)
-        warm = run_warm(overlay, cache, approx)
-        assert cache.semantic_hits == 0
-        assert warm.answer == run_cold(overlay, approx).answer
 
     def test_seed_lookup_reports_kind(self):
         overlay = midas_network(7)

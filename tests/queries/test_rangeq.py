@@ -30,6 +30,23 @@ class TestRangeQueries:
                          restriction=overlay.domain())
             assert result.answer == reference
 
+    def test_box_is_half_open(self):
+        # One tuple on the box's lo face (inside), one on its hi face
+        # (outside).
+        box = Rect((0.2, 0.3), (0.6, 0.9))
+        rng = np.random.default_rng(3)
+        data = np.vstack((rng.random((300, 2)) * 0.999,
+                          [(0.2, 0.5), (0.6, 0.5)]))
+        overlay = MidasOverlay(2, size=1, seed=12, join_policy="data")
+        overlay.load(data)
+        overlay.grow_to(32)
+        reference = range_reference(data, box)
+        assert (0.2, 0.5) in reference and (0.6, 0.5) not in reference
+        for run in (run_fast, run_slow):
+            result = run(overlay.random_peer(), RangeHandler(box),
+                         restriction=overlay.domain())
+            assert result.answer == reference
+
     def test_only_overlapping_peers_processed(self, network):
         overlay, _ = network
         box = Rect((0.4, 0.4), (0.45, 0.45))

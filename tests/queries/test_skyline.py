@@ -164,6 +164,25 @@ class TestDistributed:
                                       restriction=overlay.domain(), r=r)
             assert res.answer == ref
 
+    def test_constraint_box_is_half_open(self):
+        # (0.2, 0.5) lies on the box's lo face and has the least x inside
+        # it; (0.6, 0.2) lies on its hi face with the least y.  The first
+        # belongs to the constrained skyline, the second is outside the box.
+        box = Rect((0.2, 0.2), (0.6, 0.6))
+        rng = np.random.default_rng(13)
+        data = np.vstack((rng.random((400, 2)) * 0.999,
+                          [(0.2, 0.5), (0.6, 0.2)]))
+        overlay = MidasOverlay(2, size=1, seed=3, join_policy="data")
+        overlay.load(data)
+        overlay.grow_to(40)
+        ref = skyline_reference(data, box)
+        assert (0.2, 0.5) in ref and (0.6, 0.2) not in ref
+        for r, seeded in ((0, True), (2, True), (10 ** 6, True), (0, False)):
+            res = distributed_skyline(overlay.random_peer(), 2,
+                                      restriction=overlay.domain(), r=r,
+                                      constraint=box, seeded=seeded)
+            assert res.answer == ref
+
     def test_cold_matches_reference(self, network):
         overlay, data = network
         ref = skyline_reference(data)

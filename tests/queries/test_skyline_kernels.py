@@ -1,7 +1,6 @@
 """The vectorized skyline kernels: brute-force oracles and caching.
 
-Covers the k-skyband kernel against a literal dominance-counting oracle,
-the antichain merge against a union-skyline oracle, the array-state
+Covers the antichain merge against a union-skyline oracle, the array-state
 handler callbacks against the tuple-state ones they replaced, the
 regression guarantee the store cache provides (one local-skyline
 reduction per peer per query, none on a repeat query over a static
@@ -20,85 +19,8 @@ from repro.core.regions import RectRegion
 from repro.overlays.arena import prime_skyline_wave
 from repro.overlays.midas import MidasOverlay
 from repro.queries.skyline import (SkylineHandler, distributed_skyline,
-                                   k_skyband_of_array, merge_skylines,
-                                   skyline_of, skyline_of_array,
-                                   skyline_reference)
-
-
-def brute_force_skyband(array, k, *, maximize=False):
-    """Literal definition: fewer than k strict dominators."""
-    data = -np.asarray(array, dtype=float) if maximize else \
-        np.asarray(array, dtype=float)
-    keep = []
-    for i, row in enumerate(data):
-        dominators = sum(
-            1 for other in data
-            if np.all(other <= row) and np.any(other < row))
-        if dominators < k:
-            keep.append(i)
-    return np.asarray(array, dtype=float)[keep]
-
-
-class TestKSkyband:
-    def test_exported(self):
-        assert "k_skyband_of_array" in sky.__all__
-
-    def test_one_skyband_is_skyline(self):
-        rng = np.random.default_rng(0)
-        data = rng.random((300, 3))
-        band = k_skyband_of_array(data, 1)
-        assert sorted(map(as_point, band)) == sorted(
-            map(as_point, skyline_of_array(data)))
-
-    @pytest.mark.parametrize("dims", (1, 2, 4))
-    @pytest.mark.parametrize("k", (1, 2, 5))
-    def test_matches_brute_force(self, dims, k):
-        rng = np.random.default_rng(dims * 10 + k)
-        data = rng.random((120, dims))
-        assert np.array_equal(k_skyband_of_array(data, k),
-                              brute_force_skyband(data, k))
-
-    def test_maximize_matches_brute_force(self):
-        rng = np.random.default_rng(9)
-        data = rng.random((100, 3))
-        assert np.array_equal(k_skyband_of_array(data, 3, maximize=True),
-                              brute_force_skyband(data, 3, maximize=True))
-
-    def test_duplicates_count_as_dominators(self):
-        # Three copies of a dominating point: the dominated point has 3
-        # strict dominators, so it enters only the 4-skyband.
-        data = np.array([[0.1, 0.1]] * 3 + [[0.5, 0.5]])
-        assert len(k_skyband_of_array(data, 3)) == 3
-        assert len(k_skyband_of_array(data, 4)) == 4
-        assert np.array_equal(k_skyband_of_array(data, 3),
-                              brute_force_skyband(data, 3))
-
-    def test_band_grows_with_k(self):
-        rng = np.random.default_rng(4)
-        data = rng.random((200, 3))
-        sizes = [len(k_skyband_of_array(data, k)) for k in (1, 2, 4, 8)]
-        assert sizes == sorted(sizes)
-
-    def test_preserves_input_order_and_values(self):
-        rng = np.random.default_rng(5)
-        data = rng.random((50, 2))
-        band = k_skyband_of_array(data, 2)
-        rows = {tuple(row) for row in data}
-        assert all(tuple(row) in rows for row in band)
-
-    def test_empty_and_bad_k(self):
-        assert len(k_skyband_of_array(np.empty((0, 3)), 2)) == 0
-        with pytest.raises(ValueError):
-            k_skyband_of_array(np.ones((2, 2)), 0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                    min_size=1, max_size=40),
-           st.integers(1, 4))
-    def test_property_matches_brute_force(self, points, k):
-        data = np.asarray(points, dtype=float)
-        assert np.array_equal(k_skyband_of_array(data, k),
-                              brute_force_skyband(data, k))
+                                   merge_skylines, skyline_of,
+                                   skyline_of_array, skyline_reference)
 
 
 class TestMergeSkylines:
@@ -513,18 +435,6 @@ class TestDimsMajorKernels:
         data = random_rows(np.random.default_rng(seed), n, dims, kind)
         assert identical(skyline_of_array(data),
                          row_major_skyline_of_array(data))
-
-    @given(st.integers(1, 6), st.integers(1, 300),
-           st.integers(0, 2 ** 32 - 1), kinds, st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_k_skyband_equals_the_row_major_count(self, dims, n, seed, kind,
-                                                  k):
-        data = random_rows(np.random.default_rng(seed), n, dims, kind)
-        uniq, inverse, counts = np.unique(data, axis=0, return_inverse=True,
-                                          return_counts=True)
-        dominators = row_major_all_pairs(uniq, uniq).T @ counts - counts
-        assert identical(k_skyband_of_array(data, k),
-                         data[(dominators < k)[inverse.reshape(-1)]])
 
 
 def antichains(rng, count, dims, kind):

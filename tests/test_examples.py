@@ -15,7 +15,7 @@ import pytest
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 FAST_EXAMPLES = ["quickstart.py", "midas_anatomy.py",
-                 "overlay_genericity.py", "vertical_middleware.py"]
+                 "overlay_genericity.py"]
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)
@@ -75,5 +75,4 @@ def test_overlay_genericity_matches_readme_matrix():
 def test_examples_directory_complete():
     present = {p.name for p in EXAMPLES.glob("*.py")}
     assert {"quickstart.py", "nba_allstars.py", "photo_diversity.py",
-            "midas_anatomy.py", "overlay_genericity.py",
-            "vertical_middleware.py"} <= present
+            "midas_anatomy.py", "overlay_genericity.py"} <= present

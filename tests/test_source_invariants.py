@@ -3,7 +3,7 @@
 Each test reads the files an invariant covers (their AST or their comment
 tokens) and names every offending line.  The per-source checks it uses
 are exercised on known-good and known-bad fixtures in
-``tests/analysis_tools``.  Everything else the code must
+``tests/test_source_invariant_fixtures.py``.  Everything else the code must
 not do is caught at runtime; ``docs/STATIC_ANALYSIS.md`` says by which
 test, gate or harness.
 """
@@ -274,11 +274,10 @@ def test_handler_methods_never_write_through_simulation_state():
 
 
 #: Where query answers may be memoised: the result cache (whose entries
-#: carry ``(peer, store version)`` evidence), the store's version-keyed
-#: kernel cache, and the reproduced baselines (SPEERTO's stale super-peer
-#: cache is part of the algorithm).
+#: carry ``(peer, store version)`` evidence) and the store's
+#: version-keyed kernel cache.
 _CACHES_ALLOWED = tuple("src/repro/" + p for p in (
-    "net/resultcache.py", "common/store.py", "baselines/"))
+    "net/resultcache.py", "common/store.py"))
 _SIM_PACKAGES = ("core", "net", "overlays", "queries", "common", "obs")
 
 
