@@ -27,7 +27,7 @@ from ..common.geometry import Point
 from ..core.framework import PeerLike
 from ..net.context import QueryStats
 from ..overlays.can import CanOverlay, CanPeer
-from ..queries.diversify import DiversificationObjective
+from ..queries.diversify import DiversificationObjective, check_members
 
 __all__ = ["FloodingDiversifier", "flood"]
 
@@ -63,6 +63,7 @@ class FloodingDiversifier:
                      members: Sequence[Point], *, tau: float = math.inf,
                      exclude: Sequence[Point] = (), grow: bool = False
                      ) -> tuple[tuple[float, Point] | None, QueryStats]:
+        check_members(members, grow)
         reached, forward_messages = flood(self.initiator)
         best: tuple[float, Point] | None = None
         depth_max = 0

@@ -48,7 +48,7 @@ def mix(*values: int) -> int:
 
 
 def mix_array(*values: "int | np.ndarray",
-              acc: int = 0x9E3779B97F4A7C15) -> "np.ndarray":
+              acc: "int | np.ndarray" = 0x9E3779B97F4A7C15) -> "np.ndarray":
     """Vectorized :func:`mix`: each operand is a scalar or a ``uint64`` array.
 
     Operands broadcast against each other; the result equals
@@ -57,12 +57,14 @@ def mix_array(*values: "int | np.ndarray",
     arithmetic is modulo ``2**64`` (``uint64`` wraparound), exactly like
     the masked Python-integer arithmetic of the scalar form.  ``acc`` is
     an already mixed prefix, as in :func:`mix_step`: ``mix_array(v,
-    acc=mix(*head))`` equals ``mix_array(*head, v)``.
+    acc=mix(*head))`` equals ``mix_array(*head, v)``.  It may itself be
+    a ``uint64`` array of prefixes (one per row, broadcast like the
+    operands): ``mix_array(v, acc=a)`` equals ``[mix_step(a_i, v_i)]``.
     """
     import numpy as np
 
     with np.errstate(over="ignore"):
-        acc = np.asarray(np.uint64(acc))
+        acc = np.asarray(acc, dtype=np.uint64)
         golden = np.uint64(0x9E3779B97F4A7C15)
         m1 = np.uint64(0xBF58476D1CE4E5B9)
         m2 = np.uint64(0x94D049BB133111EB)

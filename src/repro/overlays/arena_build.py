@@ -12,13 +12,14 @@ Two ways into the structure-of-arrays substrate of
   the peer range (``tests/test_source_invariants.py`` holds them to it).
 
 * :func:`midas_arena` builds a balanced MIDAS network *directly* as a
-  :class:`~repro.overlays.arena.MidasArena`, sized by peer count: tuple
-  assignment is a vectorized tree descent and link targets are either
-  derived on demand (``precompute_links=False``, O(n) memory) or resolved
-  for all links at once with :func:`~repro.common.hashing.mix_array`
-  (``precompute_links=True``, for full-traversal workloads).  One million
-  peers build in seconds; no per-peer Python objects exist until a query
-  actually touches a peer.
+  :class:`~repro.overlays.arena.MidasArena`, sized by peer count: a
+  row's zone is read off the interleaved bits of its quantised
+  coordinates, and link targets are either derived on demand
+  (``precompute_links=False``, O(n) memory) or resolved for all links,
+  one lockstep :func:`~repro.common.hashing.mix_array` descent per link
+  level (``precompute_links=True``, for full-traversal workloads).  One
+  million peers build in seconds; no per-peer Python objects exist until
+  a query actually touches a peer.
 """
 
 from __future__ import annotations
@@ -151,13 +152,15 @@ def midas_arena(n: int, *, dims: int = 2, seed: int = 0,
     The network is the balanced dyadic k-d tree over ``[0, 1]^dims``:
     with ``n = 2**D + m`` the first ``m`` level-``D`` nodes (path order)
     split once more, so all zones sit at depth ``D`` or ``D + 1`` and the
-    peer index *is* the left-to-right leaf order.  ``data`` rows are
-    assigned to zones by a vectorized midpoint descent (``D`` passes over
-    the point set, plus one for the deep leaves) and laid out as one CSR
-    row block.  With ``precompute_links`` every link-target descent —
-    the seeded-\\ ``mix`` random walk of the MIDAS ``"random"`` link
-    policy — is resolved for *all* ``n * depth`` links at once,
-    level-synchronously, via :func:`~repro.common.hashing.mix_array`.
+    peer index *is* the left-to-right leaf order.  ``data`` rows (finite,
+    else ``ValueError``) are assigned to zones in closed form — a point's
+    zone is the bit interleaving of its coordinates quantised to the
+    tree's per-axis split counts — and laid out as one CSR row block.
+    With ``precompute_links`` every link-target descent — the seeded-\\
+    ``mix`` random walk of the MIDAS ``"random"`` link policy — is
+    resolved before the arena is returned: the ``n`` links of each level
+    descend in lockstep, one :func:`~repro.common.hashing.mix_array`
+    step per tree level.
     """
     if n < 1:
         raise ValueError(f"need at least one peer, got {n}")
@@ -170,8 +173,13 @@ def midas_arena(n: int, *, dims: int = 2, seed: int = 0,
         data = np.ascontiguousarray(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != dims:
             raise ValueError(f"expected (m, {dims}) data, got {data.shape}")
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"expected finite coordinates, got "
+                             f"{tuple(data[row].tolist())} at row {row}")
         leaf = _assign_leaves(data, dims, base_depth, extra)
-        order = np.argsort(leaf, kind="stable")
+        order = np.argsort(leaf.astype(_sort_dtype(n)), kind="stable")
         tuples = data[order]
         counts = np.bincount(leaf, minlength=n)
         store_ptr = np.concatenate(([0], np.cumsum(counts)))
@@ -190,68 +198,89 @@ def midas_arena(n: int, *, dims: int = 2, seed: int = 0,
 
 def _assign_leaves(data: np.ndarray, dims: int, base_depth: int,
                    extra: int) -> np.ndarray:
-    """Vectorized tree descent: each row's owning leaf (= peer) index.
+    """Each row's owning leaf (= peer) index, in closed form.
 
-    Maintains the per-point cell bounds so the midpoint sequence is
-    bit-identical to the scalar :meth:`MidasArena.locate_index` walk
-    (and to the link-region rectangles decoded from path bits).
+    Axis ``j`` is halved by ``b_j`` of the tree's levels, so every cell
+    on it is a dyadic interval whose midpoint is exact in binary
+    floating point: the bit the ``k``-th of those levels reads (``x >=
+    mid``) is bit ``k`` (MSB first) of ``q_j = floor(x_j * 2**b_j)``.
+    Clipping ``q_j`` to ``[0, 2**b_j)`` gives the descent's answer for
+    ``x >= 1``, ``x < 0`` and ``±inf``; the path is those bits
+    interleaved in level order.  Bit-identical to the scalar
+    :meth:`MidasArena.locate_index` walk (NaN rows are rejected by the
+    caller: their descent reads every bit as 0, their cast is undefined).
     """
-    count = len(data)
-    value = np.zeros(count, dtype=np.int64)
-    lo = np.zeros((count, dims))
-    hi = np.ones((count, dims))
+    levels = base_depth + (1 if extra else 0)
+    q = []
+    for j in range(dims):
+        bits = (levels - j + dims - 1) // dims if j < levels else 0
+        top = float((1 << bits) - 1)
+        q.append((np.clip(np.floor(data[:, j] * float(1 << bits)), 0.0, top)
+                  .astype(np.int64), bits))
+    value = np.zeros(len(data), dtype=np.int64)
     for level in range(base_depth):
-        j = level % dims
-        mid = (lo[:, j] + hi[:, j]) / 2.0
-        bit = data[:, j] >= mid
-        value = (value << 1) | bit
-        lo[bit, j] = mid[bit]
-        hi[~bit, j] = mid[~bit]
-    leaf = value + extra
+        cell, bits = q[level % dims]
+        value <<= 1
+        value |= (cell >> (bits - 1 - level // dims)) & 1
+    if not extra:
+        return value
+    # The deep leaves read the last bit of the extra level's axis.
     deep = value < extra
-    if extra and deep.any():
-        j = base_depth % dims
-        mid = (lo[deep, j] + hi[deep, j]) / 2.0
-        bit = data[deep, j] >= mid
-        leaf[deep] = (value[deep] << 1) | bit
+    leaf = value + extra
+    leaf[deep] = (value[deep] << 1) | (q[base_depth % dims][0][deep] & 1)
     return leaf
+
+
+def _sort_dtype(n: int) -> type[np.unsignedinteger[Any]]:
+    """The narrowest unsigned dtype holding ``n - 1``: at <= 16 bits a
+    stable ``argsort`` is a radix sort."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n - 1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
 
 
 def _resolve_links(base_depth: int, extra: int, seed: int
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """All link-target descents of the balanced tree, level-synchronous.
+    """All link-target descents of the balanced tree, grouped by level.
 
-    Every link starts at a sibling-subtree prefix; each pass extends all
-    still-internal prefixes by one seeded branch bit (one
-    :func:`mix_array` sweep per level — at most ``base_depth + 1``
-    passes total), then maps finished leaf paths to peer indexes.
+    The level-``l`` link of every peer deeper than ``l`` starts at the
+    peer's ``(l+1)``-bit sibling prefix.  The ``n`` (or, at the extra
+    level, ``2 * extra``) descents of one level share their length, so
+    they step in lockstep to depth ``base_depth`` — one
+    :func:`mix_array` step each, continued from the per-peer prefix
+    ``mix(seed, index)`` — and take one more step where the path ends on
+    a split node.  Temporaries are ``O(n)``; each level is scattered
+    into ``link_target[link_ptr[owner] + l]``.
     """
     n = (1 << base_depth) + extra
     two_extra = 2 * extra
     index = np.arange(n, dtype=np.int64)
-    depths = np.where(index < two_extra, base_depth + 1, base_depth)
-    paths = np.where(index < two_extra, index, index - extra)
-
-    degrees = depths
-    link_ptr = np.concatenate(([0], np.cumsum(degrees)))
-    owner = np.repeat(index, degrees)
-    level = np.arange(len(owner), dtype=np.int64) - link_ptr[owner]
-    # Sibling prefix at this level: the (level+1)-bit prefix, last bit
-    # flipped.
-    value = (paths[owner] >> (depths[owner] - 1 - level)) ^ 1
-    length = level + 1
-
-    def is_leaf(value: np.ndarray, length: np.ndarray) -> np.ndarray:
-        return (length > base_depth) \
-            | ((length == base_depth) & (value >= extra))
-
-    active = np.flatnonzero(~is_leaf(value, length))
-    while len(active):
-        key = (np.int64(1) << length[active]) | value[active]
-        bit = (mix_array(seed, owner[active], key)
-               & np.uint64(1)).astype(np.int64)
-        value[active] = (value[active] << 1) | bit
-        length[active] += 1
-        active = active[~is_leaf(value[active], length[active])]
-    link_target = np.where(length > base_depth, value, value + extra)
+    deep = index < two_extra
+    depths = np.where(deep, base_depth + 1, base_depth)
+    paths = np.where(deep, index, index - extra)
+    link_ptr = np.concatenate(([0], np.cumsum(depths)))
+    link_target = np.empty(link_ptr[-1], dtype=np.int64)
+    prefix = mix_array(seed, index)
+    for level in range(base_depth + (1 if extra else 0)):
+        # Peers deeper than ``level``: all of them, or the deep ones.
+        owners = n if level < base_depth else two_extra
+        shift = depths[:owners] - 1 - level
+        value = (paths[:owners] >> shift) ^ 1
+        acc = prefix[:owners]
+        for length in range(level + 1, base_depth):
+            value = (value << 1) | _branch(acc, length, value)
+        target = value
+        if level < base_depth:
+            split = np.flatnonzero(value < extra)
+            target = value + extra
+            target[split] = (value[split] << 1) | _branch(
+                acc[split], base_depth, value[split])
+        link_target[link_ptr[:owners] + level] = target
     return link_ptr, link_target
+
+
+def _branch(acc: np.ndarray, length: int, value: np.ndarray) -> np.ndarray:
+    """The seeded branch bit at the internal nodes ``value`` of ``length``."""
+    key = value | (1 << length)
+    return (mix_array(key, acc=acc) & np.uint64(1)).astype(np.int64)

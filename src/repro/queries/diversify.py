@@ -237,6 +237,14 @@ class DivState:
         return self.key[0]
 
 
+def check_members(members: Sequence[Point], grow: bool) -> None:
+    """Reject the member set no single-tuple query can score: Equation 3
+    is undefined for an empty ``O``, which only the growth phase takes."""
+    if len(members) == 0 and not grow:
+        raise ValueError("members must be non-empty unless grow=True "
+                         "(Equation 3 is undefined for an empty set)")
+
+
 class SingleDiversificationHandler(QueryHandler):
     """RIPPLE callbacks for the single tuple diversification query
     (Algorithms 16-21)."""
@@ -244,6 +252,7 @@ class SingleDiversificationHandler(QueryHandler):
     def __init__(self, objective: DiversificationObjective,
                  members: Sequence[Point], *,
                  exclude: Sequence[Point] = (), grow: bool = False):
+        check_members(members, grow)
         self.objective = objective
         self.members = tuple(members)
         self.exclude = tuple(exclude) or self.members

@@ -80,3 +80,15 @@ class TestMixArray:
     def test_property_matches_scalar(self, values):
         mixed = mix_array(*[np.uint64(v) for v in values])
         assert int(mixed) == mix(*values)
+
+    @given(st.lists(st.tuples(st.integers(0, 2 ** 64 - 1),
+                              st.integers(0, 2 ** 63 - 1)),
+                    min_size=1, max_size=16))
+    def test_acc_array_steps_each_row(self, rows):
+        accs = np.array([a for a, _ in rows], dtype=np.uint64)
+        values = np.array([v for _, v in rows], dtype=np.int64)
+        stepped = mix_array(values, acc=accs)
+        assert stepped.tolist() == [mix_step(a, v) for a, v in rows]
+        # A scalar operand broadcasts against the array of prefixes.
+        assert mix_array(5, acc=accs).tolist() \
+            == [mix_step(a, 5) for a, _ in rows]

@@ -9,6 +9,9 @@ shared liveness flags).  docs/SCALE.md documents the layout these tests
 pin down.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.core.framework import Link, LinkTable
 from repro.net.routing import greedy_route
 from repro.overlays import (ArenaPeer, MidasArena, from_overlay, midas_arena,
                             run_wavefront, wavefront_execute)
+from repro.overlays.arena_build import _assign_leaves
 
 
 def midas_network(seed, peers=36, tuples=260):
@@ -146,12 +150,59 @@ class TestMidasArena:
                     arena.zone(link.peer.index).center)
 
     def test_precomputed_links_equal_on_demand(self):
-        lazy = midas_arena(53, dims=2, seed=8)
-        eager = midas_arena(53, dims=2, seed=8, precompute_links=True)
-        assert eager.link_target is not None
-        for i in range(53):
-            assert [l.peer.index for l in eager.decode_links(i)] \
-                == [l.peer.index for l in lazy.decode_links(i)]
+        for n, dims, seed in itertools.product(
+                (2, 3, 5, 53, 64, 65, 127, 300), (1, 2, 4), (8, -3)):
+            lazy = midas_arena(n, dims=dims, seed=seed)
+            eager = midas_arena(n, dims=dims, seed=seed,
+                                precompute_links=True)
+            assert lazy.link_target is None
+            assert eager.link_target is not None
+            for i in range(n):
+                # The lazy arena runs the scalar ``_descend`` per link.
+                assert eager.link_target[
+                    eager.link_ptr[i]:eager.link_ptr[i + 1]].tolist() \
+                    == lazy._link_targets(i)
+                assert [l.peer.index for l in eager.decode_links(i)] \
+                    == [l.peer.index for l in lazy.decode_links(i)]
+
+    @pytest.mark.parametrize("depth,m", [(d, m) for d in (1, 3, 5)
+                                         for m in sorted({0, 1, 2 ** d - 1})])
+    @pytest.mark.parametrize("dims", (1, 2, 3, 4))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_leaf_assignment_equals_scalar_descent(self, depth, m, dims,
+                                                   seed):
+        n = 2 ** depth + m
+        arena = midas_arena(n, dims=dims)
+        rng = np.random.default_rng(seed)
+        # Multiples of a finer dyadic step than any split: every cell
+        # midpoint and face of the tree, plus 0, the domain's upper face,
+        # and points below, above and infinitely far outside it.
+        step = 2.0 ** -(n.bit_length() + 1)
+        grid = rng.integers(0, 2 ** (n.bit_length() + 1), (60, dims)) * step
+        edges = np.array([0.0, -0.0, 1 - 1e-9, 1.0, 5e-324, -1e-300, -0.5,
+                          1.5, np.inf, -np.inf])
+        rows = np.concatenate([rng.random((60, dims)), grid,
+                               rng.choice(edges, (60, dims))])
+        leaf = _assign_leaves(rows, dims, arena.base_depth, arena.extra)
+        assert leaf.tolist() == [arena.locate_index(row) for row in rows]
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(ValueError, match="expected finite coordinates"):
+            midas_arena(8, dims=2, data=[[0.2, 0.3], [bad, 0.5]])
+
+    def test_precomputed_build_memory_is_linear(self):
+        """Resolving every link keeps O(n) temporaries: the build peaks
+        near the link arrays it returns, not at a multiple of them."""
+        tracemalloc.start()
+        try:
+            arena = midas_arena(2 ** 15, dims=2, seed=1,
+                                precompute_links=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        links = arena.link_ptr.nbytes + arena.link_target.nbytes
+        assert peak < 2.5 * links
 
     def test_replica_targets_distinct_and_ordered(self):
         arena = midas_arena(37, dims=2, seed=2)

@@ -200,6 +200,32 @@ class TestGreedy:
             engine, objective(q=(0.1, 0.1)), 5).answer
         assert sorted(members) == sorted(map(tuple, data))
 
+    @pytest.mark.parametrize("engine", ["ripple-midas", "ripple-can",
+                                        "flood-can"])
+    def test_empty_members_need_grow(self, networks, engine, monkeypatch):
+        """Equation 3 is undefined for an empty set: the entry point
+        refuses it before any peer is visited or flooded."""
+        midas, can, data = networks
+        overlay = midas if engine.endswith("midas") else can
+        solver = (FloodingDiversifier(can, can.random_peer())
+                  if engine.startswith("flood") else
+                  RippleDiversifier(overlay, overlay.random_peer(),
+                                    strict=overlay is midas))
+
+        def no_traffic(*args, **kwargs):
+            raise AssertionError("the query ran")
+
+        monkeypatch.setattr("repro.baselines.div_baseline.flood", no_traffic)
+        monkeypatch.setattr("repro.core.framework.run_ripple", no_traffic)
+        monkeypatch.setattr("repro.queries.drivers.run_seeded", no_traffic)
+        obj = DiversificationObjective(data[2], 0.5, p=1)
+        with pytest.raises(ValueError, match="members"):
+            solver.solve_single(obj, [])
+        with pytest.raises(ValueError, match="members"):
+            solver.solve_single(obj, [], tau=0.5, grow=False)
+        with pytest.raises(AssertionError, match="the query ran"):
+            solver.solve_single(obj, [], grow=True)
+
     def test_cost_accumulates_over_steps(self, networks):
         midas, _, data = networks
         obj = DiversificationObjective(data[5], 0.5, p=1)

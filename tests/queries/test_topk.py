@@ -16,6 +16,7 @@ from repro.queries.topk import (
     distributed_topk,
     topk_reference,
 )
+from tests.netlib import build_network, seed_data
 
 
 def handler(k=3, weights=(1, 1)):
@@ -54,6 +55,11 @@ class TestState:
         state = TopKState((5.0, 4.0), floor=1.0)
         neutral = h.neutral_local_state()
         assert h.update_local_state([state, neutral]).scores == state.scores
+
+    def test_seed_probe_satisfied_by_exactly_k_scores(self):
+        h = handler(k=3)
+        assert h.seed_satisfied(TopKState((5.0, 4.0, 3.0)))
+        assert not h.seed_satisfied(TopKState((5.0, 4.0)))
 
     def test_compute_local_state_respects_cutoff(self):
         h = handler(k=2)
@@ -257,6 +263,18 @@ class TestSeededExecution:
                                restriction=overlay.domain(),
                                r=int(rng.integers(0, 6)))
         assert [s for s, _ in res.answer] == ref
+
+
+def test_seeded_probe_cost_is_pinned():
+    """The probe stops once ``k`` harvested scores back the threshold: a
+    probe that waited for ``k + 1`` (which a ``k``-capped state never
+    holds) would keep probing and visit 26 peers here, not 14."""
+    overlay = build_network("midas", 0)
+    res = distributed_topk(overlay.peers()[0], LinearScore([0.2, 1.0]), 8,
+                           restriction=overlay.domain())
+    assert res.stats.processed == 14
+    assert res.answer == topk_reference(seed_data(0, 260, 2),
+                                        LinearScore([0.2, 1.0]), 8)
 
 
 class TestReference:
