@@ -12,7 +12,7 @@ Run with::
 
 import numpy as np
 
-from repro import MidasOverlay, QueryTrace, run_fast
+from repro import MidasOverlay, QueryTrace, run_ripple
 from repro.overlays.patterns import matches_any_pattern
 from repro.queries.skyline import SkylineHandler
 
@@ -58,8 +58,8 @@ def main() -> None:
     overlay.load(data)
 
     trace = QueryTrace()
-    result = run_fast(peers[-1], SkylineHandler(2),
-                      restriction=overlay.domain(), sink=trace)
+    result = run_ripple(peers[-1], SkylineHandler(2), 0,
+                        restriction=overlay.domain(), sink=trace)
 
     # One ``process`` span per visited peer, opened at the hop the query
     # reached it; sorting by that hop lays out the wavefront.

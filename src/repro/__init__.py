@@ -28,13 +28,11 @@ paper-vs-measured record of every figure.
 from .common.geometry import Frustum, Interval, Point, Rect, dominates
 from .common.scoring import LinearScore, NearestScore, ScoringFunction
 from .common.store import LocalStore, Replica
-from .core.framework import Link, SLOW, physical_id, run_fast, run_ripple, \
-    run_slow
+from .core.framework import Link, SLOW, physical_id, run_ripple
 from .core.handler import QueryHandler
 from .core.regions import (ArcRegion, FrustumRegion, RectRegion, Region,
                            domain_region)
-from .net.adaptive import (AdaptiveFanout, CostEstimate, CostModel,
-                           EngineLoad, calibrate_fanout)
+from .net.adaptive import AdaptiveFanout, EngineLoad
 from .net.context import QueryResult, QueryStats
 from .net.detector import FailureDetector
 from .net.resultcache import CacheDirectory, CacheEntry, CacheLookup
@@ -46,8 +44,7 @@ from .net.scheduler import (AdmissionPolicy, FifoPolicy, PriorityPolicy,
                             QueryOutcome, QueryRejected, WeightedFairPolicy)
 from .net.workload import (WorkloadReport, WorkloadSpec, poisson_arrivals,
                            run_workload)
-from .obs import (MetricsRegistry, NullSink, QueryTrace, TraceSink,
-                  critical_path, metrics_of, replay)
+from .obs import NullSink, QueryTrace, TraceSink, critical_path, replay
 from .overlays.baton import BatonOverlay, BatonPeer
 from .overlays.can import CanOverlay, CanPeer
 from .overlays.chord import ChordOverlay, ChordPeer
@@ -76,8 +73,6 @@ __all__ = [
     "CanPeer",
     "ChordOverlay",
     "ChordPeer",
-    "CostEstimate",
-    "CostModel",
     "DiversificationObjective",
     "EngineLoad",
     "FailureDetector",
@@ -89,7 +84,6 @@ __all__ = [
     "LinearScore",
     "Link",
     "LocalStore",
-    "MetricsRegistry",
     "MidasOverlay",
     "MidasPeer",
     "NearestScore",
@@ -127,7 +121,6 @@ __all__ = [
     "WorkloadReport",
     "WorkloadSpec",
     "ZCurve",
-    "calibrate_fanout",
     "critical_path",
     "distributed_skyline",
     "distributed_topk",
@@ -135,14 +128,11 @@ __all__ = [
     "dominates",
     "event_driven_ripple",
     "greedy_diversify",
-    "metrics_of",
     "physical_id",
     "poisson_arrivals",
     "replay",
     "resilient_ripple",
-    "run_fast",
     "run_ripple",
-    "run_slow",
     "run_workload",
     "skyline_reference",
     "topk_reference",

@@ -1,7 +1,6 @@
 """Shared substrate: geometry, scoring, storage, deterministic hashing."""
 
-from .geometry import (Frustum, Interval, Point, Rect, dominates,
-                       l1_distance, l2_distance, linf_distance, maxdist,
+from .geometry import (Frustum, Interval, Point, Rect, dominates, maxdist,
                        mindist, minkowski_distance)
 from .hashing import mix, path_key
 from .scoring import LinearScore, NearestScore, ScoringFunction
@@ -9,7 +8,6 @@ from .store import LocalStore
 
 __all__ = [
     "Frustum", "Interval", "LinearScore", "LocalStore", "NearestScore",
-    "Point", "Rect", "ScoringFunction", "dominates", "l1_distance",
-    "l2_distance", "linf_distance", "maxdist", "mindist",
+    "Point", "Rect", "ScoringFunction", "dominates", "maxdist", "mindist",
     "minkowski_distance", "mix", "path_key",
 ]

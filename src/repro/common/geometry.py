@@ -38,9 +38,6 @@ __all__ = [
     "Frustum",
     "as_point",
     "minkowski_distance",
-    "l1_distance",
-    "l2_distance",
-    "linf_distance",
     "mindist",
     "maxdist",
     "mindist_batch",
@@ -69,21 +66,6 @@ def minkowski_distance(a: Sequence[float], b: Sequence[float], p: float) -> floa
     if math.isinf(p):
         return max(abs(x - y) for x, y in zip(a, b))
     return sum(abs(x - y) ** p for x, y in zip(a, b)) ** (1.0 / p)
-
-
-def l1_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Manhattan distance; the metric the paper uses for MIRFLICKR."""
-    return minkowski_distance(a, b, 1)
-
-
-def l2_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Euclidean distance."""
-    return minkowski_distance(a, b, 2)
-
-
-def linf_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Chebyshev distance."""
-    return minkowski_distance(a, b, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ One step object, :class:`_Visit`, states Algorithm 3 once: what a peer
 does when the query arrives, which link it forwards over next, how it
 folds a child's response, and what it ships when done.  ``fast``
 (Algorithm 1) and ``slow`` (Algorithm 2) are its ``r = 0`` and
-``r = infinity`` degenerations, exposed as :func:`run_fast`,
-:func:`run_slow` and :func:`run_ripple`.  Every engine in the repo is a
+``r = infinity`` degenerations: :func:`run_ripple` at ``r = 0`` and at
+``r = SLOW``.  Every engine in the repo is a
 *driver* that only decides when those steps run: :func:`_process` here
 (depth-first), :mod:`repro.net.eventsim` (a discrete-event queue, plain
 or fault-supervised) and :func:`repro.overlays.arena.wavefront_execute`
@@ -49,8 +49,8 @@ from ..obs.trace import TraceSink, state_size
 from .handler import QueryHandler
 from .regions import RectRegion, Region
 
-__all__ = ["Link", "LinkTable", "OverlayLike", "PeerLike", "physical_id", "run_fast",
-           "run_slow", "run_ripple", "SLOW"]
+__all__ = ["Link", "LinkTable", "OverlayLike", "PeerLike", "physical_id",
+           "run_ripple", "SLOW"]
 
 #: Ripple parameter value that never runs out: every peer uses the
 #: sequential loop, i.e. Algorithm 2.  (Any r > maximum link count works.)
@@ -435,22 +435,6 @@ def execute(
                               parent_span), base_latency)
     answer = handler.finalize(ctx.collected_answers)
     return QueryResult(answer=answer, stats=ctx.stats(base_latency + latency))
-
-
-def run_fast(initiator: PeerLike, handler: QueryHandler, *,
-             restriction: Region, strict: bool = True,
-             sink: TraceSink | None = None) -> QueryResult:
-    """Latency-optimal processing (Algorithm 1): ripple with ``r = 0``."""
-    return run_ripple(initiator, handler, 0,
-                      restriction=restriction, strict=strict, sink=sink)
-
-
-def run_slow(initiator: PeerLike, handler: QueryHandler, *,
-             restriction: Region, strict: bool = True,
-             sink: TraceSink | None = None) -> QueryResult:
-    """Communication-optimal processing (Algorithm 2): unbounded ``r``."""
-    return run_ripple(initiator, handler, SLOW,
-                      restriction=restriction, strict=strict, sink=sink)
 
 
 class _Visit:

@@ -5,21 +5,13 @@ in ``[0,1]^D``, generated around 50,000 cluster centers picked according to
 a zipfian distribution with skewness 0.1.  Sizes, cluster counts and skew
 are parameters here so tests and benchmarks can scale down while keeping
 the same generator code path.
-
-Also provides the three classic skyline data distributions (independent,
-correlated, anti-correlated) used for extra coverage.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "synth_clustered",
-    "uniform",
-    "correlated",
-    "anticorrelated",
-]
+__all__ = ["synth_clustered"]
 
 _EPS = 1e-9
 
@@ -54,31 +46,3 @@ def synth_clustered(
     assignment = rng.choice(clusters, size=n, p=weights)
     points = centers[assignment] + rng.normal(0.0, spread, size=(n, dims))
     return _clip_unit(points)
-
-
-def uniform(n: int, dims: int, *, rng: np.random.Generator) -> np.ndarray:
-    """Independent attributes, uniform in the unit cube."""
-    return _clip_unit(rng.random((n, dims)))
-
-
-def correlated(n: int, dims: int, *, rng: np.random.Generator,
-               tightness: float = 0.1) -> np.ndarray:
-    """Attributes positively correlated along the main diagonal.
-
-    Tiny skylines: a tuple good in one dimension is good in all.
-    """
-    base = rng.random((n, 1))
-    noise = rng.normal(0.0, tightness, size=(n, dims))
-    return _clip_unit(base + noise)
-
-
-def anticorrelated(n: int, dims: int, *, rng: np.random.Generator,
-                   tightness: float = 0.05) -> np.ndarray:
-    """Attributes trading off against each other: large skylines.
-
-    Points concentrate near the hyperplane ``sum(x) = dims / 2``.
-    """
-    raw = rng.random((n, dims))
-    target = dims / 2.0 + rng.normal(0.0, tightness * dims, size=(n, 1))
-    sums = raw.sum(axis=1, keepdims=True)
-    return _clip_unit(raw * (target / np.maximum(sums, 1e-12)))

@@ -9,25 +9,17 @@ are what *cause* queueing, so under pressure the message-optimal end of
 the spectrum wins, while an idle engine should always take the
 latency-optimal end.
 
-Two deterministic signals feed the controller:
-
-* a **cost model** calibrated offline with the obs layer's
-  :func:`~repro.obs.trace.replay` — one traced probe query per candidate
-  ``r`` re-derives exactly the (latency, messages) frontier the paper's
-  lemmas describe, for *this* overlay and handler family rather than an
-  analytic idealization (:func:`calibrate_fanout`);
-* the **observed queueing pressure** of the engine: instantaneous
-  capacity/queue occupancy (:class:`EngineLoad`) blended with an EWMA of
-  the queue-delay fraction of settled queries, so sustained congestion
-  keeps steering even between bursts.
-
-:meth:`AdaptiveFanout.choose` minimizes ``latency + pressure * weight *
-messages`` over the candidate set — at zero pressure the latency-optimal
-``r``, under saturation the message-optimal one.  Everything is pure
-arithmetic over recorded quantities: two identical runs make identical
-choices (``tests/net/test_adaptive.py`` pins determinism, and the
-answers themselves are ``r``-invariant by the framework's correctness
-property, so adaptation can never change what a query returns).
+The controller reads one deterministic signal, the engine's **observed
+queueing pressure**: instantaneous capacity/queue occupancy
+(:class:`EngineLoad`) blended with an EWMA of the queue-delay fraction
+of settled queries, so sustained congestion keeps steering even between
+bursts.  :meth:`AdaptiveFanout.choose` walks a threshold ladder over the
+candidate set — at low pressure the latency-optimal ``r``, under
+saturation the message-optimal one.  Everything is pure arithmetic over
+recorded quantities: two identical runs make identical choices
+(``tests/net/test_adaptive.py`` pins determinism, and the answers
+themselves are ``r``-invariant by the framework's correctness property,
+so adaptation can never change what a query returns).
 
 Wired into :class:`~repro.net.scheduler.QueryEngine` via its ``fanout``
 parameter and into :func:`~repro.net.workload.run_workload` behind
@@ -37,18 +29,12 @@ parameter and into :func:`~repro.net.workload.run_workload` behind
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
-
-from ..core.framework import PeerLike, run_ripple
-from ..core.handler import QueryHandler
-from ..core.regions import Region
-from ..obs.trace import QueryTrace, replay
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (avoids an import cycle)
     from .scheduler import QueryJob, QueryOutcome
 
-__all__ = ["AdaptiveFanout", "CostEstimate", "CostModel", "EngineLoad",
-           "calibrate_fanout"]
+__all__ = ["AdaptiveFanout", "EngineLoad"]
 
 
 @dataclass(frozen=True)
@@ -73,70 +59,18 @@ class EngineLoad:
         return min(1.0, 0.5 * busy + 0.5 * queued)
 
 
-@dataclass(frozen=True)
-class CostEstimate:
-    """Replayed cost of one candidate ``r``: the lemma trade-off point."""
-
-    latency: float
-    messages: float
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Per-``r`` cost frontier, typically from :func:`calibrate_fanout`."""
-
-    estimates: Mapping[int, CostEstimate]
-
-    def predict(self, r: int, pressure: float, weight: float) -> float:
-        """Blended cost of running at ``r`` under ``pressure``.
-
-        Messages are charged proportionally to pressure: on an idle
-        engine they are free (latency decides), on a saturated one each
-        message competes for the same peer service queues the query
-        itself needs.
-        """
-        estimate = self.estimates[r]
-        return estimate.latency + pressure * weight * estimate.messages
-
-
-def calibrate_fanout(initiator: PeerLike, handler: QueryHandler,
-                     rs: Sequence[int], *, restriction: Region,
-                     strict: bool = True) -> CostModel:
-    """Measure the (latency, messages) frontier of the candidate ``r``s.
-
-    Runs one traced probe query per candidate and re-derives its costs
-    with :func:`~repro.obs.trace.replay` — the recorded trace is the
-    cost model, not an analytic approximation.  Probe queries are
-    ordinary executions: they warm per-store computation caches but
-    change no answers.
-    """
-    estimates: dict[int, CostEstimate] = {}
-    for r in sorted(set(int(r) for r in rs)):
-        trace = QueryTrace()
-        run_ripple(initiator, handler, r, restriction=restriction,
-                   strict=strict, sink=trace)
-        replayed = replay(trace)
-        estimates[r] = CostEstimate(latency=float(replayed.latency),
-                                    messages=float(replayed.total_messages))
-    return CostModel(estimates)
-
-
 @dataclass
 class AdaptiveFanout:
     """The per-query ``r`` controller a :class:`QueryEngine` consults.
 
-    With a :class:`CostModel` the choice minimizes the pressure-blended
-    predicted cost; without one a threshold ladder over the candidate
-    set applies (idle -> smallest ``r``, saturated -> largest, the
-    middle candidate in between).  ``observe`` folds each settled
-    query's queue-delay fraction into the pressure EWMA.
+    A threshold ladder over the candidate set (idle -> smallest ``r``,
+    saturated -> largest, the middle candidate in between).  ``observe``
+    folds each settled query's queue-delay fraction into the pressure
+    EWMA.
     """
 
     rs: tuple[int, ...] = (0, 1, 2)
-    cost_model: CostModel | None = None
-    #: Message cost multiplier at full pressure (cost-model mode).
-    message_weight: float = 2.0
-    #: Pressure thresholds of the ladder (model-free mode).
+    #: Pressure thresholds of the ladder.
     low: float = 0.25
     high: float = 0.75
     #: EWMA smoothing factor of the observed queue-delay fraction.
@@ -149,11 +83,6 @@ class AdaptiveFanout:
         self.rs = tuple(sorted(set(int(r) for r in self.rs)))
         if not self.rs:
             raise ValueError("need at least one candidate r")
-        if self.cost_model is not None:
-            missing = [r for r in self.rs
-                       if r not in self.cost_model.estimates]
-            if missing:
-                raise ValueError(f"cost model lacks candidates {missing}")
         for r in self.rs:
             self.decisions.setdefault(r, 0)
 
@@ -165,17 +94,7 @@ class AdaptiveFanout:
     def choose(self, job: "QueryJob", load: EngineLoad) -> int:
         """The ``r`` this query should run at, given current load."""
         pressure = max(load.pressure, self._pressure)
-        if self.cost_model is not None:
-            best = self.rs[0]
-            best_cost = self.cost_model.predict(best, pressure,
-                                                self.message_weight)
-            for r in self.rs[1:]:
-                cost = self.cost_model.predict(r, pressure,
-                                               self.message_weight)
-                if cost < best_cost:
-                    best, best_cost = r, cost
-            choice = best
-        elif pressure <= self.low:
+        if pressure <= self.low:
             choice = self.rs[0]
         elif pressure >= self.high:
             choice = self.rs[-1]

@@ -193,21 +193,6 @@ class FaultPlan:
         return cls(seed=seed, drop_prob=drop_prob, jitter=jitter,
                    crashes=crashes, **knobs)
 
-    @classmethod
-    def from_overlay(cls, overlay: OverlayLike, *, seed: int = 0,
-                     **knobs: int) -> "FaultPlan":
-        """Freeze the overlay's per-peer ``alive`` flags into a plan.
-
-        Peers flagged dead (``peer.alive == False``) are down from time 0
-        and never recover — a static partial-failure scenario.
-        """
-        crashes = {
-            peer.peer_id: [(0.0, math.inf)]
-            for peer in overlay.peers()
-            if not getattr(peer, "alive", True)
-        }
-        return cls(seed=seed, crashes=crashes, **knobs)
-
     # -- liveness ----------------------------------------------------------
 
     def protect(self, peer_id: Hashable) -> None:

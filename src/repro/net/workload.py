@@ -16,9 +16,8 @@ two runs produce identical per-query answers, stats, and shed decisions
 ``benchmarks/bench_load.py``'s committed baseline a meaningful CI gate.
 
 Latency percentiles are computed *exactly* from the sorted turnaround
-times — deliberately not via :class:`~repro.obs.metrics.Histogram`,
-whose quantiles round up to bucket edges (and to infinity past the last
-bound), which would break the "p99 finite and monotone in load" gate.
+times, never rounded to bucket edges, which keeps the "p99 finite and
+monotone in load" gate meaningful.
 """
 
 from __future__ import annotations

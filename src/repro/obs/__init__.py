@@ -1,4 +1,4 @@
-"""Query observability: hop-level tracing, metrics, and exporters.
+"""Query observability: hop-level tracing, replay, and exporters.
 
 See ``docs/OBSERVABILITY.md``.  The package is dependency-light and
 imports nothing from the simulation engines, so attaching (or not
@@ -8,20 +8,12 @@ attaching) a sink can never change engine behavior; the default
 
 from .export import (load_jsonl, to_jsonl_records, to_perfetto, write_jsonl,
                      write_perfetto)
-from .metrics import (Counter, DEFAULT_FANOUT_BUCKETS,
-                      DEFAULT_STATE_SIZE_BUCKETS, Histogram, MetricsRegistry,
-                      metrics_of)
 from .trace import (ACTIVITY_EVENTS, NULL_SINK, NullSink, PointEvent,
                     QueryTrace, ReplayedStats, Span, TraceSink, critical_path,
                     replay, state_size)
 
 __all__ = [
     "ACTIVITY_EVENTS",
-    "Counter",
-    "DEFAULT_FANOUT_BUCKETS",
-    "DEFAULT_STATE_SIZE_BUCKETS",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_SINK",
     "NullSink",
     "PointEvent",
@@ -31,7 +23,6 @@ __all__ = [
     "TraceSink",
     "critical_path",
     "load_jsonl",
-    "metrics_of",
     "replay",
     "state_size",
     "to_jsonl_records",

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from .export import load_jsonl
-from .metrics import metrics_of
 from .trace import QueryTrace, critical_path, replay
 
 __all__ = ["main", "render"]
@@ -58,13 +57,20 @@ def render(trace: QueryTrace) -> str:
                          f"state={carried:<6} region={region}")
     else:
         lines.append("critical path: (empty trace)")
-    registry = metrics_of(trace)
-    fanout = registry.histograms["fanout.per_peer"]
-    sizes = registry.histograms["state_size.per_hop"]
-    lines.append(f"fan-out per peer: n={fanout.total} "
-                 f"mean={fanout.mean:.2f} p90<={fanout.quantile(0.9):g}")
-    lines.append(f"state size per hop: n={sizes.total} "
-                 f"mean={sizes.mean:.1f} p90<={sizes.quantile(0.9):g}")
+    fanout: dict[Hashable, int] = {}
+    for event in trace.events:
+        if event.kind == "forward" and event.span_id:
+            origin = trace.get_span(event.span_id)
+            if origin is not None:
+                fanout[origin.peer] = fanout.get(origin.peer, 0) + 1
+    sizes = [float(span.attrs["state_size"]) for span in trace.spans
+             if span.kind == "process" and "state_size" in span.attrs]
+    for label, values, digits in (
+            ("fan-out per peer", [float(n) for n in fanout.values()], 2),
+            ("state size per hop", sizes, 1)):
+        mean = sum(values) / len(values) if values else 0.0
+        lines.append(f"{label}: n={len(values)} mean={mean:.{digits}f} "
+                     f"max={max(values, default=0):g}")
     return "\n".join(lines)
 
 

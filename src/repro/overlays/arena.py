@@ -15,7 +15,7 @@ lives in one flat typed NumPy array —
   builder (:class:`MidasArena`) — no link arrays at all: a balanced
   dyadic k-d tree is fully described by ``(n, depth)``, so link regions
   and targets are *derived* from a peer's path bits on demand;
-* liveness and replica slots: a ``bool`` array and a CSR candidate table.
+* replica slots: a CSR candidate table.
 
 The arrays are the overlay; peers materialize lazily as flyweight
 :class:`ArenaPeer` views satisfying the existing
@@ -105,15 +105,6 @@ class ArenaPeer:
         return self._links
 
     @property
-    def alive(self) -> bool:
-        """Liveness flag (`FaultPlan.from_overlay` freezes these)."""
-        return bool(self.arena.alive[self.index])
-
-    @alive.setter
-    def alive(self, value: bool) -> None:
-        self.arena.alive[self.index] = value
-
-    @property
     def replicas(self) -> dict[int, Replica]:
         """Replicas hosted here (lazily allocated; see ReplicaDirectory)."""
         if self._replicas is None:
@@ -158,7 +149,7 @@ class _ArenaPeers(Sequence[ArenaPeer]):
 
 
 class OverlayArena:
-    """Shared substrate state: stores, liveness, and peer views.
+    """Shared substrate state: stores and peer views.
 
     Subclasses contribute the link encoding (:meth:`decode_links`,
     :meth:`link_table`) and the replica-slot policy; everything
@@ -167,8 +158,7 @@ class OverlayArena:
     """
 
     def __init__(self, *, dims: int, peer_ids: np.ndarray,
-                 store_ptr: np.ndarray, tuples: np.ndarray,
-                 alive: np.ndarray | None = None) -> None:
+                 store_ptr: np.ndarray, tuples: np.ndarray) -> None:
         n = len(peer_ids)
         if store_ptr.shape != (n + 1,):
             raise ValueError("store_ptr must have one offset per peer + 1")
@@ -177,8 +167,6 @@ class OverlayArena:
         self.store_ptr = np.ascontiguousarray(store_ptr, dtype=np.int64)
         self.tuples = np.ascontiguousarray(tuples, dtype=float)
         self.tuples.flags.writeable = False
-        self.alive = (np.ones(n, dtype=bool) if alive is None
-                      else np.ascontiguousarray(alive, dtype=bool))
         #: Arenas are immutable snapshots — the structural epoch never
         #: moves, so ReplicaDirectory.refresh() is placement-stable.
         self.epoch = 0
@@ -230,7 +218,7 @@ class OverlayArena:
         return sum(int(a.nbytes) for a in self._arrays())
 
     def _arrays(self) -> list[np.ndarray]:
-        return [self.peer_ids, self.store_ptr, self.tuples, self.alive]
+        return [self.peer_ids, self.store_ptr, self.tuples]
 
 
 class MirrorArena(OverlayArena):
@@ -248,10 +236,9 @@ class MirrorArena(OverlayArena):
                  store_ptr: np.ndarray, tuples: np.ndarray,
                  link_ptr: np.ndarray, link_target: np.ndarray,
                  link_payload: dict[str, np.ndarray],
-                 replica_ptr: np.ndarray, replica_idx: np.ndarray,
-                 alive: np.ndarray | None = None) -> None:
+                 replica_ptr: np.ndarray, replica_idx: np.ndarray) -> None:
         super().__init__(dims=dims, peer_ids=peer_ids, store_ptr=store_ptr,
-                         tuples=tuples, alive=alive)
+                         tuples=tuples)
         if kind not in ("rect", "arc", "frustum"):
             raise ValueError(f"unknown region family {kind!r}")
         self.kind = kind
@@ -336,14 +323,13 @@ class MidasArena(OverlayArena):
     def __init__(self, *, dims: int, store_ptr: np.ndarray,
                  tuples: np.ndarray, base_depth: int, extra: int,
                  seed: int = 0, link_ptr: np.ndarray | None = None,
-                 link_target: np.ndarray | None = None,
-                 alive: np.ndarray | None = None) -> None:
+                 link_target: np.ndarray | None = None) -> None:
         n = (1 << base_depth) + extra
         if not 0 <= extra < (1 << base_depth):
             raise ValueError(f"extra splits {extra} out of range for "
                              f"depth {base_depth}")
         super().__init__(dims=dims, peer_ids=np.arange(n, dtype=np.int64),
-                         store_ptr=store_ptr, tuples=tuples, alive=alive)
+                         store_ptr=store_ptr, tuples=tuples)
         self.base_depth = base_depth
         self.extra = extra
         self.seed = seed
@@ -739,7 +725,7 @@ def run_wavefront(
 ) -> QueryResult:
     """Convenience wrapper: :func:`wavefront_execute` over a fresh context.
 
-    The batched counterpart of :func:`repro.core.framework.run_fast`.
+    The batched counterpart of ``run_ripple(initiator, handler, 0, ...)``.
     """
     ctx = QueryContext(strict=strict)
     if sink is not None:

@@ -46,8 +46,8 @@ def from_overlay(overlay: Any, *,
     The mirror preserves everything observable through the peer
     protocol: peer ids and their ``peers()`` order, each peer's link
     *order* (it breaks ties under ``r > 0``'s stable priority sort),
-    link regions decoded to ``==``-equal ``Region`` objects, store rows,
-    liveness, and the first ``replica_depth`` replica candidates.
+    link regions decoded to ``==``-equal ``Region`` objects, store rows
+    and the first ``replica_depth`` replica candidates.
     """
     peers = list(overlay.peers())
     if not peers:
@@ -65,8 +65,6 @@ def from_overlay(overlay: Any, *,
              if len(p.store)], axis=0)
     else:
         tuples = np.empty((0, dims))
-    alive = np.fromiter((getattr(p, "alive", True)
-                         for p in peers), dtype=bool, count=len(peers))
 
     all_links = [p.links() for p in peers]
     degrees = np.fromiter((len(ls) for ls in all_links),
@@ -91,7 +89,7 @@ def from_overlay(overlay: Any, *,
                        store_ptr=store_ptr, tuples=tuples,
                        link_ptr=link_ptr, link_target=link_target,
                        link_payload=payload, replica_ptr=replica_ptr,
-                       replica_idx=replica_idx, alive=alive)
+                       replica_idx=replica_idx)
 
 
 def _encode_regions(flat: Sequence[Any], dims: int

@@ -34,15 +34,13 @@ class BatonPeer:
     __slots__ = ("peer_id", "level", "offset", "range_lo", "range_hi",
                  "span_lo", "span_hi", "parent", "left", "right",
                  "adjacent_prev", "adjacent_next", "left_table",
-                 "right_table", "store", "cached_cells", "alive")
+                 "right_table", "store", "cached_cells")
 
     def __init__(self, peer_id: int, level: int, offset: int,
                  dims: int) -> None:
         self.peer_id = peer_id
         self.level = level
         self.offset = offset
-        #: Liveness flag for fault scenarios (see FaultPlan.from_overlay).
-        self.alive = True
         self.range_lo = 0
         self.range_hi = 0
         self.span_lo = 0

@@ -24,9 +24,9 @@ overlays themselves are *link disciplines* over it:
 
 Both share :class:`Substrate` (peer registry, the ``epoch`` counter every
 cache keys on, ``load`` validation) and :class:`SubstratePeer` (the
-replication/fault slots and the epoch-memoised ``links()``).  The
+replication slot and the epoch-memoised ``links()``).  The
 replication contract — ``replica_targets(peer, count)`` on the overlay,
-``replicas``/``alive`` on the peer — is abstract here, so an overlay that
+``replicas`` on the peer — is abstract here, so an overlay that
 omits it cannot be instantiated.
 """
 
@@ -54,15 +54,12 @@ JoinPolicy = Literal["uniform", "data"]
 class SubstratePeer(ABC):
     """What every peer carries besides its geometry."""
 
-    __slots__ = ("peer_id", "overlay", "store", "alive", "replicas", "_links")
+    __slots__ = ("peer_id", "overlay", "store", "replicas", "_links")
 
     def __init__(self, peer_id: int, overlay: Any) -> None:
         self.peer_id = peer_id
         self.overlay = overlay
         self.store = LocalStore(overlay.dims)
-        #: Liveness flag for fault scenarios; FaultPlan.from_overlay freezes
-        #: these into a crash schedule.  Fault-free engines ignore it.
-        self.alive = True
         #: Replicas of other peers' stores hosted here, keyed by owner id;
         #: maintained by :class:`~repro.overlays.replication.ReplicaDirectory`.
         self.replicas: dict[int, Replica] = {}

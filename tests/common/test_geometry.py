@@ -12,9 +12,6 @@ from repro.common.geometry import (
     Rect,
     contains_batch,
     dominates,
-    l1_distance,
-    l2_distance,
-    linf_distance,
     maxdist,
     mindist,
     mindist_batch,
@@ -26,20 +23,20 @@ points = st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=5)
 
 class TestDistances:
     def test_l1(self):
-        assert l1_distance((0, 0), (1, 2)) == 3
+        assert minkowski_distance((0, 0), (1, 2), 1) == 3
 
     def test_l2(self):
-        assert l2_distance((0, 0), (3, 4)) == 5
+        assert minkowski_distance((0, 0), (3, 4), 2) == 5
 
     def test_linf(self):
-        assert linf_distance((0, 0), (3, 4)) == 4
+        assert minkowski_distance((0, 0), (3, 4), math.inf) == 4
 
     def test_general_p(self):
         assert minkowski_distance((0,), (2,), 3) == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            l1_distance((0, 0), (1, 2, 3))
+            minkowski_distance((0, 0), (1, 2, 3), 1)
 
     @given(points, points)
     def test_metric_symmetry(self, a, b):
@@ -51,7 +48,7 @@ class TestDistances:
 
     @given(points)
     def test_identity(self, a):
-        assert l2_distance(a, a) == 0.0
+        assert minkowski_distance(a, a, 2) == 0.0
 
 
 class TestDominance:

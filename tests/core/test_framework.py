@@ -8,12 +8,12 @@ from repro import (
     MidasOverlay,
     SLOW,
     TopKHandler,
-    run_fast,
     run_ripple,
-    run_slow,
     topk_reference,
 )
-from repro.net import QueryEngine, event_driven_ripple, resilient_ripple
+from repro.net.eventsim import event_driven_ripple
+from repro.net.faults import resilient_ripple
+from repro.net.scheduler import QueryEngine
 from repro.net.context import DuplicateVisitError
 from tests.netlib import midas_network
 
@@ -37,16 +37,16 @@ class TestCorrectness:
         overlay, data = network
         handler = TopKHandler(LinearScore([1, 1, 1]), 5)
         ref = topk_reference(data, handler.fn, 5)
-        res = run_fast(overlay.random_peer(), handler,
-                       restriction=overlay.domain())
+        res = run_ripple(overlay.random_peer(), handler, 0,
+                         restriction=overlay.domain())
         assert scores(res) == [s for s, _ in ref]
 
     def test_slow_matches_reference(self, network):
         overlay, data = network
         handler = TopKHandler(LinearScore([1, -1, 0.5]), 7)
         ref = topk_reference(data, handler.fn, 7)
-        res = run_slow(overlay.random_peer(), handler,
-                       restriction=overlay.domain())
+        res = run_ripple(overlay.random_peer(), handler, SLOW,
+                         restriction=overlay.domain())
         assert scores(res) == [s for s, _ in ref]
 
     def test_every_r_matches_reference(self, network):
@@ -63,15 +63,15 @@ class TestCorrectness:
         handler = TopKHandler(LinearScore([2, 1, 1]), 4)
         ref = [s for s, _ in topk_reference(data, handler.fn, 4)]
         for peer in list(overlay.peers())[::7]:
-            res = run_fast(peer, handler, restriction=overlay.domain())
+            res = run_ripple(peer, handler, 0, restriction=overlay.domain())
             assert scores(res) == ref
 
     def test_single_peer_network(self):
         overlay = MidasOverlay(2, size=1)
         overlay.load(np.array([[0.1, 0.2], [0.3, 0.4]]))
         handler = TopKHandler(LinearScore([1, 1]), 1)
-        res = run_fast(overlay.peers()[0], handler,
-                       restriction=overlay.domain())
+        res = run_ripple(overlay.peers()[0], handler, 0,
+                         restriction=overlay.domain())
         assert scores(res) == [pytest.approx(0.7)]
         assert res.stats.latency == 0
         assert res.stats.processed == 1
@@ -80,8 +80,8 @@ class TestCorrectness:
         overlay = MidasOverlay(2, size=8, seed=3)
         overlay.load(np.array([[0.1, 0.2], [0.3, 0.4]]))
         handler = TopKHandler(LinearScore([1, 1]), 10)
-        res = run_slow(overlay.random_peer(), handler,
-                       restriction=overlay.domain())
+        res = run_ripple(overlay.random_peer(), handler, SLOW,
+                         restriction=overlay.domain())
         assert len(res.answer) == 2
 
     @pytest.mark.parametrize("run", [
@@ -101,8 +101,8 @@ class TestCostModel:
     def test_fast_latency_bounded_by_depth(self, network):
         overlay, _ = network
         handler = TopKHandler(LinearScore([1, 1, 1]), 5)
-        res = run_fast(overlay.random_peer(), handler,
-                       restriction=overlay.domain())
+        res = run_ripple(overlay.random_peer(), handler, 0,
+                         restriction=overlay.domain())
         assert res.stats.latency <= overlay.tree.max_depth()
 
     def test_slow_latency_equals_processed_minus_one_when_unpruned(self):
@@ -111,16 +111,16 @@ class TestCostModel:
         overlay = MidasOverlay(2, size=32, seed=4)
         overlay.load(np.random.default_rng(0).random((64, 2)) * 0.999)
         handler = TopKHandler(LinearScore([1, 1]), 10 ** 6)
-        res = run_slow(overlay.random_peer(), handler,
-                       restriction=overlay.domain())
+        res = run_ripple(overlay.random_peer(), handler, SLOW,
+                         restriction=overlay.domain())
         assert res.stats.processed == 32
         assert res.stats.latency == 31
 
     def test_fast_visits_all_peers_when_unpruned(self):
         overlay = MidasOverlay(2, size=32, seed=5)
         handler = TopKHandler(LinearScore([1, 1]), 5)
-        res = run_fast(overlay.random_peer(), handler,
-                       restriction=overlay.domain())
+        res = run_ripple(overlay.random_peer(), handler, 0,
+                         restriction=overlay.domain())
         # empty stores: certificate never fills, no pruning possible
         assert res.stats.processed == 32
 
@@ -139,8 +139,8 @@ class TestCostModel:
     def test_messages_accounted(self, network):
         overlay, _ = network
         handler = TopKHandler(LinearScore([1, 1, 1]), 5)
-        res = run_slow(overlay.random_peer(), handler,
-                       restriction=overlay.domain())
+        res = run_ripple(overlay.random_peer(), handler, SLOW,
+                         restriction=overlay.domain())
         stats = res.stats
         assert stats.forward_messages >= stats.processed - 1
         assert stats.response_messages > 0
@@ -151,8 +151,8 @@ class TestCostModel:
     def test_fast_sends_no_state_responses(self, network):
         overlay, _ = network
         handler = TopKHandler(LinearScore([1, 1, 1]), 5)
-        res = run_fast(overlay.random_peer(), handler,
-                       restriction=overlay.domain())
+        res = run_ripple(overlay.random_peer(), handler, 0,
+                         restriction=overlay.domain())
         assert res.stats.response_messages == 0
 
 

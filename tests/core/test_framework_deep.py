@@ -14,7 +14,7 @@ import pytest
 
 from repro.common.geometry import Rect
 from repro.common.store import LocalStore
-from repro.core.framework import SLOW, Link, run_ripple, run_slow
+from repro.core.framework import SLOW, Link, run_ripple
 from repro.core.regions import RectRegion
 from repro.queries.rangeq import RangeHandler
 
@@ -53,7 +53,7 @@ def test_query_never_touches_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 123)
     try:
-        run_slow(peers[0], handler, restriction=domain)
+        run_ripple(peers[0], handler, SLOW, restriction=domain)
         assert sys.getrecursionlimit() == limit + 123
     finally:
         sys.setrecursionlimit(limit)
@@ -67,7 +67,7 @@ def test_slow_on_deep_chain_under_lowered_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1_000)
     try:
-        result = run_slow(peers[0], handler, restriction=domain)
+        result = run_ripple(peers[0], handler, SLOW, restriction=domain)
     finally:
         sys.setrecursionlimit(limit)
     assert sys.getrecursionlimit() == limit
@@ -96,7 +96,7 @@ def test_deep_chain_matches_shallow_reference():
     peers = build_chain(n)
     handler = RangeHandler(Rect((0.0,), (0.5,)))
     domain = RectRegion(Rect((0.0,), (1.0,)))
-    result = run_slow(peers[0], handler, restriction=domain)
+    result = run_ripple(peers[0], handler, SLOW, restriction=domain)
     data = np.array([((i + 0.5) / n,) for i in range(n)])
     expected = sorted(tuple(row) for row in data[data[:, 0] < 0.5])
     assert result.answer == expected

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.mirflickr import MIRFLICKR_DIMS, mirflickr_dataset
 from repro.data.nba import NBA_ATTRIBUTES, nba_dataset, to_minimization
-from repro.data.synth import anticorrelated, correlated, synth_clustered, uniform
+from repro.data.synth import synth_clustered
 
 
 def rng():
@@ -89,14 +89,3 @@ class TestSynth:
             return (hist > 0).sum()
 
         assert occupancy(skewed) <= occupancy(flat)
-
-    def test_uniform(self):
-        data = uniform(2000, 3, rng=rng())
-        assert abs(data.mean() - 0.5) < 0.05
-
-    def test_correlated_has_small_skyline(self):
-        from repro.queries.skyline import skyline_of_array
-
-        corr = correlated(2000, 3, rng=rng())
-        anti = anticorrelated(2000, 3, rng=rng())
-        assert len(skyline_of_array(corr)) < len(skyline_of_array(anti))

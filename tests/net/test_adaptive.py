@@ -1,23 +1,20 @@
-"""Adaptive-fanout controller: pressure, calibration, determinism.
+"""Adaptive-fanout controller: pressure, the ladder, determinism.
 
 The controller may change *when* and *how wide* queries fan out — never
 what they answer: the framework's r-invariance means every choice of
 ``r`` returns the identical result, so the tests pin (a) the control
-law itself on fabricated loads, (b) the replay-calibrated cost model's
-lemma-shaped frontier, and (c) end-to-end determinism and answer
+law itself on fabricated loads and (b) end-to-end determinism and answer
 invariance under ``WorkloadSpec.adaptive_r``.
 """
 
 import pytest
 
-from repro import calibrate_fanout
-from repro.net.adaptive import (AdaptiveFanout, CostEstimate, CostModel,
-                                EngineLoad)
+from repro.net.adaptive import AdaptiveFanout, EngineLoad
 from repro.net.context import QueryStats
 from repro.net.scheduler import QueryCompleted, QueryEngine
 from repro.net.workload import WorkloadSpec, run_workload
 
-from tests.netlib import handlers_for, midas_network
+from tests.netlib import midas_network
 
 
 class TestEngineLoad:
@@ -73,24 +70,6 @@ class TestLadder:
             AdaptiveFanout(rs=())
 
 
-class TestCostModelChoice:
-    MODEL = CostModel({0: CostEstimate(latency=2.0, messages=10.0),
-                       2: CostEstimate(latency=5.0, messages=2.0)})
-
-    def test_idle_minimizes_latency(self):
-        fanout = AdaptiveFanout(rs=(0, 2), cost_model=self.MODEL)
-        assert fanout.choose(None, load_at(0.0)) == 0
-
-    def test_pressure_flips_to_message_optimal(self):
-        # At pressure 1, weight 2: r=0 costs 2 + 20, r=2 costs 5 + 4.
-        fanout = AdaptiveFanout(rs=(0, 2), cost_model=self.MODEL)
-        assert fanout.choose(None, load_at(1.0)) == 2
-
-    def test_model_must_cover_all_candidates(self):
-        with pytest.raises(ValueError):
-            AdaptiveFanout(rs=(0, 1, 2), cost_model=self.MODEL)
-
-
 class TestObserve:
     def test_queue_delay_fraction_feeds_the_ewma(self):
         fanout = AdaptiveFanout(rs=(0, 2), smoothing=0.3)
@@ -110,28 +89,6 @@ class TestObserve:
         fanout.observe(congested)
         # The EWMA keeps steering even when the instantaneous load dips.
         assert fanout.choose(None, load_at(0.0)) == 2
-
-
-class TestCalibration:
-    def test_replayed_frontier_has_the_lemma_shape(self):
-        overlay = midas_network(7)
-        handler = handlers_for(2)[0]
-        model = calibrate_fanout(overlay.peers()[0], handler, [0, 1, 2],
-                                 restriction=overlay.domain())
-        assert sorted(model.estimates) == [0, 1, 2]
-        messages = [model.estimates[r].messages for r in (0, 1, 2)]
-        # Larger r serializes propagation and prunes more: the message
-        # count is non-increasing along the candidate ladder (Lemma 2).
-        assert messages == sorted(messages, reverse=True)
-        assert all(m > 0 for m in messages)
-
-    def test_calibration_is_deterministic(self):
-        overlay = midas_network(7)
-        handler = handlers_for(2)[0]
-        args = (overlay.peers()[0], handler, [0, 2])
-        first = calibrate_fanout(*args, restriction=overlay.domain())
-        second = calibrate_fanout(*args, restriction=overlay.domain())
-        assert first == second
 
 
 def adaptive_spec(adaptive):

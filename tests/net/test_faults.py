@@ -159,16 +159,6 @@ class TestFaultPlan:
                 assert 0 <= down < 16
                 assert down < up <= down + 9
 
-    def test_from_overlay_freezes_alive_flags(self):
-        overlay, _ = midas_network(2, peers=16)
-        dead = [overlay.peers()[3], overlay.peers()[8]]
-        for peer in dead:
-            peer.alive = False
-        plan = FaultPlan.from_overlay(overlay)
-        for peer in overlay.peers():
-            assert plan.alive(peer.peer_id, 0) == peer.alive
-            assert plan.alive(peer.peer_id, 10 ** 9) == peer.alive
-
 
 class TestRegionVolume:
     def test_domain_volume_is_one(self):
@@ -327,14 +317,12 @@ class TestUnderFaults:
             == {tuple(p) for p in range_reference(data, box)}
 
     def test_dead_neighborhood_is_rerouted_or_accounted(self):
-        """Statically killing peers (alive flags) degrades completeness by
-        roughly the dead volume, never silently."""
+        """Statically killing peers (down from time 0, never back)
+        degrades completeness by roughly the dead volume, never silently."""
         overlay, _ = midas_network(9, peers=32)
         initiator = overlay.peers()[0]
         dead = [p for p in overlay.peers()[1:] if p.peer_id % 3 == 0]
-        for peer in dead:
-            peer.alive = False
-        plan = FaultPlan.from_overlay(overlay)
+        plan = FaultPlan(crashes={p.peer_id: [(0.0, math.inf)] for p in dead})
         handler = RangeHandler(Rect((0.0, 0.0), (1.0, 1.0)))
         result = resilient_ripple(initiator, handler, 0,
                                   restriction=overlay.domain(), faults=plan)

@@ -13,9 +13,9 @@ engines — for top-k, skyline, and diversification, on every substrate in
   with completeness < 1.0 and no livelock;
 * a blown event budget raises ``SimulationBudgetExceeded`` carrying the
   partial stats (not a bare ``RuntimeError`` with no observability);
-* the seeded fault draws of ``FaultPlan.churn`` / ``from_overlay`` are
-  pinned by golden fingerprints so a refactor cannot silently reshuffle
-  every recorded benchmark scenario.
+* the seeded fault draws of ``FaultPlan.churn`` are pinned by golden
+  fingerprints so a refactor cannot silently reshuffle every recorded
+  benchmark scenario.
 """
 
 import math
@@ -286,16 +286,19 @@ class TestSeedStability:
             (3.0, 5.0), (4.0, 6.0), (4.0, 6.0), (3.0, 5.0), (7.0, 8.0),
             (2.0, 6.0), (4.0, 5.0), (5.0, 9.0), (3.0, 6.0)]
 
-    def test_from_overlay_freezes_alive_flags(self):
+    def test_static_crash_is_down_for_good(self):
         overlay = chord_network(2, peers=16)
         dead = {p.peer_id for i, p in enumerate(overlay.peers())
                 if i % 3 == 0}
-        for peer in overlay.peers():
-            peer.alive = peer.peer_id not in dead
-        plan = FaultPlan.from_overlay(overlay, seed=2)
+        plan = FaultPlan(seed=2,
+                         crashes={pid: [(0.0, math.inf)] for pid in dead})
         assert set(plan.crashes) == dead
         assert all(windows == ((0.0, math.inf),)
                    for windows in plan.crashes.values())
+        for peer in overlay.peers():
+            up = peer.peer_id not in dead
+            assert plan.alive(peer.peer_id, 0) == up
+            assert plan.alive(peer.peer_id, 10 ** 9) == up
 
     def test_message_draw_sequences_are_pinned(self):
         plan = FaultPlan(seed=42, drop_prob=0.2, jitter=3)

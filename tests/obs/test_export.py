@@ -8,6 +8,7 @@ and export to well-formed ``trace_event`` JSON.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -120,6 +121,33 @@ class TestAcceptance:
         text = render(trace)
         assert "critical path" in text.lower()
         assert str(result.stats.latency) in text
+        assert "fan-out per peer: n=" in text
+        assert "state size per hop: n=" in text
+
+    def test_render_counts_fanout_and_state_size(self, fig7):
+        # The two summary lines against a direct count over the trace:
+        # forwards per originating peer, and the ``state_size`` of every
+        # ``process`` span.
+        trace, result = fig7
+        forwards = Counter(trace.get_span(e.span_id).peer
+                           for e in trace.events
+                           if e.kind == "forward" and e.span_id)
+        assert sum(forwards.values()) == result.stats.forward_messages
+        sizes = [s.attrs["state_size"] for s in trace.spans
+                 if s.kind == "process" and "state_size" in s.attrs]
+        lines = render(trace).splitlines()
+        assert lines[-2] == (
+            f"fan-out per peer: n={len(forwards)} "
+            f"mean={sum(forwards.values()) / len(forwards):.2f} "
+            f"max={max(forwards.values())}")
+        assert lines[-1] == (
+            f"state size per hop: n={len(sizes)} "
+            f"mean={sum(sizes) / len(sizes):.1f} max={max(sizes)}")
+
+    def test_render_of_an_empty_trace(self):
+        lines = render(QueryTrace()).splitlines()
+        assert lines[-2:] == ["fan-out per peer: n=0 mean=0.00 max=0",
+                              "state size per hop: n=0 mean=0.0 max=0"]
 
     def test_round_trip_at_scale(self, fig7, tmp_path):
         trace, result = fig7

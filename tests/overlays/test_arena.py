@@ -365,16 +365,6 @@ class TestPeerViews:
         with pytest.raises(ValueError):
             arena.tuples[0, 0] = 0.5
 
-    def test_alive_flag_reads_through(self):
-        arena = midas_arena(9, dims=2, seed=1)
-        peer = arena.peer(4)
-        assert peer.alive
-        peer.alive = False
-        assert not arena.alive[4]
-        assert not arena.peer(4).alive
-        peer.alive = True
-        assert arena.alive.all()
-
     def test_epoch_and_random_peer(self):
         arena = midas_arena(9, dims=2, seed=1)
         assert arena.epoch == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import NearestScore, run_fast, run_ripple, run_slow
+from repro import SLOW, NearestScore, run_ripple
 from repro.net.routing import greedy_route
 from repro.overlays.chord import ChordOverlay
 from repro.overlays.skipgraph import SkipGraphOverlay
@@ -112,9 +112,9 @@ class TestQueries:
         fn = NearestScore((float(rng.random()),))
         ref = [s for s, _ in topk_reference(data, fn, 3)]
         handler = TopKHandler(fn, 3)
-        for run in (run_fast, run_slow):
-            res = run(overlay.random_peer(rng), handler,
-                      restriction=overlay.domain())
+        for r in (0, SLOW):
+            res = run_ripple(overlay.random_peer(rng), handler, r,
+                             restriction=overlay.domain())
             assert [s for s, _ in res.answer] == pytest.approx(ref)
 
     def test_strict_mode_holds(self):

@@ -48,7 +48,7 @@ class TestMidasChurn:
     @given(churn_params)
     @relaxed
     def test_queries_stay_exact_after_churn(self, params):
-        from repro import LinearScore, run_fast
+        from repro import LinearScore, run_ripple
         from repro.queries.topk import TopKHandler, topk_reference
 
         seed, plan = params
@@ -58,8 +58,8 @@ class TestMidasChurn:
         overlay.load(data)
         churn(overlay, plan, rng)
         fn = LinearScore([1, 1])
-        result = run_fast(overlay.random_peer(rng), TopKHandler(fn, 4),
-                          restriction=overlay.domain())
+        result = run_ripple(overlay.random_peer(rng), TopKHandler(fn, 4), 0,
+                            restriction=overlay.domain())
         assert [s for s, _ in result.answer] == \
             [s for s, _ in topk_reference(data, fn, 4)]
 
@@ -130,7 +130,7 @@ class TestSkipGraphChurn:
     @given(churn_params)
     @relaxed
     def test_queries_stay_exact_after_churn(self, params):
-        from repro import LinearScore, run_fast
+        from repro import LinearScore, run_ripple
         from repro.queries.topk import TopKHandler, topk_reference
 
         seed, plan = params
@@ -140,7 +140,7 @@ class TestSkipGraphChurn:
         overlay.load(data)
         churn(overlay, plan, rng)
         fn = LinearScore([1.0])
-        result = run_fast(overlay.random_peer(rng), TopKHandler(fn, 4),
-                          restriction=overlay.domain())
+        result = run_ripple(overlay.random_peer(rng), TopKHandler(fn, 4), 0,
+                            restriction=overlay.domain())
         assert [s for s, _ in result.answer] == \
             [s for s, _ in topk_reference(data, fn, 4)]

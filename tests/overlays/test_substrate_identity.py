@@ -198,9 +198,8 @@ class TestContractIsAType:
         overlay = build_network(kind, 3, peers=8, tuples=40)
         for peer in overlay.peers():
             assert isinstance(peer, SubstratePeer)
-            assert peer.alive is True
             assert peer.replicas == {}
             assert isinstance(peer.store, LocalStore)
             assert not hasattr(peer, "__dict__")
-        for name in ("store", "replicas", "alive"):
+        for name in ("store", "replicas"):
             assert name in SubstratePeer.__slots__

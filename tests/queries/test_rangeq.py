@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import MidasOverlay, run_fast, run_ripple, run_slow
+from repro import SLOW, MidasOverlay, run_ripple
 from repro.common.geometry import Rect
 from repro.queries.rangeq import RangeHandler, range_reference
 
@@ -25,9 +25,9 @@ class TestRangeQueries:
         box = Rect((0.2, 0.3), (0.6, 0.9))
         handler = RangeHandler(box)
         reference = range_reference(data, box)
-        for run in (run_fast, run_slow):
-            result = run(overlay.random_peer(), handler,
-                         restriction=overlay.domain())
+        for r in (0, SLOW):
+            result = run_ripple(overlay.random_peer(), handler, r,
+                                restriction=overlay.domain())
             assert result.answer == reference
 
     def test_box_is_half_open(self):
@@ -42,31 +42,31 @@ class TestRangeQueries:
         overlay.grow_to(32)
         reference = range_reference(data, box)
         assert (0.2, 0.5) in reference and (0.6, 0.5) not in reference
-        for run in (run_fast, run_slow):
-            result = run(overlay.random_peer(), RangeHandler(box),
-                         restriction=overlay.domain())
+        for r in (0, SLOW):
+            result = run_ripple(overlay.random_peer(), RangeHandler(box), r,
+                                restriction=overlay.domain())
             assert result.answer == reference
 
     def test_only_overlapping_peers_processed(self, network):
         overlay, _ = network
         box = Rect((0.4, 0.4), (0.45, 0.45))
-        result = run_fast(overlay.random_peer(), RangeHandler(box),
-                          restriction=overlay.domain())
+        result = run_ripple(overlay.random_peer(), RangeHandler(box), 0,
+                            restriction=overlay.domain())
         # tiny box: far fewer peers than the network (plus the initiator)
         assert result.stats.processed < len(overlay) / 2
 
     def test_empty_range(self, network):
         overlay, data = network
         box = Rect((0.998, 0.998), (0.999, 0.999))
-        result = run_fast(overlay.random_peer(), RangeHandler(box),
-                          restriction=overlay.domain())
+        result = run_ripple(overlay.random_peer(), RangeHandler(box), 0,
+                            restriction=overlay.domain())
         assert result.answer == range_reference(data, box)
 
     def test_full_domain_range_returns_everything(self, network):
         overlay, data = network
         box = Rect.unit(2)
-        result = run_slow(overlay.random_peer(), RangeHandler(box),
-                          restriction=overlay.domain())
+        result = run_ripple(overlay.random_peer(), RangeHandler(box), SLOW,
+                            restriction=overlay.domain())
         assert len(result.answer) == len(data)
 
     def test_non_finite_box_is_rejected(self):

@@ -196,7 +196,7 @@ class TestRPL014:
         assert handler_writes(
             "class H(QueryHandler):\n"
             "    def update_local_state(self, states):\n"
-            "        peer.alive = False\n") == [(3, "peer.alive")]
+            "        peer.replicas = {}\n") == [(3, "peer.replicas")]
 
     def test_good_self_state_and_reads(self):
         assert handler_writes(
