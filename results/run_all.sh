@@ -7,9 +7,9 @@ set -u
 cd /root/repo
 for fig in fig4 fig5 fig6 lemmas ablation fig7 fig9 fig10 fig11 fig12 decreasing; do
   echo "=== $fig ($(date +%T)) ==="
-  python -m repro.experiments "$fig" --scale default > "results/$fig.txt" 2>&1
+  python -m repro.experiments "$fig" --scale default > "results/$fig.txt"
   echo "$fig done rc=$?"
 done
 echo "=== fig8 ($(date +%T)) ==="
-python results/run_fig8.py > results/fig8.txt 2>&1
+python results/run_fig8.py > results/fig8.txt
 echo "fig8 done rc=$?"

@@ -131,9 +131,6 @@ class Rect:
             out *= h - l
         return out
 
-    def extent(self, dim: int) -> float:
-        return self.hi[dim] - self.lo[dim]
-
     def contains(self, point: Sequence[float], *, closed: bool = False) -> bool:
         """Half-open membership test (closed on the domain's upper faces).
 
@@ -293,55 +290,13 @@ class Interval:
 
     Chord keys live on a ring, so an interval may *wrap* around 1.0
     (``start > end``).  ``start == end`` denotes the full ring, which is
-    what a single-peer network's sole region covers.
+    what a single-peer network's sole region covers.  It is a plain
+    value: :meth:`~repro.core.regions.ArcRegion.from_interval` turns it
+    into the region that answers membership, length and intersection.
     """
 
     start: float
     end: float
-
-    @property
-    def wraps(self) -> bool:
-        return self.start > self.end
-
-    def length(self) -> float:
-        if self.start == self.end:
-            return 1.0
-        if self.wraps:
-            return 1.0 - self.start + self.end
-        return self.end - self.start
-
-    def contains(self, key: float) -> bool:
-        key %= 1.0
-        if self.start == self.end:
-            return True
-        if self.wraps:
-            return key >= self.start or key < self.end
-        return self.start <= key < self.end
-
-    def intersection(self, other: "Interval") -> "Interval | None":
-        """The overlap arc, or ``None``; assumes at most one overlap run.
-
-        Chord restriction areas shrink monotonically along a query path, so
-        one of the two arcs always contains an endpoint of the other and
-        the overlap is a single arc; a double overlap cannot arise there.
-        """
-        if self.start == self.end:
-            return other
-        if other.start == other.end:
-            return self
-        for candidate_start in (self.start, other.start):
-            if self.contains(candidate_start) and other.contains(candidate_start):
-                remaining = []
-                for arc in (self, other):
-                    span = (arc.end - candidate_start) % 1.0
-                    if span == 0.0 and arc.contains(candidate_start):
-                        span = arc.length()
-                    remaining.append(span)
-                length = min(remaining)
-                if length <= 0.0:
-                    continue
-                return Interval(candidate_start, (candidate_start + length) % 1.0)
-        return None
 
 
 # ---------------------------------------------------------------------------

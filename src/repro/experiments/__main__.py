@@ -24,7 +24,7 @@ from .config import default_config, paper_config, smoke_config
 from .diversify_figures import (fig10_div_dims, fig11_div_k,
                                 fig12_div_lambda, fig9_div_scale)
 from ..obs.clock import wallclock
-from .runner import ascii_chart, print_rows, rows_to_csv
+from .runner import print_rows
 from .skyline_figures import fig7_skyline_scale, fig8_skyline_dims
 from .topk_figures import fig4_topk_scale, fig5_topk_dims, fig6_topk_k
 
@@ -51,10 +51,6 @@ def main(argv: list[str] | None = None) -> int:
                                  "decreasing", "load", "scale", "all",
                                  "list"])
     parser.add_argument("--scale", choices=list(SCALES), default="default")
-    parser.add_argument("--csv", metavar="PATH",
-                        help="also write the rows as CSV to PATH")
-    parser.add_argument("--chart", action="store_true",
-                        help="render ASCII charts after the tables")
     parser.add_argument("--trace-out", metavar="PATH",
                         help="record one representative query of the "
                              "figure's family with a trace sink attached "
@@ -84,9 +80,7 @@ def main(argv: list[str] | None = None) -> int:
             print_rows(ablation_link_policy(config),
                        metrics=("latency", "congestion", "tuples_shipped"))
         elif target == "decreasing":
-            rows = decreasing_stage(config)
-            print_rows(rows)
-            _extras(rows, args)
+            print_rows(decreasing_stage(config))
         elif target == "load":
             from .load_profile import load_profile, print_load_rows
             print_load_rows(load_profile(config))
@@ -95,23 +89,16 @@ def main(argv: list[str] | None = None) -> int:
             print_scale_rows(scale_profile(config))
         else:
             figure, _ = FIGURES[target]
-            rows = figure(config)
-            print_rows(rows)
-            _extras(rows, args)
-        print(f"# {target} finished in {wallclock() - start:.1f}s\n")
+            print_rows(figure(config))
+        # The clock line goes to stderr so that stdout, the figure
+        # itself, is byte-identical from run to run.
+        print(f"# {target} finished in {wallclock() - start:.1f}s",
+              file=sys.stderr)
+        print()
     if args.trace_out:
         from .tracing import trace_figure
         trace_figure(targets[-1], config, args.trace_out)
     return 0
-
-
-def _extras(rows: list[dict[str, object]], args: argparse.Namespace) -> None:
-    if args.csv:
-        rows_to_csv(rows, args.csv)
-    if args.chart:
-        for metric in ("latency", "congestion"):
-            print(ascii_chart(rows, metric))
-            print()
 
 
 if __name__ == "__main__":

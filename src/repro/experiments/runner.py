@@ -9,7 +9,7 @@ the EXPERIMENTS.md record are generated from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,14 +32,6 @@ class Row:
     messages: float
     tuples_shipped: float
     queries: int
-
-    def as_dict(self) -> dict:
-        return {
-            "figure": self.figure, "x_name": self.x_name, "x": self.x,
-            "method": self.method, "latency": self.latency,
-            "congestion": self.congestion, "messages": self.messages,
-            "tuples_shipped": self.tuples_shipped, "queries": self.queries,
-        }
 
 
 def average_queries(
@@ -109,47 +101,3 @@ def rows_to_series(rows: Sequence[Row], metric: str
         series.setdefault(row.method, []).append(
             (row.x, getattr(row, metric)))
     return series
-
-
-def rows_to_csv(rows: Sequence[Row], path) -> None:
-    """Persist measurement rows as CSV (one line per x/method point)."""
-    import csv
-
-    fields = ["figure", "x_name", "x", "method", "latency", "congestion",
-              "messages", "tuples_shipped", "queries"]
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row.as_dict())
-
-
-def ascii_chart(rows: Sequence[Row], metric: str, *, width: int = 60,
-                height: int = 14) -> str:
-    """A terminal line chart of one metric, one glyph per method.
-
-    A rough visual of what the paper's figure panel looks like; values
-    are scaled linearly, x positions follow the sorted x values.
-    """
-    series = rows_to_series(rows, metric)
-    if not series:
-        return "(no data)"
-    xs = sorted({x for points in series.values() for x, _ in points})
-    values = [v for points in series.values() for _, v in points]
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    glyphs = "*o+x#@%&"
-    legend = []
-    for glyph, (method, points) in zip(glyphs, sorted(series.items())):
-        legend.append(f"{glyph} = {method}")
-        for x, value in points:
-            col = (0 if len(xs) == 1
-                   else round(xs.index(x) * (width - 1) / (len(xs) - 1)))
-            row_idx = round((hi - value) / span * (height - 1))
-            grid[row_idx][col] = glyph
-    lines = [f"{metric}  [{lo:.1f} .. {hi:.1f}]"]
-    lines += ["|" + "".join(line) for line in grid]
-    lines.append("+" + "-" * width)
-    lines.append(f" x: {xs[0]:g} .. {xs[-1]:g}   " + "   ".join(legend))
-    return "\n".join(lines)

@@ -14,8 +14,7 @@ lives in one flat typed NumPy array —
   payload arrays (:class:`MirrorArena`), or — for the scalable MIDAS
   builder (:class:`MidasArena`) — no link arrays at all: a balanced
   dyadic k-d tree is fully described by ``(n, depth)``, so link regions
-  and targets are *derived* from a peer's path bits on demand;
-* replica slots: a CSR candidate table.
+  and targets are *derived* from a peer's path bits on demand.
 
 The arrays are the overlay; peers materialize lazily as flyweight
 :class:`ArenaPeer` views satisfying the existing
@@ -45,7 +44,7 @@ import numpy as np
 from ..common.geometry import Frustum, Rect, as_point, contains_batch
 from ..common.hashing import mix, mix_step
 from ..common.scoring import ScoringFunction
-from ..common.store import LocalStore, Replica
+from ..common.store import LocalStore
 from ..core.framework import Link, LinkTable, PeerLike, _Visit, execute
 from ..core.handler import QueryHandler
 from ..core.regions import (ArcRegion, FrustumRegion, RectRegion, Region,
@@ -81,8 +80,7 @@ class ArenaPeer:
     only when indexed (:meth:`OverlayArena.link_table`).
     """
 
-    __slots__ = ("arena", "index", "peer_id", "_store", "_links",
-                 "_replicas")
+    __slots__ = ("arena", "index", "peer_id", "_store", "_links")
 
     def __init__(self, arena: "OverlayArena", index: int) -> None:
         self.arena = arena
@@ -90,7 +88,6 @@ class ArenaPeer:
         self.peer_id: int = int(arena.peer_ids[index])
         self._store: LocalStore | None = None
         self._links: LinkTable | None = None
-        self._replicas: dict[int, Replica] | None = None
 
     @property
     def store(self) -> LocalStore:
@@ -103,13 +100,6 @@ class ArenaPeer:
         if self._links is None:
             self._links = self.arena.link_table(self.index)
         return self._links
-
-    @property
-    def replicas(self) -> dict[int, Replica]:
-        """Replicas hosted here (lazily allocated; see ReplicaDirectory)."""
-        if self._replicas is None:
-            self._replicas = {}
-        return self._replicas
 
     def __repr__(self) -> str:
         return (f"ArenaPeer(id={self.peer_id}, "
@@ -152,9 +142,8 @@ class OverlayArena:
     """Shared substrate state: stores and peer views.
 
     Subclasses contribute the link encoding (:meth:`decode_links`,
-    :meth:`link_table`) and the replica-slot policy; everything
-    protocol-facing (``peers()``, ``domain()``, ``random_peer()``) lives
-    here.
+    :meth:`link_table`); everything protocol-facing (``peers()``,
+    ``domain()``, ``random_peer()``) lives here.
     """
 
     def __init__(self, *, dims: int, peer_ids: np.ndarray,
@@ -168,7 +157,7 @@ class OverlayArena:
         self.tuples = np.ascontiguousarray(tuples, dtype=float)
         self.tuples.flags.writeable = False
         #: Arenas are immutable snapshots — the structural epoch never
-        #: moves, so ReplicaDirectory.refresh() is placement-stable.
+        #: moves, so CacheDirectory never rescans its peer registry.
         self.epoch = 0
         self._views: dict[int, ArenaPeer] = {}
 
@@ -209,10 +198,6 @@ class OverlayArena:
         it to hand over arrays instead of decoded links."""
         return LinkTable(self.decode_links(index))
 
-    def replica_targets(self, peer: ArenaPeer, count: int
-                        ) -> list[ArenaPeer]:
-        raise NotImplementedError
-
     def nbytes(self) -> int:
         """Substrate memory footprint (the flat arrays, not the views)."""
         return sum(int(a.nbytes) for a in self._arrays())
@@ -235,8 +220,7 @@ class MirrorArena(OverlayArena):
     def __init__(self, *, kind: str, dims: int, peer_ids: np.ndarray,
                  store_ptr: np.ndarray, tuples: np.ndarray,
                  link_ptr: np.ndarray, link_target: np.ndarray,
-                 link_payload: dict[str, np.ndarray],
-                 replica_ptr: np.ndarray, replica_idx: np.ndarray) -> None:
+                 link_payload: dict[str, np.ndarray]) -> None:
         super().__init__(dims=dims, peer_ids=peer_ids, store_ptr=store_ptr,
                          tuples=tuples)
         if kind not in ("rect", "arc", "frustum"):
@@ -245,8 +229,6 @@ class MirrorArena(OverlayArena):
         self.link_ptr = np.ascontiguousarray(link_ptr, dtype=np.int64)
         self.link_target = np.ascontiguousarray(link_target, dtype=np.int64)
         self.link_payload = link_payload
-        self.replica_ptr = np.ascontiguousarray(replica_ptr, dtype=np.int64)
-        self.replica_idx = np.ascontiguousarray(replica_idx, dtype=np.int64)
         #: Exact region partitions (rect/arc) support strict single-visit
         #: mode; conservative frustum covers require dedup, like CAN.
         self.strict_default = kind != "frustum"
@@ -282,23 +264,6 @@ class MirrorArena(OverlayArena):
         base = Rect(as_point(pay["base_lo"][e]), as_point(pay["base_hi"][e]))
         top = Rect(as_point(pay["top_lo"][e]), as_point(pay["top_hi"][e]))
         return FrustumRegion(Frustum(int(pay["axis"][e]), base, top))
-
-    def replica_targets(self, peer: ArenaPeer, count: int
-                        ) -> list[ArenaPeer]:
-        """The snapshotted structural buddies, nearest-first.
-
-        The mirror freezes the first ``replica_depth`` candidates of the
-        source overlay's ``replica_targets``; asking for more than were
-        snapshotted is a build-parameter error, not a silent truncation.
-        """
-        lo, hi = (int(self.replica_ptr[peer.index]),
-                  int(self.replica_ptr[peer.index + 1]))
-        if count > hi - lo and hi - lo < len(self) - 1:
-            raise ValueError(
-                f"mirror snapshotted {hi - lo} replica candidates; rebuild "
-                f"with from_overlay(..., replica_depth>={count})")
-        return [self.peer(int(self.replica_idx[e]))
-                for e in range(lo, min(hi, lo + count))]
 
 
 class MidasArena(OverlayArena):
@@ -447,50 +412,6 @@ class MidasArena(OverlayArena):
             value = (value << 1) | bit
             length += 1
         return self._leaf_index(value, length)
-
-    # -- replica slots -----------------------------------------------------
-
-    def _subtree_leaf_range(self, value: int, length: int
-                           ) -> tuple[int, int]:
-        """Leaf indexes under path prefix ``value`` — a contiguous range."""
-        if length > self.base_depth:
-            return self._leaf_index(value, length), \
-                self._leaf_index(value, length) + 1
-        shift = self.base_depth - length
-        first, last = value << shift, (value + 1) << shift
-
-        def leaf_start(v: int) -> int:
-            return 2 * v if v < self.extra else v + self.extra
-
-        return leaf_start(first), leaf_start(last)
-
-    def replica_targets(self, peer: ArenaPeer, count: int
-                        ) -> list[ArenaPeer]:
-        """Structural buddies: sibling-subtree peers, nearest tier first.
-
-        Mirrors ``MidasOverlay.replica_targets``: candidate pools are the
-        sibling subtrees deepest (nearest) first, interleaved one peer
-        per pool and tier, so the first copy lands on the merge partner
-        and later copies land in structurally distinct branches.
-        """
-        if count <= 0:
-            return []
-        path, depth = self.path_of(peer.index), self.depth_of(peer.index)
-        pools = []
-        for level in range(depth - 1, -1, -1):
-            prefix = (path >> (depth - 1 - level)) ^ 1
-            pools.append(range(*self._subtree_leaf_range(prefix, level + 1)))
-        chosen: list[ArenaPeer] = []
-        seen = {peer.index}
-        for tier in range(max((len(p) for p in pools), default=0)):
-            for pool in pools:
-                if tier >= len(pool) or pool[tier] in seen:
-                    continue
-                seen.add(pool[tier])
-                chosen.append(self.peer(pool[tier]))
-                if len(chosen) == count:
-                    return chosen
-        return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -34,20 +34,16 @@ from .arena import MidasArena, MirrorArena
 
 __all__ = ["from_overlay", "midas_arena"]
 
-#: Replica candidates snapshotted per peer by :func:`from_overlay`; covers
-#: every in-repo replication degree with room to spare.
-_REPLICA_DEPTH = 4
 
-
-def from_overlay(overlay: Any, *,
-                 replica_depth: int = _REPLICA_DEPTH) -> MirrorArena:
+def from_overlay(overlay: Any) -> MirrorArena:
     """Snapshot an object overlay into an exact :class:`MirrorArena`.
 
     The mirror preserves everything observable through the peer
     protocol: peer ids and their ``peers()`` order, each peer's link
     *order* (it breaks ties under ``r > 0``'s stable priority sort),
-    link regions decoded to ``==``-equal ``Region`` objects, store rows
-    and the first ``replica_depth`` replica candidates.
+    link regions decoded to ``==``-equal ``Region`` objects, and store
+    rows.  Replica placement is not mirrored: arenas are read-only query
+    snapshots.
     """
     peers = list(overlay.peers())
     if not peers:
@@ -74,22 +70,10 @@ def from_overlay(overlay: Any, *,
     link_target = np.fromiter((index_of[link.peer.peer_id] for link in flat),
                               dtype=np.int64, count=len(flat))
     kind, payload = _encode_regions(flat, dims)
-
-    replica_ptr = np.zeros(len(peers) + 1, dtype=np.int64)
-    replica_rows: list[int] = []
-    if hasattr(overlay, "replica_targets"):
-        depth = min(replica_depth, len(peers) - 1)
-        for i, peer in enumerate(peers):
-            targets = overlay.replica_targets(peer, depth)
-            replica_rows.extend(index_of[t.peer_id] for t in targets)
-            replica_ptr[i + 1] = len(replica_rows)
-    replica_idx = np.asarray(replica_rows, dtype=np.int64)
-
     return MirrorArena(kind=kind, dims=dims, peer_ids=peer_ids,
                        store_ptr=store_ptr, tuples=tuples,
                        link_ptr=link_ptr, link_target=link_target,
-                       link_payload=payload, replica_ptr=replica_ptr,
-                       replica_idx=replica_idx)
+                       link_payload=payload)
 
 
 def _encode_regions(flat: Sequence[Any], dims: int

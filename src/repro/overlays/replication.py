@@ -131,6 +131,9 @@ class ReplicaDirectory:
     def __init__(self, overlay: ReplicatedOverlay, copies: int = 1) -> None:
         if copies < 0:
             raise ValueError(f"replication degree must be >= 0, got {copies}")
+        if not hasattr(overlay, "replica_targets"):
+            raise TypeError(f"{type(overlay).__name__} places no replicas "
+                            "(it has no replica_targets)")
         self.overlay = overlay
         self.copies = copies
         self._epoch: int | None = None

@@ -379,12 +379,12 @@ class RingOverlay(Substrate[_RP]):
         self._peers.insert(index, peer)
         self.epoch += 1
         if predecessor is not None:
-            zone = peer.zone
+            zone = ArcRegion.from_interval(peer.zone)
             points = list(predecessor.store.iter_points())
-            moved = [p for p in points if zone.contains(p[0])]
+            moved = [p for p in points if zone.contains(p)]
             if moved:
                 predecessor.store = LocalStore(
-                    1, [p for p in points if not zone.contains(p[0])])
+                    1, [p for p in points if not zone.contains(p)])
                 peer.store = LocalStore(1, moved)
         return peer
 

@@ -17,6 +17,7 @@ from repro.common.geometry import (
     mindist_batch,
     minkowski_distance,
 )
+from repro.core.regions import ArcRegion
 
 points = st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=5)
 
@@ -144,41 +145,46 @@ class TestRect:
 
 
 class TestInterval:
+    """A ring zone's ``Interval`` under ``ArcRegion``'s arc algebra (the
+    form ``RingOverlay.join`` splits a store with): half-open, wrapping
+    past 1.0, and ``start == end`` as the full ring."""
+
     def test_plain(self):
-        arc = Interval(0.2, 0.6)
-        assert arc.contains(0.2) and arc.contains(0.5)
-        assert not arc.contains(0.6) and not arc.contains(0.9)
+        arc = ArcRegion.from_interval(Interval(0.2, 0.6))
+        assert arc.contains((0.2,)) and arc.contains((0.5,))
+        assert not arc.contains((0.6,)) and not arc.contains((0.9,))
         assert arc.length() == pytest.approx(0.4)
 
     def test_wrapping(self):
-        arc = Interval(0.8, 0.1)
-        assert arc.contains(0.9) and arc.contains(0.05)
-        assert not arc.contains(0.5)
+        arc = ArcRegion.from_interval(Interval(0.8, 0.1))
+        assert arc.contains((0.9,)) and arc.contains((0.05,))
+        assert not arc.contains((0.5,))
         assert arc.length() == pytest.approx(0.3)
 
     def test_full_ring(self):
-        arc = Interval(0.3, 0.3)
-        assert arc.contains(0.0) and arc.contains(0.99)
+        arc = ArcRegion.from_interval(Interval(0.3, 0.3))
+        assert arc.contains((0.0,)) and arc.contains((0.99,))
         assert arc.length() == 1.0
 
     def test_intersection_plain(self):
-        a, b = Interval(0.1, 0.5), Interval(0.3, 0.8)
-        ab = a.intersection(b)
-        assert ab is not None
-        assert ab.start == pytest.approx(0.3) and ab.end == pytest.approx(0.5)
+        a = ArcRegion.from_interval(Interval(0.1, 0.5))
+        b = ArcRegion.from_interval(Interval(0.3, 0.8))
+        assert a.intersect(b) == ArcRegion(((0.3, 0.5),))
 
     def test_intersection_disjoint(self):
-        assert Interval(0.1, 0.2).intersection(Interval(0.5, 0.6)) is None
+        a = ArcRegion.from_interval(Interval(0.1, 0.2))
+        assert a.intersect(ArcRegion.from_interval(Interval(0.5, 0.6))) \
+            is None
 
     def test_intersection_with_wrap(self):
-        a, b = Interval(0.8, 0.2), Interval(0.9, 0.95)
-        ab = a.intersection(b)
-        assert ab is not None
-        assert ab.start == pytest.approx(0.9) and ab.end == pytest.approx(0.95)
+        a = ArcRegion.from_interval(Interval(0.8, 0.2))
+        b = ArcRegion.from_interval(Interval(0.9, 0.95))
+        assert a.intersect(b) == ArcRegion(((0.9, 0.95),))
 
     def test_intersection_full(self):
-        full = Interval(0.0, 0.0)
-        assert full.intersection(Interval(0.2, 0.4)) == Interval(0.2, 0.4)
+        full = ArcRegion.from_interval(Interval(0.0, 0.0))
+        part = ArcRegion.from_interval(Interval(0.2, 0.4))
+        assert full.intersect(part) == part
 
 
 class TestFrustum:

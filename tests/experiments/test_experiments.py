@@ -1,5 +1,8 @@
 """Smoke and shape tests for the experiment suite (at tiny scale)."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,12 @@ from repro.experiments.config import (ExperimentConfig, default_config,
                                       paper_config, smoke_config)
 from repro.experiments.diversify_figures import fig9_div_scale
 from repro.experiments.figures import merge_seed_rows, ripple_levels
-from repro.experiments.runner import (Row, ascii_chart, print_rows,
-                                      rows_to_series)
+from repro.experiments.__main__ import main
+from repro.experiments.runner import Row, print_rows, rows_to_series
 from repro.experiments.skyline_figures import fig7_skyline_scale
 from repro.experiments.topk_figures import fig4_topk_scale, fig6_topk_k
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 @pytest.fixture(scope="module")
@@ -114,29 +119,17 @@ class TestFigures:
             "random/fast", "random/slow", "boundary/fast", "boundary/slow"}
 
 
-class TestCsvExport:
-    def test_roundtrip(self, tmp_path):
-        import csv
-
-        from repro.experiments.runner import Row, rows_to_csv
-
-        rows = [Row("f", "n", 1, "m", 2.0, 3.0, 4.0, 5.0, 6)]
-        path = tmp_path / "rows.csv"
-        rows_to_csv(rows, path)
-        with open(path) as handle:
-            parsed = list(csv.DictReader(handle))
-        assert parsed[0]["method"] == "m"
-        assert float(parsed[0]["latency"]) == 2.0
-
-
-class TestAsciiChart:
-    def test_renders(self):
-        rows = [Row("f", "n", x, m, latency=x * (1 + i), congestion=1,
-                    messages=1, tuples_shipped=0, queries=1)
-                for x in (1, 2, 4) for i, m in enumerate(("a", "b"))]
-        chart = ascii_chart(rows, "latency")
-        assert "latency" in chart
-        assert "* = a" in chart and "o = b" in chart
-
-    def test_empty(self):
-        assert ascii_chart([], "latency") == "(no data)"
+class TestCli:
+    def test_clock_line_goes_to_stderr(self, capsys):
+        """The wall-clock line is the one part of a run that differs from
+        run to run; on stderr, it leaves stdout byte-equal to the
+        recorded figure."""
+        outs = []
+        for _ in range(2):
+            assert main(["lemmas", "--scale", "smoke"]) == 0
+            captured = capsys.readouterr()
+            assert re.fullmatch(r"# lemmas finished in \d+\.\ds\n",
+                                captured.err)
+            outs.append(captured.out)
+        assert outs[0] == outs[1]
+        assert outs[0] == (RESULTS / "lemmas.txt").read_text()

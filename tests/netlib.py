@@ -18,6 +18,7 @@ import numpy as np
 from repro import (CanOverlay, ChordOverlay, LinearScore, MidasOverlay,
                    RangeHandler, Rect, SkipGraphOverlay, SkylineHandler,
                    TopKHandler)
+from repro.core.regions import ArcRegion
 from repro.queries.diversify import (DiversificationObjective,
                                      SingleDiversificationHandler)
 
@@ -29,6 +30,12 @@ DIMS = {"midas": 2, "chord": 1, "can": 2, "skipgraph": 1}
 
 #: Whether the substrate's link regions are exact (strict mode allowed).
 STRICT = {"midas": True, "chord": True, "can": False, "skipgraph": True}
+
+
+def ring_arc(peer):
+    """A ring peer's zone as an ``ArcRegion``, which owns the arc
+    algebra (membership, length)."""
+    return ArcRegion.from_interval(peer.zone)
 
 
 def seed_data(seed, tuples, dims):

@@ -21,8 +21,9 @@ from repro.common.geometry import Rect, contains_batch
 from repro.common.store import LocalStore
 from repro.core.framework import Link, LinkTable
 from repro.net.routing import greedy_route
-from repro.overlays import (ArenaPeer, MidasArena, from_overlay, midas_arena,
-                            run_wavefront, wavefront_execute)
+from repro.overlays import (ArenaPeer, MidasArena, ReplicaDirectory,
+                            from_overlay, midas_arena, run_wavefront,
+                            wavefront_execute)
 from repro.overlays.arena_build import _assign_leaves
 
 
@@ -68,22 +69,6 @@ class TestMirrorSnapshot:
                 assert b.peer.peer_id == a.peer.peer_id
                 assert b.region == a.region
 
-    def test_replica_targets_match_source(self):
-        overlay = midas_network(9)
-        arena = from_overlay(overlay, replica_depth=4)
-        for obj, mirrored in zip(overlay.peers(), arena.peers()):
-            expected = [h.peer_id
-                        for h in overlay.replica_targets(obj, 3)]
-            got = [h.peer_id
-                   for h in arena.replica_targets(mirrored, 3)]
-            assert got == expected
-
-    def test_under_snapshot_raises_not_truncates(self):
-        overlay = midas_network(9)
-        arena = from_overlay(overlay, replica_depth=1)
-        with pytest.raises(ValueError, match="replica_depth"):
-            arena.replica_targets(arena.peer(0), 3)
-
     def test_mixed_region_families_rejected(self):
         overlay = midas_network(2)
         hybrid = from_overlay(overlay)
@@ -93,9 +78,19 @@ class TestMirrorSnapshot:
                          store_ptr=hybrid.store_ptr, tuples=hybrid.tuples,
                          link_ptr=hybrid.link_ptr,
                          link_target=hybrid.link_target,
-                         link_payload=hybrid.link_payload,
-                         replica_ptr=hybrid.replica_ptr,
-                         replica_idx=hybrid.replica_idx)
+                         link_payload=hybrid.link_payload)
+
+
+@pytest.mark.parametrize("build", (
+    lambda: from_overlay(midas_network(9)),
+    lambda: midas_arena(37, dims=2)), ids=("mirror", "midas"))
+def test_replica_directory_rejects_arenas(build):
+    """Arenas are read-only query snapshots that place no replicas: the
+    directory refuses one by type before it touches a peer."""
+    arena = build()
+    with pytest.raises(TypeError, match=type(arena).__name__):
+        ReplicaDirectory(arena, copies=1)
+    assert not arena._views
 
 
 class TestMidasArena:
@@ -203,18 +198,6 @@ class TestMidasArena:
             tracemalloc.stop()
         links = arena.link_ptr.nbytes + arena.link_target.nbytes
         assert peak < 2.5 * links
-
-    def test_replica_targets_distinct_and_ordered(self):
-        arena = midas_arena(37, dims=2, seed=2)
-        peer = arena.peer(5)
-        holders = arena.replica_targets(peer, 4)
-        ids = [h.index for h in holders]
-        assert len(set(ids)) == len(ids) == 4
-        assert peer.index not in ids
-        # The first copy is the merge partner: the deepest sibling pool.
-        assert holders[0].index in range(*arena._subtree_leaf_range(
-            arena.path_of(5) ^ 1, arena.depth_of(5)))
-        assert arena.replica_targets(peer, 0) == []
 
     def test_extra_out_of_range_rejected(self):
         with pytest.raises(ValueError):

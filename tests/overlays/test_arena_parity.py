@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import LinearScore, ReplicaDirectory, run_ripple
+from repro import LinearScore, run_ripple
 from repro.net.eventsim import event_driven_ripple
 from repro.net.faults import FaultPlan, resilient_ripple
 from repro.overlays import (from_overlay, midas_arena, run_wavefront,
@@ -90,21 +90,19 @@ class TestMirrorBitIdentity:
 
     @pytest.mark.parametrize("kind", netlib.OVERLAYS)
     def test_zero_fault_resilient_engine(self, kind):
-        """The supervised engine over a mirror + its snapshotted replica
-        directory stays bit-identical to the fault-free run — the
-        detector never starts and placement is epoch-stable."""
+        """The supervised engine over a mirror under a null fault plan
+        stays bit-identical to the fault-free run — the detector never
+        starts and nothing is recovered."""
         overlay = NETWORKS[kind](13)
         arena = from_overlay(overlay)
         restriction = overlay.domain()
-        directory = ReplicaDirectory(arena, copies=2)
         for handler in handlers_for(restriction.rect.dims):
             plain = event_driven_ripple(arena.peer(0), handler, 0,
                                         restriction=restriction,
                                         strict=False)
             resilient = resilient_ripple(arena.peer(0), handler, 0,
                                          restriction=restriction,
-                                         faults=FaultPlan.none(),
-                                         replicas=directory)
+                                         faults=FaultPlan.none())
             assert resilient.answer == plain.answer
             assert resilient.stats.latency == plain.stats.latency
             assert resilient.stats.processed == plain.stats.processed

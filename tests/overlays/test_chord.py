@@ -10,6 +10,8 @@ from repro.overlays.chord import ChordOverlay
 from repro.overlays.skipgraph import SkipGraphOverlay
 from repro.queries.topk import TopKHandler, topk_reference
 
+from tests.netlib import ring_arc
+
 
 class TestRing:
     def test_growth(self):
@@ -20,14 +22,14 @@ class TestRing:
 
     def test_zones_partition_ring(self):
         overlay = ChordOverlay(size=16, seed=2)
-        total = sum(p.zone.length() for p in overlay.peers())
+        total = sum(ring_arc(p).length() for p in overlay.peers())
         assert total == pytest.approx(1.0)
 
     def test_owner(self):
         overlay = ChordOverlay(size=16, seed=3)
         for key in (0.0, 0.3, 0.999):
             owner = overlay.owner(key)
-            assert owner.zone.contains(key)
+            assert ring_arc(owner).contains((key,))
 
     def test_departure_hands_data_to_predecessor(self):
         overlay = ChordOverlay(size=8, seed=4)
@@ -35,7 +37,7 @@ class TestRing:
         overlay.leave(overlay.peers()[3])
         assert len(overlay) == 7
         assert overlay.total_tuples() == 100
-        total = sum(p.zone.length() for p in overlay.peers())
+        total = sum(ring_arc(p).length() for p in overlay.peers())
         assert total == pytest.approx(1.0)
 
     def test_cannot_remove_last(self):
@@ -48,7 +50,7 @@ class TestRing:
         overlay.load(np.random.default_rng(1).random((80, 1)) * 0.999)
         for peer in overlay.peers():
             for (key,) in peer.store.iter_points():
-                assert peer.zone.contains(key)
+                assert ring_arc(peer).contains((key,))
 
 
     @pytest.mark.parametrize("build", [ChordOverlay, SkipGraphOverlay])
@@ -75,7 +77,7 @@ class TestFingers:
         overlay = ChordOverlay(size=32, seed=6)
         for peer in overlay.peers():
             covered = sum(l.region.length() for l in peer.links())
-            assert covered + peer.zone.length() == pytest.approx(1.0)
+            assert covered + ring_arc(peer).length() == pytest.approx(1.0)
 
     def test_successor_always_linked(self):
         overlay = ChordOverlay(size=32, seed=7)

@@ -14,6 +14,8 @@ from repro.overlays.chord import ChordOverlay
 from repro.overlays.midas import MidasOverlay
 from repro.overlays.skipgraph import SkipGraphOverlay
 
+from tests.netlib import ring_arc
+
 churn_params = st.tuples(st.integers(0, 10 ** 6),
                          st.lists(st.booleans(), min_size=5, max_size=40))
 
@@ -72,7 +74,7 @@ class TestChordChurn:
         overlay = ChordOverlay(size=8, seed=seed)
         churn(overlay, plan, None)
         for peer in list(overlay.peers())[::3]:
-            covered = peer.zone.length() + sum(
+            covered = ring_arc(peer).length() + sum(
                 link.region.length() for link in peer.links())
             assert covered == pytest.approx(1.0)
 
@@ -113,7 +115,7 @@ class TestSkipGraphChurn:
         overlay = SkipGraphOverlay(size=8, seed=seed)
         churn(overlay, plan, None)
         for peer in list(overlay.peers())[::3]:
-            covered = peer.zone.length() + sum(
+            covered = ring_arc(peer).length() + sum(
                 link.region.length() for link in peer.links())
             assert covered == pytest.approx(1.0)
 

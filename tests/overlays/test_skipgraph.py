@@ -26,7 +26,8 @@ from repro.net.routing import greedy_route, route_around
 from repro.overlays.arena_build import from_overlay
 from repro.queries.topk import topk_reference
 
-from tests.netlib import handlers_for, seed_data, skipgraph_network
+from tests.netlib import (handlers_for, ring_arc, seed_data,
+                          skipgraph_network)
 
 relaxed = settings(max_examples=15, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -48,7 +49,7 @@ class TestStructure:
     def test_zone_and_link_regions_partition_the_ring(self, peers):
         overlay = SkipGraphOverlay(size=peers, seed=9)
         for peer in overlay.peers():
-            covered = peer.zone.length() + sum(
+            covered = ring_arc(peer).length() + sum(
                 link.region.length() for link in peer.links())
             assert covered == pytest.approx(1.0)
 
@@ -63,7 +64,8 @@ class TestStructure:
         overlay = SkipGraphOverlay(size=40, seed=6)
         rng = np.random.default_rng(0)
         for key in rng.random(100):
-            assert overlay.owner(float(key)).zone.contains(float(key))
+            key = float(key)
+            assert ring_arc(overlay.owner(key)).contains((key,))
 
     def test_link_cache_tracks_the_epoch(self):
         overlay = SkipGraphOverlay(size=16, seed=1)
@@ -85,7 +87,7 @@ class TestStructure:
         assert overlay.total_tuples() == 260
         for peer in overlay.peers():
             for (value,) in peer.store.iter_points():
-                assert peer.zone.contains(value)
+                assert ring_arc(peer).contains((value,))
 
 
 class TestDegreeBound:
@@ -160,7 +162,7 @@ class TestRouting:
             start = overlay.random_peer(rng)
             point = (float(rng.random()),)
             target, path = greedy_route(start, point)
-            assert target.zone.contains(point[0])
+            assert ring_arc(target).contains(point)
             hops.append(len(path) - 1)
         assert max(hops) < len(overlay)  # never a full ring walk
 

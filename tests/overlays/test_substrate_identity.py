@@ -21,7 +21,8 @@ from repro.common.store import LocalStore
 from repro.overlays.substrate import (RingOverlay, SplitTreeOverlay,
                                       SubstratePeer)
 
-from tests.netlib import DIMS, OVERLAYS, build_network, seed_data
+from tests.netlib import (DIMS, OVERLAYS, build_network, ring_arc,
+                          seed_data)
 
 #: name -> (constructor, dims); the first four are the netlib kinds, the
 #: rest cover the hooks that differ inside a family (MIDAS split rule and
@@ -181,8 +182,8 @@ class TestLoadBoundary:
         assert sorted(stored(overlay)) == [(0.0,), (0.25,), (0.5,), (0.75,),
                                            (0.999,)]
         for peer in overlay.peers():
-            assert all(peer.zone.contains(k) for (k,) in
-                       peer.store.iter_points())
+            assert all(ring_arc(peer).contains(point)
+                       for point in peer.store.iter_points())
 
 
 class TestContractIsAType:

@@ -61,9 +61,11 @@ class TestCells:
     def test_cell_shape_alternates_dims(self):
         zc = ZCurve(2, 4)
         half = zc.cell_rect(0, 1)
-        assert half.extent(0) == 0.5 and half.extent(1) == 1.0
+        assert half.hi[0] - half.lo[0] == 0.5
+        assert half.hi[1] - half.lo[1] == 1.0
         quarter = zc.cell_rect(0, 2)
-        assert quarter.extent(0) == 0.5 and quarter.extent(1) == 0.5
+        assert quarter.hi[0] - quarter.lo[0] == 0.5
+        assert quarter.hi[1] - quarter.lo[1] == 0.5
 
 
 class TestRangeCells:
