@@ -4,7 +4,7 @@
 # (reduced repetition: its 6-d point has a 2,774-tuple skyline, which the
 # DSL competitor ships along every hierarchy edge).
 set -u
-cd /root/repo
+cd "$(dirname "$0")/.."
 for fig in fig4 fig5 fig6 lemmas ablation fig7 fig9 fig10 fig11 fig12 decreasing; do
   echo "=== $fig ($(date +%T)) ==="
   python -m repro.experiments "$fig" --scale default > "results/$fig.txt"

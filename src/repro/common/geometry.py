@@ -109,7 +109,7 @@ class Rect:
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi):
             raise ValueError("lo/hi dimensionality mismatch")
-        if any(l > h for l, h in zip(self.lo, self.hi)):
+        if any(map(operator.gt, self.lo, self.hi)):
             raise ValueError(f"empty rectangle: lo={self.lo} hi={self.hi}")
 
     @classmethod
@@ -132,12 +132,15 @@ class Rect:
         return out
 
     def contains(self, point: Sequence[float], *, closed: bool = False) -> bool:
-        """Half-open membership test (closed on the domain's upper faces).
+        """Half-open membership test: ``lo_i <= p_i < hi_i`` on every
+        axis, the domain's upper faces included.
 
-        Half-open semantics (``lo_i <= p_i < hi_i``) make sibling zones a
-        partition: every domain point belongs to exactly one zone.  Pass
-        ``closed=True`` for the conservative closed-box test used when
-        pruning.
+        Half-open semantics make sibling zones a partition: every point
+        of ``[0, 1)^d`` belongs to exactly one zone, and a point on an
+        upper face of the domain to none (``Rect.unit(2).contains((1.0,
+        0.5))`` is False) — which is why ``load()`` rejects a coordinate
+        of 1.0.  Pass ``closed=True`` for the conservative closed-box
+        test used when pruning.
         """
         if closed:
             return all(l <= p <= h for p, l, h in zip(point, self.lo, self.hi))

@@ -91,6 +91,14 @@ class TestRect:
         assert not r.contains((0.5, 0.2))
         assert r.contains((0.5, 0.2), closed=True)
 
+    def test_domain_upper_faces_are_open(self):
+        unit = Rect.unit(2)
+        assert not unit.contains((1.0, 0.5))
+        assert not unit.contains((0.5, 1.0))
+        assert unit.contains((1 - 1e-12, 0.5))
+        assert unit.contains((-0.0, 0.0))
+        assert unit.contains((1.0, 0.5), closed=True)
+
     def test_split_partitions(self):
         r = Rect.unit(2)
         lo, hi = r.split(0, 0.3)

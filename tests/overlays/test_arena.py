@@ -20,6 +20,7 @@ from repro import (CanOverlay, ChordOverlay, LinearScore, MidasOverlay,
 from repro.common.geometry import Rect, contains_batch
 from repro.common.store import LocalStore
 from repro.core.framework import Link, LinkTable
+from repro.core.regions import RectRegion
 from repro.net.routing import greedy_route
 from repro.overlays import (ArenaPeer, MidasArena, ReplicaDirectory,
                             from_overlay, midas_arena, run_wavefront,
@@ -280,33 +281,34 @@ class TestLazyLinkTables:
     @pytest.mark.parametrize("seeded", [False, True])
     def test_a_wavefront_topk_builds_only_the_links_it_crosses(
             self, monkeypatch, seeded):
+        """A forward hands on the link's target and region, and builds no
+        ``Link``; the only regions built are those of the links crossed.
+        Routing on a ``MidasArena`` reads path bits and builds none."""
         rng = np.random.default_rng(8)
         arena = midas_arena(512, dims=3, seed=8,
                             data=rng.random((4000, 3)) * 0.999,
                             precompute_links=True)
-        built = []
-        init = Link.__init__
-        monkeypatch.setattr(Link, "__init__", lambda self, *args, **kwargs:
-                            built.append(1) or init(self, *args, **kwargs))
+        built, regions = [], []
+        for cls, log in ((Link, built), (RectRegion, regions)):
+            monkeypatch.setattr(cls, "__init__", lambda self, *args,
+                                init=cls.__init__, log=log, **kwargs:
+                                log.append(1) or init(self, *args, **kwargs))
         fn = LinearScore((0.9, 1.1, 0.7))
         initiator = arena.peer(300)
         if seeded:
             result = distributed_topk(initiator, fn, 5, r=0,
                                       restriction=arena.domain(),
                                       executor=wavefront_execute)
-            # greedy_route still walks a table link by link until one
-            # contains the seed point: at most a table per route hop.
-            route = greedy_route(initiator, (1 - 1e-12,) * 3)[1]
-            assert len(route) > 2
-            allowance = sum(len(peer.links()) for peer in route)
+            assert len(greedy_route(initiator, (1 - 1e-12,) * 3)[1]) > 2
         else:
             result = run_wavefront(initiator, TopKHandler(fn, 5),
                                    restriction=arena.domain())
-            allowance = 0
         assert result.stats.processed > 5
-        assert 0 < len(built) <= result.stats.forward_messages + allowance
-        assert len(built) < sum(len(arena.peer(i).links())
-                                for i in arena._views) / 2
+        assert not built
+        # One more region: the domain the query is restricted to.
+        assert 0 < len(regions) <= result.stats.forward_messages + 1
+        assert len(regions) < sum(len(arena.peer(i).links())
+                                  for i in arena._views) / 2
 
 
 class TestPeerViews:
