@@ -27,7 +27,7 @@ from ..common.scoring import LinearScore
 from ..core.analysis import fast_latency, ripple_latency, slow_latency
 from ..core.framework import SLOW, run_ripple
 from ..obs.clock import wallclock
-from ..overlays.arena import run_wavefront
+from ..overlays.arena import wavefront_execute
 from ..overlays.arena_build import midas_arena
 from ..queries.topk import TopKHandler
 from .config import ExperimentConfig
@@ -61,12 +61,10 @@ def scale_profile(config: ExperimentConfig) -> list[dict[str, object]]:
             if r != 0 and depth > SEQUENTIAL_DEPTH_CAP:
                 continue
             start = wallclock()
-            if r == 0:
-                result = run_wavefront(arena.peer(0), handler,
-                                       restriction=arena.domain())
-            else:
-                result = run_ripple(arena.peer(0), handler, r,
-                                    restriction=arena.domain())
+            # The wave runs r = 0 and hands r >= 1 to the scalar engine.
+            result = run_ripple(arena.peer(0), handler, r,
+                                restriction=arena.domain(),
+                                executor=wavefront_execute)
             query_s = wallclock() - start
             expected = formula(depth)
             rows.append({

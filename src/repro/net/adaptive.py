@@ -36,6 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (avoids an import cycle)
 
 __all__ = ["AdaptiveFanout", "EngineLoad"]
 
+#: Pressure thresholds of the ladder: at or below ``LOW`` the smallest
+#: ``r``, at or above ``HIGH`` the largest, the middle candidate between.
+LOW = 0.25
+HIGH = 0.75
+#: EWMA smoothing factor of the observed queue-delay fraction.
+SMOOTHING = 0.3
+
 
 @dataclass(frozen=True)
 class EngineLoad:
@@ -70,21 +77,15 @@ class AdaptiveFanout:
     """
 
     rs: tuple[int, ...] = (0, 1, 2)
-    #: Pressure thresholds of the ladder.
-    low: float = 0.25
-    high: float = 0.75
-    #: EWMA smoothing factor of the observed queue-delay fraction.
-    smoothing: float = 0.3
     #: Chosen-``r`` tallies, for reports and the benchmark gate.
-    decisions: dict[int, int] = field(default_factory=dict)
-    _pressure: float = 0.0
+    decisions: dict[int, int] = field(init=False)
+    _pressure: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         self.rs = tuple(sorted(set(int(r) for r in self.rs)))
         if not self.rs:
             raise ValueError("need at least one candidate r")
-        for r in self.rs:
-            self.decisions.setdefault(r, 0)
+        self.decisions = dict.fromkeys(self.rs, 0)
 
     @property
     def pressure(self) -> float:
@@ -94,9 +95,9 @@ class AdaptiveFanout:
     def choose(self, job: "QueryJob", load: EngineLoad) -> int:
         """The ``r`` this query should run at, given current load."""
         pressure = max(load.pressure, self._pressure)
-        if pressure <= self.low:
+        if pressure <= LOW:
             choice = self.rs[0]
-        elif pressure >= self.high:
+        elif pressure >= HIGH:
             choice = self.rs[-1]
         else:
             choice = self.rs[len(self.rs) // 2]
@@ -107,4 +108,4 @@ class AdaptiveFanout:
         """Fold a settled query's congestion evidence into the EWMA."""
         turnaround = max(1, outcome.turnaround)
         fraction = min(1.0, outcome.stats.queue_delay / turnaround)
-        self._pressure += self.smoothing * (fraction - self._pressure)
+        self._pressure += SMOOTHING * (fraction - self._pressure)

@@ -46,15 +46,22 @@ ALIVE = "alive"
 SUSPECT = "suspect"
 DEAD = "dead"
 
+#: Sweep period in simulated time units, and how many consecutive missed
+#: probes mark a peer SUSPECT respectively DEAD (``0 < SUSPECT_AFTER <=
+#: DEAD_AFTER``).
+HEARTBEAT_PERIOD = 4
+SUSPECT_AFTER = 1
+DEAD_AFTER = 2
+
 
 class FailureDetector:
     """Periodic heartbeat sweeps over a set of monitored peers.
 
-    Every ``period`` (the plan's ``heartbeat_period``) time units the
-    detector probes each monitored peer.  A failed probe (peer down, or
-    probe lost on a lossy network) bumps the peer's miss counter: the
-    plan's ``suspect_after`` consecutive misses mark it SUSPECT,
-    ``dead_after`` mark it DEAD and fire ``on_dead`` (the repair
+    Every ``HEARTBEAT_PERIOD`` time units the detector probes each
+    monitored peer.  A failed probe (peer down, or probe lost on a lossy
+    network) bumps the peer's miss counter: ``SUSPECT_AFTER``
+    consecutive misses mark it SUSPECT, ``DEAD_AFTER`` mark it DEAD and
+    fire ``on_dead`` (the repair
     hook — e.g. :meth:`~repro.overlays.replication.ReplicaDirectory.repair`).
     A successful probe resets the peer to ALIVE and fires ``on_alive`` if
     it was previously declared dead or returned with a new incarnation
@@ -66,8 +73,7 @@ class FailureDetector:
     drains.
     """
 
-    __slots__ = ("sim", "plan", "peer_ids", "period", "suspect_after",
-                 "dead_after", "on_dead", "on_alive", "probes",
+    __slots__ = ("sim", "plan", "peer_ids", "on_dead", "on_alive", "probes",
                  "_misses", "_status", "_incarnations", "_stopped",
                  "_position", "_crashy", "_unsettled")
 
@@ -83,10 +89,6 @@ class FailureDetector:
         self.sim = sim
         self.plan = plan
         self.peer_ids = [pid for pid in peer_ids if pid not in plan.protected]
-        # FaultPlan validated all three knobs.
-        self.period = plan.heartbeat_period
-        self.suspect_after = plan.suspect_after
-        self.dead_after = plan.dead_after
         self.on_dead = on_dead
         self.on_alive = on_alive
         #: Total heartbeat probes issued (observability).
@@ -111,7 +113,7 @@ class FailureDetector:
         if not self._stopped:
             return
         self._stopped = False
-        self.sim.schedule(self.period, self._sweep)
+        self.sim.schedule(HEARTBEAT_PERIOD, self._sweep)
 
     def stop(self) -> None:
         """Cease probing; the pending sweep becomes a no-op."""
@@ -154,15 +156,15 @@ class FailureDetector:
                 misses = self._misses[pid] + 1
                 self._misses[pid] = misses
                 self._unsettled.add(pid)
-                if misses >= self.dead_after:
+                if misses >= DEAD_AFTER:
                     if self._status[pid] != DEAD:
                         self._status[pid] = DEAD
                         if self.on_dead is not None:
                             self.on_dead(pid)
-                elif misses >= self.suspect_after:
+                elif misses >= SUSPECT_AFTER:
                     if self._status[pid] == ALIVE:
                         self._status[pid] = SUSPECT
-        self.sim.schedule(self.period, self._sweep)
+        self.sim.schedule(HEARTBEAT_PERIOD, self._sweep)
 
     # -- queries -----------------------------------------------------------
 
@@ -176,4 +178,4 @@ class FailureDetector:
     def __repr__(self) -> str:
         dead = sum(1 for s in self._status.values() if s == DEAD)
         return (f"FailureDetector(monitored={len(self.peer_ids)}, "
-                f"period={self.period}, dead={dead}, probes={self.probes})")
+                f"dead={dead}, probes={self.probes})")

@@ -81,6 +81,19 @@ __all__ = ["EventSimulator", "SimulationBudgetExceeded",
 #: fast instead of spinning forever.
 DEFAULT_MAX_EVENTS = 5_000_000
 
+#: The supervision protocol's timings (docs/ALGORITHMS.md, "Fault
+#: model"), in simulated time units.  A forward's first ack deadline is
+#: ``ACK_TIMEOUT`` past its delivery delay and doubles per resend, up to
+#: ``MAX_RETRIES`` resends; an acked forward's liveness watchdog fires
+#: after ``WATCHDOG_BASE`` units, doubling, at most ``MAX_WATCHDOGS``
+#: times; a failed forward's lineage is re-routed around dead peers at
+#: most ``MAX_REROUTE_DEPTH`` times.
+ACK_TIMEOUT = 4
+MAX_RETRIES = 3
+WATCHDOG_BASE = 8
+MAX_WATCHDOGS = 24
+MAX_REROUTE_DEPTH = 2
+
 
 class SimulationBudgetExceeded(RuntimeError):
     """The simulator executed more events than its budget allows.
@@ -327,7 +340,7 @@ class _Invocation:
         self.on_done = on_done
         #: How many times this subtree's lineage was already re-routed
         #: around a failure; bounds recovery recursion (see
-        #: FaultPlan.max_reroute_depth).
+        #: MAX_REROUTE_DEPTH).
         self.route_depth = route_depth
         #: Forwards not yet answered or abandoned.
         self.outstanding = 0
@@ -511,7 +524,7 @@ class _Attempt:
         self.sim.schedule(delay, lambda: self._deliver(message), self.ctx)
         # The deadline rides on top of the actual delay so jitter can
         # never fire a spurious timeout; backoff doubles per attempt.
-        deadline = delay + (self.faults.ack_timeout << (self.tries - 1))
+        deadline = delay + (ACK_TIMEOUT << (self.tries - 1))
         self.sim.schedule(deadline, lambda: self._ack_timeout(gen), self.ctx)
 
     def _maybe_redirect(self) -> None:
@@ -598,7 +611,7 @@ class _Attempt:
         confirmed_dead = (detector is not None
                           and detector.is_dead(physical_id(self.target)))
         self._event("timeout", what=what, detector_dead=confirmed_dead)
-        if not confirmed_dead and self.tries <= self.faults.max_retries:
+        if not confirmed_dead and self.tries <= MAX_RETRIES:
             self.send()
         else:
             self._fail()
@@ -607,7 +620,7 @@ class _Attempt:
 
     def _arm_watchdog(self) -> None:
         gen = self.gen
-        period = self.faults.watchdog_base << min(self.watchdogs, 16)
+        period = WATCHDOG_BASE << min(self.watchdogs, 16)
         self.sim.schedule(period, lambda: self._watchdog(gen), self.ctx)
 
     def _watchdog(self, gen: int) -> None:
@@ -616,7 +629,7 @@ class _Attempt:
         if self.parent._dead():
             return
         self.watchdogs += 1
-        if self.watchdogs > self.faults.max_watchdogs:
+        if self.watchdogs > MAX_WATCHDOGS:
             self.ctx.on_timeout()
             self._event("timeout", what="watchdog-exhausted")
             self._fail()
@@ -670,7 +683,7 @@ class _Attempt:
         """Retries exhausted: route around the target, else promote a
         replica of its region, else abandon."""
         faults = self.faults
-        if self.route_depth < faults.max_reroute_depth:
+        if self.route_depth < MAX_REROUTE_DEPTH:
             now = self.sim.now
             alternate, hops = route_around(
                 self.parent.visit.peer, self.sub,

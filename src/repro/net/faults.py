@@ -76,6 +76,9 @@ class FaultPlan:
     are normalized to a sorted tuple.  Message-level decisions (drops,
     jitter) are derived by hashing the plan seed with a per-message
     sequence number, so they depend only on the deterministic event order.
+    The plan says what fails; how the protocol reacts is fixed by the
+    timing constants of :mod:`repro.net.eventsim` (acks, retries,
+    watchdogs, re-routes) and :mod:`repro.net.detector` (heartbeats).
     """
 
     def __init__(
@@ -85,32 +88,11 @@ class FaultPlan:
         drop_prob: float = 0.0,
         jitter: int = 0,
         crashes: Mapping[Hashable, Sequence[tuple[float, float]]] | None = None,
-        ack_timeout: int = 4,
-        max_retries: int = 3,
-        watchdog_base: int = 8,
-        max_watchdogs: int = 24,
-        max_reroute_depth: int = 2,
-        heartbeat_period: int = 4,
-        suspect_after: int = 1,
-        dead_after: int = 2,
     ) -> None:
         if not 0.0 <= drop_prob < 1.0:
             raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
         if jitter < 0:
             raise ValueError("jitter must be non-negative")
-        for name, value in (("ack_timeout", ack_timeout),
-                            ("watchdog_base", watchdog_base),
-                            ("heartbeat_period", heartbeat_period)):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        for name, value in (("max_retries", max_retries),
-                            ("max_watchdogs", max_watchdogs),
-                            ("max_reroute_depth", max_reroute_depth)):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-        if not 0 < suspect_after <= dead_after:
-            raise ValueError("need 0 < suspect_after <= dead_after, got "
-                             f"{suspect_after} and {dead_after}")
         self.seed = seed
         # ``mix(seed, salt, id) == mix_step(mix(seed, salt), id)``: the
         # per-message draws fold the fixed prefix once per plan.
@@ -127,17 +109,6 @@ class FaultPlan:
                         f"empty crash window [{down}, {up}) for {peer_id!r}")
             if cleaned:
                 self.crashes[peer_id] = cleaned
-        self.ack_timeout = ack_timeout
-        self.max_retries = max_retries
-        self.watchdog_base = watchdog_base
-        self.max_watchdogs = max_watchdogs
-        self.max_reroute_depth = max_reroute_depth
-        #: Failure-detector knobs (see :mod:`repro.net.detector`): probe
-        #: period and how many consecutive missed probes mark a peer
-        #: SUSPECT respectively DEAD.
-        self.heartbeat_period = heartbeat_period
-        self.suspect_after = suspect_after
-        self.dead_after = dead_after
         #: Peers exempt from every fault (e.g. the query initiator: a
         #: client does not crash-stop its own query).
         self.protected: set[Hashable] = set()
@@ -160,7 +131,6 @@ class FaultPlan:
         recovery: int | None = None,
         drop_prob: float = 0.0,
         jitter: int = 0,
-        **knobs: int,
     ) -> "FaultPlan":
         """Schedule each peer to crash with probability ``crash_fraction``.
 
@@ -191,7 +161,7 @@ class FaultPlan:
                 else down + 1.0 + float(rng.integers(0, recovery))
             crashes[peer_id] = [(down, up)]
         return cls(seed=seed, drop_prob=drop_prob, jitter=jitter,
-                   crashes=crashes, **knobs)
+                   crashes=crashes)
 
     # -- liveness ----------------------------------------------------------
 

@@ -70,9 +70,9 @@ from .context import QueryResult
 
 __all__ = ["CacheDirectory", "CacheEntry", "CacheLookup"]
 
-#: Default bound on retained entries; far above any benchmark's working
-#: set, small enough that a directory never dominates memory.
-DEFAULT_CAPACITY = 256
+#: Bound on retained entries; far above any benchmark's working set,
+#: small enough that a directory never dominates memory.
+CAPACITY = 256
 
 #: An entry's key: the handler and the restriction it ran over.
 _Key = tuple[QueryHandler, Region]
@@ -158,12 +158,8 @@ class CacheDirectory:
     restriction an exact cover (frustums have none).
     """
 
-    def __init__(self, overlay: Any, *,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, overlay: Any) -> None:
         self._overlay = overlay
-        self.capacity = capacity
         self._entries: dict[_Key, CacheEntry] = {}
         #: The entries resting on each peer, in insertion order (a dict
         #: used as an ordered set).
@@ -375,7 +371,7 @@ class CacheDirectory:
             return False
         key: _Key = (handler, restriction)
         self._remove(key)
-        while len(self._entries) >= self.capacity:
+        while len(self._entries) >= CAPACITY:
             self._invalidate(next(iter(self._entries)))
         entry = CacheEntry(key=key, handler=handler, region=restriction,
                            answer=result.answer, touched=tuple(touched),

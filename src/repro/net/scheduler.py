@@ -275,7 +275,6 @@ class QueryEngine:
         faults: "FaultPlan | None" = None,
         replicas: "ReplicaDirectory | None" = None,
         service_time: int = 0,
-        max_events_per_query: int | None = DEFAULT_MAX_EVENTS,
         sink: TraceSink | None = None,
         cache: CacheDirectory | None = None,
         fanout: AdaptiveFanout | None = None,
@@ -284,14 +283,10 @@ class QueryEngine:
             raise ValueError("capacity must be positive")
         if queue_limit < 0:
             raise ValueError("queue_limit must be non-negative")
-        if max_events_per_query is not None and max_events_per_query <= 0:
-            raise ValueError(f"max_events_per_query must be positive, got "
-                             f"{max_events_per_query}")
         self.capacity = capacity
         self.queue_limit = queue_limit
         self.policy = policy if policy is not None else FifoPolicy()
         self.faults = faults
-        self.max_events_per_query = max_events_per_query
         self.sink = sink
         # The shared simulator carries no global cap: budgets are per
         # query, so one runaway cannot take down its co-tenants.
@@ -440,7 +435,7 @@ class QueryEngine:
         ctx.query_id = job.job_id
         ctx.started_at = self.sim.now
         ctx.max_events = job.max_events if job.max_events is not None \
-            else self.max_events_per_query
+            else DEFAULT_MAX_EVENTS
         if job.deadline is not None:
             # The deadline budget starts at submission: time spent in the
             # admission queue is part of the query's wall budget.

@@ -7,7 +7,7 @@ mirror and at-scale builders.
 """
 
 from .arena import (ArenaPeer, MidasArena, MirrorArena, OverlayArena,
-                    run_wavefront, wavefront_execute)
+                    wavefront_execute)
 from .arena_build import from_overlay, midas_arena
 from .baton import BatonOverlay, BatonPeer
 from .can import Adjacency, CanOverlay, CanPeer
@@ -25,6 +25,5 @@ __all__ = [
     "MidasPeer", "MirrorArena", "Node", "OverlayArena", "PromotedPeer",
     "ReplicaDirectory", "SkipGraphOverlay", "SkipGraphPeer", "SplitTree",
     "ZCurve", "alive_patterns", "from_overlay",
-    "matches_any_pattern", "midas_arena", "run_wavefront",
-    "wavefront_execute",
+    "matches_any_pattern", "midas_arena", "wavefront_execute",
 ]

@@ -25,14 +25,15 @@ bit-identical on an arena (the hypothesis suite pins answers and
 
 On top of the substrate sits the *batched wavefront* executor
 (:func:`wavefront_execute`): the parallel extreme (``r = 0``) of
-Algorithm 3 is evaluated level-synchronously, and all local reductions of
-the peers touched in one expansion wave run as a single grouped kernel
-call (:func:`prime_topk_wave` / :func:`prime_skyline_wave`) that *primes*
-each store's computation cache — the shared per-peer step
-(:class:`~repro.core.framework._Visit`) then hits the primed entries
-instead of reducing per peer.  See docs/SCALE.md for why running that
-step wave by wave yields the depth-first engine's answers and
-``QueryStats`` exactly.
+Algorithm 3 is evaluated level-synchronously.  A wave's fresh link
+tables are built in one pass, and a skyline's local reductions for the
+peers touched in one expansion wave run as a single grouped kernel call
+(:func:`prime_skyline_wave`) that *primes* each store's computation
+cache — the shared per-peer step (:class:`~repro.core.framework._Visit`)
+then hits the primed entries instead of reducing per peer.  Top-k visits
+use each store's own cached score index.  See docs/SCALE.md for why
+running that step wave by wave yields the depth-first engine's answers
+and ``QueryStats`` exactly, and for what each batched path buys.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ from ..core.handler import QueryHandler
 from ..core.regions import (ArcRegion, FrustumRegion, RectRegion, Region,
                             domain_region)
 from ..net.context import QueryContext, QueryResult
-from ..obs.trace import TraceSink
 from ..queries.skyline import (SkylineHandler, _all_pairs, _first_of_runs,
                                _skyline_mask)
-from ..queries.topk import TopKHandler
 
 __all__ = ["ArenaPeer", "MidasArena", "MirrorArena", "OverlayArena",
            "prime_skyline_wave", "prime_topk_wave", "wavefront_execute"]
@@ -232,9 +231,6 @@ class MirrorArena(OverlayArena):
         self.link_ptr = np.ascontiguousarray(link_ptr, dtype=np.int64)
         self.link_target = np.ascontiguousarray(link_target, dtype=np.int64)
         self.link_payload = link_payload
-        #: Exact region partitions (rect/arc) support strict single-visit
-        #: mode; conservative frustum covers require dedup, like CAN.
-        self.strict_default = kind != "frustum"
 
     def max_links(self) -> int:
         return int(np.diff(self.link_ptr).max(initial=0))
@@ -303,7 +299,6 @@ class MidasArena(OverlayArena):
         self.seed = seed
         self.link_ptr = link_ptr
         self.link_target = link_target
-        self.strict_default = True
         # The closed form of every box, per level (never per peer).  Level
         # ``l`` halves axis ``l % dims``: ``_widths[k, j]`` is axis ``j``'s
         # extent in a cell of depth ``k``, and ``_halves[l]`` is zero but
@@ -486,33 +481,16 @@ class MidasArena(OverlayArena):
 
 def prime_topk_wave(fn: ScoringFunction, stores: Sequence[LocalStore]
                     ) -> None:
-    """Score every store touched by a wave in one grouped kernel call.
+    """Build each store's own score index for ``fn``, one store at a
+    time: what a visit's first ``top_scoring`` call builds.
 
-    Concatenates the stores' row blocks, evaluates ``fn.score_batch``
-    once, recovers each store's stable descending order with a single
-    ``lexsort`` (primary key: store, secondary: score descending, ties by
-    row position — exactly ``argsort(-scores, kind="stable")`` per
-    group), and primes every store's ``("score-index", fn)`` cache entry
-    with its slice.  The subsequent per-peer ``top_scoring`` /
-    ``scoring_at_least`` calls hit the primed entries, so the wave costs
-    one kernel invocation instead of one per peer.
+    The wave does not call it.  A grouped kernel over the wave's stores
+    measured no faster than each store's cached index (docs/SCALE.md),
+    so top-k visits build their indexes themselves; this loop remains
+    as the per-layer probe of that build.
     """
-    live = [s for s in stores if len(s) and s.cache_enabled]
-    if len(live) < 2:
-        return
-    sizes = np.fromiter((len(s) for s in live), dtype=np.int64,
-                        count=len(live))
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    concat = np.concatenate([s.array for s in live], axis=0)
-    scores = fn.score_batch(concat)
-    group = np.repeat(np.arange(len(live)), sizes)
-    order = np.lexsort((-scores, group))
-    for g, store in enumerate(live):
-        lo, hi = int(bounds[g]), int(bounds[g + 1])
-        local_order = order[lo:hi] - lo
-        local_scores = scores[lo:hi]
-        store.prime(("score-index", fn),
-                    (local_scores, local_order, -local_scores[local_order]))
+    for store in stores:
+        store.top_scores(fn, 1)
 
 
 def prime_skyline_wave(constraint: Rect | None,
@@ -622,18 +600,6 @@ def _concat_aranges(sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prime_wave(handler: QueryHandler, stores: list[LocalStore]) -> None:
-    """Dispatch the wave's stores to the handler's grouped kernel.
-
-    Handlers without a batched kernel (diversification) fall through to
-    the scalar per-peer path — still bit-identical, just unbatched.
-    """
-    if isinstance(handler, TopKHandler):
-        prime_topk_wave(handler.fn, stores)
-    elif isinstance(handler, SkylineHandler):
-        prime_skyline_wave(handler.constraint, stores)
-
-
 def _prime_links(wave: list[tuple[PeerLike, Any, Region]]) -> None:
     """Build the link tables the wave's ``MidasArena`` peers lack, and
     their cuts of the areas they receive, in one
@@ -670,16 +636,18 @@ def wavefront_execute(
     """Algorithm 1 (``r = 0``) evaluated level-synchronously in waves.
 
     A drop-in replacement for :func:`repro.core.framework.execute` (same
-    signature; pass it as the ``executor`` of the seeded drivers).  It
+    signature; pass it as the ``executor`` of ``run_ripple`` or of the
+    seeded drivers).  It
     runs the same per-peer step as every other engine
     (:class:`~repro.core.framework._Visit`), only on a different schedule:
     a parallel visit fixes its forwarding state on arrival and never folds
     child responses into it, and latency composes by ``max(1 + child)`` —
     so running the visits wave by wave instead of depth-first reproduces
     the exact answers, the exact processed set, and every ``QueryStats``
-    counter (see docs/SCALE.md for the argument).  The payoff: the stores
-    of a wave's not-yet-processed peers are primed by a single grouped
-    kernel call before their visits run.
+    counter (see docs/SCALE.md for the argument).  The payoff: a wave's
+    fresh link tables are built in one pass, and for a skyline the local
+    skylines of its not-yet-processed peers in one grouped kernel call,
+    before their visits run.
 
     Falls back to the scalar engine whenever the wave evaluation cannot
     apply verbatim: sequential modes (``r > 0``), non-strict contexts
@@ -701,8 +669,10 @@ def wavefront_execute(
     now = base_latency
     while True:
         _prime_links(wave)
-        _prime_wave(handler, [peer.store for peer, _, _ in wave
-                              if peer.peer_id not in ctx.processed])
+        if isinstance(handler, SkylineHandler):
+            prime_skyline_wave(handler.constraint, [
+                peer.store for peer, _, _ in wave
+                if peer.peer_id not in ctx.processed])
         next_wave: list[tuple[PeerLike, Any, Region]] = []
         for peer, received, area in wave:
             visit = _Visit(ctx, handler, peer, received, area, 0,
@@ -718,22 +688,3 @@ def wavefront_execute(
     answer = handler.finalize(ctx.collected_answers)
     return QueryResult(answer=answer, stats=ctx.stats(now))
 
-
-def run_wavefront(
-    initiator: PeerLike,
-    handler: QueryHandler,
-    *,
-    restriction: Region,
-    strict: bool = True,
-    initial_state: Any | None = None,
-    sink: TraceSink | None = None,
-) -> QueryResult:
-    """Convenience wrapper: :func:`wavefront_execute` over a fresh context.
-
-    The batched counterpart of ``run_ripple(initiator, handler, 0, ...)``.
-    """
-    ctx = QueryContext(strict=strict)
-    if sink is not None:
-        ctx.sink = sink
-    return wavefront_execute(initiator, handler, 0, restriction=restriction,
-                             ctx=ctx, initial_state=initial_state)

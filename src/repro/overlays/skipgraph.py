@@ -127,11 +127,9 @@ class _TowerIndex:
 class SkipGraphOverlay(RingOverlay[SkipGraphPeer]):
     """An omniscient simulation of a rainbow skip graph.
 
-    ``tower_size`` defaults to ``max(1, ceil(log2 n))`` — the
-    Theta(log n) tower height of the rainbow construction — and is
-    re-derived after churn, so the degree bound never drifts as the
-    network grows or shrinks.  Pass an explicit ``tower_size`` to pin
-    the decomposition for structural experiments.
+    The tower size is ``max(1, ceil(log2 n))`` — the Theta(log n) tower
+    height of the rainbow construction — and is re-derived after churn,
+    so the degree bound never drifts as the network grows or shrinks.
     """
 
     #: Worst-case out-degree of any peer: base-ring successor and
@@ -141,11 +139,7 @@ class SkipGraphOverlay(RingOverlay[SkipGraphPeer]):
 
     peer_class = SkipGraphPeer
 
-    def __init__(self, *, size: int = 1, seed: int = 0,
-                 tower_size: int | None = None) -> None:
-        if tower_size is not None and tower_size < 1:
-            raise ValueError(f"tower_size must be positive, got {tower_size}")
-        self._tower_size_override = tower_size
+    def __init__(self, *, size: int = 1, seed: int = 0) -> None:
         self._towers: tuple[int, _TowerIndex] | None = None
         super().__init__(size=size, seed=seed,
                          rng=np.random.default_rng(mix(seed, _KEY_SALT)))
@@ -168,8 +162,6 @@ class SkipGraphOverlay(RingOverlay[SkipGraphPeer]):
 
     def tower_size(self) -> int:
         """The current tower height: ``~log2 n``, floor 1."""
-        if self._tower_size_override is not None:
-            return self._tower_size_override
         return max(1, math.ceil(math.log2(max(2, len(self._peers)))))
 
     def tower_index(self) -> _TowerIndex:

@@ -371,11 +371,10 @@ class RippleDiversifier:
     """RIPPLE-based engine for single tuple diversification queries."""
 
     def __init__(self, overlay, initiator, *, r: int = 0,
-                 seeded: bool = True, strict: bool = True, sink=None):
+                 strict: bool = True, sink=None):
         self.overlay = overlay
         self.initiator = initiator
         self.r = r
-        self.seeded = seeded
         self.strict = strict
         #: Trace sink shared by every single-tuple sub-query; a recorded
         #: diversification trace holds one root span per round.
@@ -393,7 +392,7 @@ class RippleDiversifier:
         # Improvement queries (Algorithm 23) arrive with an explicit
         # threshold that prunes from the first hop, so only cold-start
         # queries benefit from routing to a seed first.
-        if self.seeded and math.isinf(tau):
+        if math.isinf(tau):
             domain = restriction.cover()[0]
             seed_point = tuple(min(max(v, l), h - 1e-12) for v, l, h in zip(
                 objective.query, domain.lo, domain.hi))

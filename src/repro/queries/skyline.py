@@ -264,7 +264,6 @@ def distributed_skyline(
     *,
     restriction: Region,
     r: int = 0,
-    seeded: bool = True,
     strict: bool = True,
     constraint: Rect | None = None,
     sink=None,
@@ -273,27 +272,21 @@ def distributed_skyline(
 ):
     """End-to-end distributed skyline from ``initiator``.
 
-    With ``seeded`` (default) the query first routes to the peer owning
-    the preference origin — where the most dominating tuples live, the
-    same starting point SSP and DSL use — and ripples out from there with
-    a warm partial skyline.  Pass ``constraint`` for a constrained skyline
-    (the skyline among tuples inside the box).  ``cache`` (a
+    The query first routes to the peer owning the preference origin —
+    where the most dominating tuples live, the same starting point SSP
+    and DSL use — and ripples out from there with a warm partial skyline.
+    (Algorithm 3 run cold from the initiator is ``run_ripple`` with a
+    :class:`SkylineHandler`.)  Pass ``constraint`` for a constrained
+    skyline (the skyline among tuples inside the box).  ``cache`` (a
     :class:`~repro.net.resultcache.CacheDirectory`) enables exact and
-    semantic answer reuse; it requires the seeded driver.  Returns a
+    semantic answer reuse.  Returns a
     :class:`~repro.net.context.QueryResult` whose ``answer`` is the sorted
     global skyline.
     """
-    from ..core.framework import run_ripple
     from .drivers import run_seeded
 
     handler = SkylineHandler(dims, constraint=constraint)
     handler.check_restriction(restriction)
-    if not seeded:
-        if cache is not None:
-            raise ValueError("answer caching requires the seeded driver")
-        return run_ripple(initiator, handler, r,
-                          restriction=restriction, strict=strict, sink=sink,
-                          executor=executor)
     return run_seeded(initiator, handler, r, restriction=restriction,
                       seed_point=handler.origin, strict=strict, sink=sink,
                       executor=executor, cache=cache)
@@ -304,17 +297,15 @@ class SkylineHandler(QueryHandler):
 
     The unconstrained query carries no parameters (Section 5.1);
     ``origin`` is the preference origin used for link prioritization, the
-    zero vector by default.  With a ``constraint`` box the query becomes
-    the constrained skyline DSL processes (Section 2.2): the skyline of
-    the tuples inside the box, with the box's lower-left corner as the
-    natural origin and links outside the box pruned outright.  A box
-    with a non-finite coordinate or with ``lo >= hi`` along some
-    dimension (half-open, it selects nothing) is rejected, as is an
-    origin that is not a finite ``dims``-vector.
+    zero vector.  With a ``constraint`` box the query becomes the
+    constrained skyline DSL processes (Section 2.2): the skyline of the
+    tuples inside the box, with the box's lower-left corner as the origin
+    and links outside the box pruned outright.  A box with a non-finite
+    coordinate or with ``lo >= hi`` along some dimension (half-open, it
+    selects nothing) is rejected.
     """
 
-    def __init__(self, dims: int, *, origin: Sequence[float] | None = None,
-                 constraint: Rect | None = None):
+    def __init__(self, dims: int, *, constraint: Rect | None = None):
         if dims <= 0:
             raise ValueError("dims must be positive")
         if constraint is not None:
@@ -328,17 +319,9 @@ class SkylineHandler(QueryHandler):
                                  f"needs lo < hi in every dimension")
         self.dims = dims
         self.constraint = constraint
-        if origin is not None:
-            self.origin: Point = tuple(float(v) for v in origin)
-            if len(self.origin) != dims \
-                    or not all(map(isfinite, self.origin)):
-                raise ValueError(f"origin must be a finite {dims}-d point, "
-                                 f"got {self.origin}")
-        elif constraint is not None:
-            self.origin = constraint.lo
-        else:
-            self.origin = (0.0,) * dims
-        self._keyed((dims, self.origin, constraint))
+        self.origin: Point = (0.0,) * dims if constraint is None \
+            else constraint.lo
+        self._keyed((dims, constraint))
         self._empty = np.empty((0, dims))
         #: The last sequence-of-points state seen and its rows: callers
         #: that hold such a state hand the same object to every callback.

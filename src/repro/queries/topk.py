@@ -223,7 +223,6 @@ def distributed_topk(
     *,
     restriction: Region,
     r: int = 0,
-    seeded: bool = True,
     strict: bool = True,
     sink=None,
     executor=None,
@@ -231,26 +230,19 @@ def distributed_topk(
 ):
     """End-to-end distributed top-k from ``initiator``.
 
-    With ``seeded`` (the default, used by all experiments) the query first
-    routes toward the scoring function's peak and probes best-first until
-    ``k`` tuples back the threshold, so the ripple phase starts with a
-    warm state; without it, Algorithm 3 runs cold from the initiator.
-    ``cache`` (a :class:`~repro.net.resultcache.CacheDirectory`) enables
-    exact and semantic answer reuse; it requires the seeded driver.
-    Returns a :class:`~repro.net.context.QueryResult` whose ``answer`` is
-    a list of ``(score, tuple)`` pairs, best first.
+    The query first routes toward the scoring function's peak and probes
+    best-first until ``k`` tuples back the threshold, so the ripple phase
+    starts with a warm state.  (Algorithm 3 run cold from the initiator
+    is ``run_ripple`` with a :class:`TopKHandler`.)  ``cache`` (a
+    :class:`~repro.net.resultcache.CacheDirectory`) enables exact and
+    semantic answer reuse.  Returns a
+    :class:`~repro.net.context.QueryResult` whose ``answer`` is a list of
+    ``(score, tuple)`` pairs, best first.
     """
-    from ..core.framework import run_ripple
     from .drivers import run_seeded
 
     handler = TopKHandler(fn, k)
     handler.check_restriction(restriction)
-    if not seeded:
-        if cache is not None:
-            raise ValueError("answer caching requires the seeded driver")
-        return run_ripple(initiator, handler, r,
-                          restriction=restriction, strict=strict, sink=sink,
-                          executor=executor)
     domain = restriction.cover()[0]
     seed_point = tuple(min(v, h - 1e-12)
                        for v, h in zip(fn.peak(domain), domain.hi))

@@ -29,7 +29,7 @@ from repro.common.store import LocalStore
 from repro.core.framework import Link, LinkTable, _candidates
 from repro.core.regions import RectRegion
 from repro.obs.trace import QueryTrace
-from repro.overlays import from_overlay, midas_arena, run_wavefront
+from repro.overlays import from_overlay, midas_arena, wavefront_execute
 from repro.overlays.arena import prime_topk_wave
 from repro.queries.topk import TopKState
 
@@ -478,10 +478,10 @@ class TestScoringAtLeastPrefix:
     @settings(max_examples=300, deadline=None)
     def test_every_index_producer_scans_alike(self, points, weights,
                                               producer):
-        """Whoever built the score index — the store, a view, the wave
-        kernel, or the store again after a mutation dropped a warm one —
-        the threshold scans cut it where the score mask does, ties at
-        ``tau`` and signed zeros included."""
+        """Whoever built the score index — the store, a view, the
+        per-layer ``prime_topk_wave`` probe, or the store again after a
+        mutation dropped a warm one — the threshold scans cut it where
+        the score mask does, ties at ``tau`` and signed zeros included."""
         fn = LinearScore(weights)
         array = np.array(points, dtype=float).reshape(-1, 2)
         if producer == "view":
@@ -534,8 +534,9 @@ class TestSkylineBuildsOnlyTheLinksItCrosses:
         handler = SkylineHandler(3, constraint=Rect((0.1,) * 3, (0.6,) * 3))
         initiator = arena.peer(300)
         if r == 0:
-            result = run_wavefront(initiator, handler,
-                                   restriction=arena.domain())
+            result = run_ripple(initiator, handler, 0,
+                                restriction=arena.domain(),
+                                executor=wavefront_execute)
         else:
             result = run_ripple(initiator, handler, r,
                                 restriction=arena.domain())

@@ -9,6 +9,7 @@ invariance under ``WorkloadSpec.adaptive_r``.
 
 import pytest
 
+from repro.net import adaptive
 from repro.net.adaptive import AdaptiveFanout, EngineLoad
 from repro.net.context import QueryStats
 from repro.net.scheduler import QueryCompleted, QueryEngine
@@ -72,7 +73,8 @@ class TestLadder:
 
 class TestObserve:
     def test_queue_delay_fraction_feeds_the_ewma(self):
-        fanout = AdaptiveFanout(rs=(0, 2), smoothing=0.3)
+        assert adaptive.SMOOTHING == 0.3
+        fanout = AdaptiveFanout(rs=(0, 2))
         outcome = QueryCompleted(job=None,
                                  stats=QueryStats(queue_delay=5),
                                  submitted_at=0, finished_at=10)
@@ -81,8 +83,9 @@ class TestObserve:
         fanout.observe(outcome)
         assert fanout.pressure == pytest.approx(0.15 + 0.3 * (0.5 - 0.15))
 
-    def test_sustained_congestion_raises_the_choice(self):
-        fanout = AdaptiveFanout(rs=(0, 1, 2), smoothing=1.0)
+    def test_sustained_congestion_raises_the_choice(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "SMOOTHING", 1.0)
+        fanout = AdaptiveFanout(rs=(0, 1, 2))
         congested = QueryCompleted(job=None,
                                    stats=QueryStats(queue_delay=9),
                                    submitted_at=0, finished_at=10)

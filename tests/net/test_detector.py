@@ -5,7 +5,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.detector import ALIVE, DEAD, SUSPECT, FailureDetector
+import repro.net.detector as detector_module
+from repro.net.detector import (ALIVE, DEAD, DEAD_AFTER, HEARTBEAT_PERIOD,
+                                 SUSPECT, SUSPECT_AFTER, FailureDetector)
 from repro.net.eventsim import EventSimulator
 from repro.net.faults import FaultPlan
 
@@ -36,7 +38,7 @@ class TestStateMachine:
         detector = FailureDetector(sim, plan, ["w", "x"],
                                    on_dead=lambda pid: transitions.append(pid))
         detector.start()
-        run_until(sim, 3 * plan.heartbeat_period + 1)
+        run_until(sim, 3 * HEARTBEAT_PERIOD + 1)
         assert detector.status("w") == DEAD
         assert detector.is_dead("w")
         assert detector.status("x") == ALIVE
@@ -44,19 +46,18 @@ class TestStateMachine:
         assert detector.probes > 0
 
     def test_suspect_precedes_dead(self):
-        plan = FaultPlan(crashes={"w": [(0, math.inf)]},
-                         suspect_after=1, dead_after=3)
+        assert 0 < SUSPECT_AFTER < DEAD_AFTER
+        plan = FaultPlan(crashes={"w": [(0, math.inf)]})
         sim = EventSimulator(faults=plan)
         detector = FailureDetector(sim, plan, ["w"])
         detector.start()
-        run_until(sim, plan.heartbeat_period + 1)
+        run_until(sim, SUSPECT_AFTER * HEARTBEAT_PERIOD + 1)
         assert detector.status("w") == SUSPECT
-        run_until(sim, 2 * plan.heartbeat_period + 1)
+        run_until(sim, DEAD_AFTER * HEARTBEAT_PERIOD)
         assert detector.status("w") == DEAD
 
     def test_recovery_fires_on_alive(self):
-        plan = FaultPlan(crashes={"w": [(0, 20)]}, heartbeat_period=4,
-                         dead_after=2)
+        plan = FaultPlan(crashes={"w": [(0, 20)]})
         sim = EventSimulator(faults=plan)
         revived = []
         detector = FailureDetector(sim, plan, ["w"],
@@ -66,11 +67,11 @@ class TestStateMachine:
         assert detector.status("w") == ALIVE
         assert revived == ["w"]
 
-    def test_incarnation_bump_reports_rebirth(self):
+    def test_incarnation_bump_reports_rebirth(self, monkeypatch):
         # Down only between probes: the detector never sees the outage,
         # but the incarnation counter moved, so a prior suspicion clears.
-        plan = FaultPlan(crashes={"w": [(5, 7)]}, heartbeat_period=4,
-                         suspect_after=1, dead_after=99)
+        monkeypatch.setattr(detector_module, "DEAD_AFTER", 99)
+        plan = FaultPlan(crashes={"w": [(5, 7)]})
         sim = EventSimulator(faults=plan)
         detector = FailureDetector(sim, plan, ["w"])
         detector.start()
@@ -99,7 +100,7 @@ class TestLifecycle:
         sim = EventSimulator(faults=plan)
         detector = FailureDetector(sim, plan, ["a", "b"])
         detector.start()
-        sim.schedule(3 * plan.heartbeat_period, detector.stop)
+        sim.schedule(3 * HEARTBEAT_PERIOD, detector.stop)
         sim.run()  # terminates: the stopped sweep does not reschedule
         # the stop fires before the same-timestamp third sweep (FIFO order),
         # so exactly two sweeps of two peers each probed
@@ -111,7 +112,7 @@ class TestLifecycle:
         detector = FailureDetector(sim, plan, ["a"])
         detector.start()
         detector.start()  # must not double-schedule sweeps
-        sim.schedule(plan.heartbeat_period, detector.stop)
+        sim.schedule(HEARTBEAT_PERIOD, detector.stop)
         sim.run()
         assert detector.probes == 1
 
@@ -128,7 +129,7 @@ class TestLifecycle:
         detector.start()                       # chain A sweeps at 4, 8
         sim.schedule(1, detector.stop)
         sim.schedule(2, detector.start)        # chain B sweeps at 6
-        sim.schedule(2 * plan.heartbeat_period, detector.stop)
+        sim.schedule(2 * HEARTBEAT_PERIOD, detector.stop)
         sim.run()
         assert detector.probes == 1            # one chain: the sweep at 6
 
@@ -141,25 +142,25 @@ class TestDeterminism:
         sim = EventSimulator(faults=plan)
         detector = FailureDetector(sim, plan, ["w", "x", "y"])
         detector.start()
-        run_until(sim, 5 * plan.heartbeat_period + 1)
+        run_until(sim, 5 * HEARTBEAT_PERIOD + 1)
         assert sim.new_message_id() == 0
 
-    def test_lossy_probes_can_falsely_suspect(self):
-        plan = FaultPlan(seed=2, drop_prob=0.6, heartbeat_period=4,
-                         suspect_after=1, dead_after=99)
+    def test_lossy_probes_can_falsely_suspect(self, monkeypatch):
+        monkeypatch.setattr(detector_module, "DEAD_AFTER", 99)
+        plan = FaultPlan(seed=2, drop_prob=0.6)
         sim = EventSimulator(faults=plan)
         detector = FailureDetector(sim, plan, [f"p{i}" for i in range(10)])
         detector.start()
-        run_until(sim, 3 * plan.heartbeat_period + 1)
+        run_until(sim, 3 * HEARTBEAT_PERIOD + 1)
         suspected = [pid for pid in detector.peer_ids
                      if detector.status(pid) == SUSPECT]
         assert suspected  # heavy loss: some live peer was suspected
-        run_until(sim, 40 * plan.heartbeat_period)
+        run_until(sim, 40 * HEARTBEAT_PERIOD)
         # eventual accuracy: every suspicion keeps being corrected (the
         # miss counters reset on each successful probe), and with
-        # dead_after out of reach no live peer is ever declared dead
+        # DEAD_AFTER out of reach no live peer is ever declared dead
         assert all(not detector.is_dead(pid) for pid in detector.peer_ids)
-        assert all(misses < plan.dead_after
+        assert all(misses < detector_module.DEAD_AFTER
                    for misses in detector._misses.values())
         assert any(detector.status(pid) == ALIVE
                    for pid in detector.peer_ids)
@@ -216,15 +217,15 @@ def _scalar_sweep(self):
         else:
             misses = self._misses[pid] + 1
             self._misses[pid] = misses
-            if misses >= self.dead_after:
+            if misses >= DEAD_AFTER:
                 if self._status[pid] != DEAD:
                     self._status[pid] = DEAD
                     if self.on_dead is not None:
                         self.on_dead(pid)
-            elif misses >= self.suspect_after:
+            elif misses >= SUSPECT_AFTER:
                 if self._status[pid] == ALIVE:
                     self._status[pid] = SUSPECT
-    self.sim.schedule(self.period, self._sweep)
+    self.sim.schedule(HEARTBEAT_PERIOD, self._sweep)
 
 
 def _play(cls, peers, crashes, knobs, script, horizon):
@@ -268,16 +269,11 @@ class TestBatchedSweepEqualsScalarLoop:
                lambda ids: st.integers(1, 12).map(lambda n: ids[:n])),
            crashes=st.dictionaries(st.integers(0, 11), _windows, max_size=8),
            drop_prob=st.sampled_from([0.0, 0.02, 0.5]),
-           seed=st.integers(0, 2**32), period=st.integers(1, 5),
-           suspect_after=st.integers(1, 3), extra=st.integers(0, 2),
-           script=_script)
+           seed=st.integers(0, 2**32), script=_script)
     @settings(max_examples=150, deadline=None)
     def test_same_states_calls_probes_and_ids(
-            self, peers, crashes, drop_prob, seed, period, suspect_after,
-            extra, script):
-        knobs = dict(seed=seed, drop_prob=drop_prob, heartbeat_period=period,
-                     suspect_after=suspect_after,
-                     dead_after=suspect_after + extra)
+            self, peers, crashes, drop_prob, seed, script):
+        knobs = dict(seed=seed, drop_prob=drop_prob)
         batched = _play(_Batched, peers, crashes, knobs, script, 60)
         scalar = _play(_Scalar, peers, crashes, knobs, script, 60)
         assert batched[0] == scalar[0]  # after every sweep, per peer
@@ -287,11 +283,11 @@ class TestBatchedSweepEqualsScalarLoop:
         """stop() / start() inside a period doubles the sweeps (see the
         xfail above); the batched sweep must double them the same way."""
         crashes = {1: [(3, math.inf)], 4: [(5, 9), (20, 22)]}
-        knobs = dict(seed=4242, drop_prob=0.5, heartbeat_period=4)
+        knobs = dict(seed=4242, drop_prob=0.5)
         script = [(1, "stop", 0), (2, "start", 0), (9, "draw", 3)]
         batched = _play(_Batched, range(6), crashes, knobs, script, 40)
         scalar = _play(_Scalar, range(6), crashes, knobs, script, 40)
         sweep_times = [entry[0] for entry in batched[0]]
         assert sweep_times[:4] == [4, 6, 8, 10]  # two chains, period 4
         assert batched == scalar
-        assert ("dead", 1, 6) in batched[1]  # dead_after = 2 in one period
+        assert ("dead", 1, 6) in batched[1]  # DEAD_AFTER = 2 in one period

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import (LinearScore, RangeHandler, Rect, TopKHandler, run_ripple)
 from repro.common.hashing import mix
+from repro.net import detector, eventsim
 from repro.net.eventsim import EventSimulator, event_driven_ripple
 from repro.net.faults import (_DROP_SALT, _JITTER_SALT, FaultPlan,
                               region_volume, resilient_ripple)
@@ -79,16 +80,22 @@ class TestFaultPlan:
         ("heartbeat_period", 0), ("max_retries", -2), ("max_watchdogs", -1),
         ("max_reroute_depth", -1), ("suspect_after", 0), ("dead_after", 0)])
     def test_timing_knobs_validated(self, knob, bad):
-        with pytest.raises(ValueError, match=knob):
+        """The protocol timings are module constants, not plan keywords:
+        a plan refuses one, and the constant keeps the bound the keyword
+        was once validated against."""
+        with pytest.raises(TypeError, match=knob):
             FaultPlan(**{knob: bad})
-        with pytest.raises(ValueError, match=knob):
+        with pytest.raises(TypeError, match=knob):
             FaultPlan.churn(["a"], crash_fraction=0.5, **{knob: bad})
+        home = detector if hasattr(detector, knob.upper()) else eventsim
+        value = getattr(home, knob.upper())
+        assert isinstance(value, int)
+        assert value >= (0 if knob.startswith("max_") else 1) > bad
 
     def test_suspect_after_may_not_exceed_dead_after(self):
-        with pytest.raises(ValueError, match="suspect_after"):
+        assert 0 < detector.SUSPECT_AFTER <= detector.DEAD_AFTER
+        with pytest.raises(TypeError, match="suspect_after"):
             FaultPlan(suspect_after=3, dead_after=2)
-        FaultPlan(max_retries=0, max_watchdogs=0, max_reroute_depth=0,
-                  suspect_after=2, dead_after=2)  # the boundary is legal
 
     def test_churn_horizon_and_recovery_validated(self):
         with pytest.raises(ValueError, match="horizon"):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro import (Frustum, FrustumRegion, LinearScore, RangeHandler,
                    Rect, RectRegion, SkylineHandler, TopKHandler,
                    run_ripple)
+from repro.net import resultcache
 from repro.net.context import QueryResult, QueryStats
 from repro.net.resultcache import CacheDirectory, CacheLookup
 from repro.net.scheduler import QueryCompleted, QueryEngine
@@ -90,8 +91,6 @@ class TestFingerprints:
             "k": (TopKHandler(fn, 4), TopKHandler(fn, 8)),
             "fn": (TopKHandler(fn, 4),
                    TopKHandler(LinearScore([1.0, 2.0]), 4)),
-            "origin": (SkylineHandler(2),
-                       SkylineHandler(2, origin=(0.1, 0.1))),
             "constraint": (SkylineHandler(2, constraint=box),
                            SkylineHandler(2, constraint=Rect(
                                (0.1, 0.1), (0.8, 0.9)))),
@@ -202,9 +201,10 @@ class TestExactReuse:
         assert cache.snapshot()["misses"] == 2
         assert cache.invalidations == 0
 
-    def test_capacity_evicts_oldest_first(self):
+    def test_capacity_evicts_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(resultcache, "CAPACITY", 1)
         overlay = midas_network(7)
-        cache = CacheDirectory(overlay, capacity=1)
+        cache = CacheDirectory(overlay)
         first = RangeHandler(Rect((0.0, 0.0), (0.4, 0.4)))
         second = RangeHandler(Rect((0.5, 0.5), (0.9, 0.9)))
         run_warm(overlay, cache, first)

@@ -24,13 +24,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro import LinearScore, SkylineHandler, TopKHandler, run_ripple
 from repro.net.context import QueryContext
-from repro.net.eventsim import (EventSimulator, SimulationBudgetExceeded,
-                                event_driven_ripple)
+from repro.net.eventsim import (DEFAULT_MAX_EVENTS, EventSimulator,
+                                SimulationBudgetExceeded, event_driven_ripple)
 from repro.net.faults import FaultPlan
 from repro.net.scheduler import (FifoPolicy, PriorityPolicy,
                                  QueryBudgetExceeded, QueryCompleted,
                                  QueryDeadlineExceeded, QueryEngine,
                                  QueryRejected, WeightedFairPolicy)
+from repro.net.workload import WorkloadSpec, run_workload
 from repro.overlays.replication import ReplicaDirectory
 
 from tests.netlib import ENGINE_CASES as NETWORKS
@@ -208,8 +209,17 @@ class TestAdmissionControl:
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_per_query_event_budget_must_be_positive(self, value):
-        with pytest.raises(ValueError, match="max_events_per_query"):
+        """The budget is set per job: the engine takes no default of its
+        own, and a workload's budget is refused like ``submit``'s."""
+        assert DEFAULT_MAX_EVENTS > 0
+        with pytest.raises(TypeError, match="max_events_per_query"):
             QueryEngine(max_events_per_query=value)
+        overlay = midas_network(5, peers=16, tuples=100)
+        engine = QueryEngine()
+        with pytest.raises(ValueError, match="max_events"):
+            run_workload(overlay, WorkloadSpec(queries=2, rate=1.0,
+                                               max_events=value),
+                         engine=engine)
 
     @pytest.mark.parametrize("entry", ["submit", "submit_at"])
     @pytest.mark.parametrize("field,value", [

@@ -16,15 +16,14 @@ import numpy as np
 import pytest
 
 from repro import (CanOverlay, ChordOverlay, LinearScore, MidasOverlay,
-                   TopKHandler, distributed_topk)
+                   TopKHandler, distributed_topk, run_ripple)
 from repro.common.geometry import Rect, contains_batch
 from repro.common.store import LocalStore
 from repro.core.framework import Link, LinkTable
 from repro.core.regions import RectRegion
 from repro.net.routing import greedy_route
 from repro.overlays import (ArenaPeer, MidasArena, ReplicaDirectory,
-                            from_overlay, midas_arena, run_wavefront,
-                            wavefront_execute)
+                            from_overlay, midas_arena, wavefront_execute)
 from repro.overlays.arena_build import _assign_leaves
 
 
@@ -63,7 +62,7 @@ class TestMirrorSnapshot:
             overlay.load(rng.random((200, 2)) * 0.999)
             overlay.grow_to(25)
         arena = from_overlay(overlay)
-        assert arena.strict_default == (kind == "chord")
+        assert (arena.kind != "frustum") == (kind == "chord")
         for obj, mirrored in zip(overlay.peers(), arena.peers()):
             assert np.array_equal(mirrored.store.array, obj.store.array)
             for a, b in zip(obj.links(), mirrored.links()):
@@ -301,8 +300,9 @@ class TestLazyLinkTables:
                                       executor=wavefront_execute)
             assert len(greedy_route(initiator, (1 - 1e-12,) * 3)[1]) > 2
         else:
-            result = run_wavefront(initiator, TopKHandler(fn, 5),
-                                   restriction=arena.domain())
+            result = run_ripple(initiator, TopKHandler(fn, 5), 0,
+                                restriction=arena.domain(),
+                                executor=wavefront_execute)
         assert result.stats.processed > 5
         assert not built
         # One more region: the domain the query is restricted to.

@@ -21,8 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro import LinearScore, run_ripple
 from repro.net.eventsim import event_driven_ripple
 from repro.net.faults import FaultPlan, resilient_ripple
-from repro.overlays import (from_overlay, midas_arena, run_wavefront,
-                            wavefront_execute)
+from repro.overlays import from_overlay, midas_arena, wavefront_execute
 from repro.queries.skyline import distributed_skyline
 from repro.queries.topk import distributed_topk
 
@@ -64,7 +63,7 @@ class TestMirrorBitIdentity:
         overlay = NETWORKS[kind](seed, peers=peers)
         arena = from_overlay(overlay)
         restriction = overlay.domain()
-        strict = arena.strict_default
+        strict = arena.kind != "frustum"
         handler = handlers_for(restriction.rect.dims)[pick]
         expected = run_ripple(overlay.peers()[0], handler, r,
                               restriction=restriction, strict=strict)
@@ -122,12 +121,12 @@ class TestWavefrontParity:
         overlay = NETWORKS[kind](seed, peers=peers)
         arena = from_overlay(overlay)
         restriction = overlay.domain()
-        strict = arena.strict_default
+        strict = arena.kind != "frustum"
         handler = handlers_for(restriction.rect.dims)[pick]
         expected = run_ripple(arena.peer(0), handler, 0,
                               restriction=restriction, strict=strict)
-        got = run_wavefront(arena.peer(0), handler,
-                            restriction=restriction, strict=strict)
+        got = run_ripple(arena.peer(0), handler, 0, restriction=restriction,
+                         strict=strict, executor=wavefront_execute)
         assert_bit_identical(got, expected)
 
     @relaxed
@@ -141,7 +140,8 @@ class TestWavefrontParity:
         handler = handlers_for(2)[pick]
         initiator = arena.random_peer(np.random.default_rng(seed + 1))
         expected = run_ripple(initiator, handler, 0, restriction=restriction)
-        got = run_wavefront(initiator, handler, restriction=restriction)
+        got = run_ripple(initiator, handler, 0, restriction=restriction,
+                         executor=wavefront_execute)
         assert_bit_identical(got, expected)
 
     @relaxed
@@ -186,8 +186,8 @@ class TestWavefrontParity:
         handler = handlers_for(2)[0]
         expected = run_ripple(arena.peer(0), handler, 0,
                               restriction=restriction, strict=False)
-        got = run_wavefront(arena.peer(0), handler,
-                            restriction=restriction, strict=False)
+        got = run_ripple(arena.peer(0), handler, 0, restriction=restriction,
+                         strict=False, executor=wavefront_execute)
         assert_bit_identical(got, expected)
 
     def test_negative_r_rejected(self):

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (LinearScore, ReplicaDirectory, SkipGraphOverlay,
                    TopKHandler, run_ripple)
-from repro.net.detector import ALIVE, DEAD, FailureDetector
+from repro.net.detector import ALIVE, DEAD, HEARTBEAT_PERIOD, FailureDetector
 from repro.net.eventsim import EventSimulator, event_driven_ripple
 from repro.net.faults import FaultPlan, resilient_ripple
 from repro.net.routing import greedy_route, route_around
@@ -75,12 +75,15 @@ class TestStructure:
         overlay.join()
         assert peer.links() is not first      # invalidated by churn
 
-    def test_explicit_tower_size_is_honoured(self):
-        overlay = SkipGraphOverlay(size=30, seed=3, tower_size=5)
+    def test_tower_size_follows_log2_of_the_size(self):
+        overlay = SkipGraphOverlay(size=30, seed=3)
         assert overlay.tower_size() == 5
         assert all(len(m) <= 5 for m in overlay.tower_index().towers)
-        with pytest.raises(ValueError, match="tower_size"):
-            SkipGraphOverlay(size=4, seed=0, tower_size=0)
+        overlay.grow_to(33)                   # re-derived after churn
+        assert overlay.tower_size() == 6
+        assert SkipGraphOverlay(size=1, seed=0).tower_size() == 1
+        with pytest.raises(TypeError, match="tower_size"):
+            SkipGraphOverlay(size=4, seed=0, tower_size=3)
 
     def test_load_places_every_tuple_at_its_owner(self):
         overlay = skipgraph_network(5)
@@ -212,8 +215,7 @@ class TestQueries:
     def test_mirror_arena_uses_the_arc_family(self):
         overlay = skipgraph_network(6, peers=40)
         arena = from_overlay(overlay)
-        assert arena.kind == "arc"
-        assert arena.strict_default
+        assert arena.kind == "arc"              # exact: strict
         handler = TopKHandler(LinearScore([1.0]), 4)
         expected = run_ripple(overlay.peers()[0], handler, 0,
                               restriction=overlay.domain(), strict=True)
@@ -234,7 +236,7 @@ class TestRecoveryEdgeCases:
         detector = FailureDetector(sim, plan,
                                    [p.peer_id for p in overlay.peers()])
         detector.start()
-        sim.schedule(3 * plan.heartbeat_period + 1, detector.stop)
+        sim.schedule(3 * HEARTBEAT_PERIOD + 1, detector.stop)
         sim.run()
         assert detector.status(victim.peer_id) == DEAD
         survivors = [p.peer_id for p in overlay.peers()
@@ -246,8 +248,7 @@ class TestRecoveryEdgeCases:
         victim = overlay.peers()[1]
         # down only between probes: the outage is invisible except through
         # the incarnation counter, which must still report the rebirth
-        plan = FaultPlan(crashes={victim.peer_id: [(5, 7)]},
-                         heartbeat_period=4, suspect_after=1, dead_after=99)
+        plan = FaultPlan(crashes={victim.peer_id: [(5, 7)]})
         sim = EventSimulator(faults=plan)
         detector = FailureDetector(sim, plan, [victim.peer_id])
         detector.start()

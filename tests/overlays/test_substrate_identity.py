@@ -5,7 +5,8 @@ substrate (``repro.overlays.substrate``); what a seed builds is part of
 the repo's contract, because every ``BENCH_*`` gate and ``bench_layers``
 pin simulated counters of seeded worlds at tolerance 0.  The digests
 below were recorded at the commit *before* the substrates were unified
-(916e889) and pin, after one fixed build/churn script, every peer's id,
+(916e889) — the ``skipgraph-grown`` rows, added when the skip graph's
+tower-size override went, at c507b19 — and pin, after one fixed build/churn script, every peer's id,
 zone, store contents, link table and replica placement plus the
 overlay RNG's position.
 """
@@ -38,8 +39,8 @@ CASES = {
                                   link_policy="boundary"), 3),
     "can-data": (lambda seed: CanOverlay(2, size=4, seed=seed,
                                          join_policy="data"), 2),
-    "skipgraph-towers3": (
-        lambda seed: SkipGraphOverlay(size=1, seed=seed, tower_size=3), 1),
+    "skipgraph-grown": (
+        lambda seed: SkipGraphOverlay(size=1, seed=seed), 1),
 }
 SEEDS = (0, 1)
 
@@ -68,10 +69,10 @@ RECORDED = {
         "0af09c8aea1a261d9e9ad546a22bcb3343ad35cc8651bf62202c147f16a67a3c",
     ("can-data", 1):
         "52ce2771a7ae0026870a0bd7c53080ce94d7ea6163277c8a9002a24b258edbd5",
-    ("skipgraph-towers3", 0):
-        "385e68b8a7983e4569a701cadb66963590e0f9f3d45190acf561a236311fcaad",
-    ("skipgraph-towers3", 1):
-        "be8b43b255d8f438e77023f39201ec4c3a3c12797cbf921f4c6c98efcb6641a5",
+    ("skipgraph-grown", 0):
+        "6e88dfae1cbbe075aba27179fc418d2811bd8dd592fd14350690e2f82ee55ae4",
+    ("skipgraph-grown", 1):
+        "ac8ab38ddb3d5081b6a71a2365f94572af2d3a4d363017c024a47c29ef14adec",
 }
 
 

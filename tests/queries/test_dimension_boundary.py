@@ -63,9 +63,8 @@ def submit_at(handler):
     submit_at(SkylineHandler(3)),
     lambda overlay: distributed_skyline(overlay.peers()[0], 3,
                                         restriction=overlay.domain()),
-    lambda overlay: distributed_skyline(overlay.peers()[0], 3,
-                                        restriction=overlay.domain(),
-                                        seeded=False),
+    lambda overlay: run_ripple(overlay.peers()[0], SkylineHandler(3), 0,
+                               restriction=overlay.domain()),
     lambda overlay: distributed_topk(overlay.peers()[0],
                                      LinearScore([1, 1, 1]), 3,
                                      restriction=overlay.domain()),
@@ -87,7 +86,7 @@ def submit_at(handler):
         RangeHandler(BOX), overlay.domain(), DONE, peer_ids)),
 ], ids=["submit-topk", "submit_at-topk", "submit-skyline",
         "submit_at-skyline", "distributed_skyline",
-        "distributed_skyline-unseeded", "distributed_topk", "run_ripple",
+        "run_ripple-skyline", "distributed_topk", "run_ripple",
         "event_driven_ripple", "resilient_ripple", "submit-range",
         "run_ripple-range", "cache.lookup", "cache.store"])
 def test_a_3d_query_on_a_2d_network_is_a_value_error(monkeypatch, entry):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import MidasOverlay, dominates
+from repro import MidasOverlay, dominates, run_ripple
 from repro.common.geometry import Rect, as_point, mindist
 from repro.common.store import LocalStore
 from repro.core.regions import ArcRegion, RectRegion
@@ -96,12 +96,16 @@ class TestHandler:
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
     def test_priority_is_mindist_bit_for_bit(self, data, dims):
-        """Origins and boxes anywhere: inside, outside, straddling, on a
-        face; a ring arc's cover has two boxes."""
+        """Origins (a constraint's lower corner, or zeros) and boxes
+        anywhere: inside, outside, straddling, on a face; a ring arc's
+        cover has two boxes."""
         coords = st.sampled_from([-0.5, -0.0, 0.0, 0.1, 1 / 3, 0.5, 0.7,
                                   1.0, 1.5])
-        origin = data.draw(st.lists(coords, min_size=dims, max_size=dims))
-        h = SkylineHandler(dims, origin=origin)
+        corner = data.draw(st.none() | st.lists(coords, min_size=dims,
+                                                max_size=dims))
+        constraint = None if corner is None else Rect(
+            tuple(corner), tuple(v + 0.25 for v in corner))
+        h = SkylineHandler(dims, constraint=constraint)
         sides = [sorted(data.draw(st.lists(coords, min_size=2, max_size=2)))
                  for _ in range(dims)]
         rect = Rect(tuple(lo for lo, _ in sides), tuple(hi for _, hi in sides))
@@ -129,8 +133,13 @@ class TestHandler:
     @pytest.mark.parametrize("origin", [
         (float("nan"), 0.0), (0.0, float("-inf")), (0.0,), (0.0, 0.0, 0.0)])
     def test_origins_must_be_finite_dims_vectors(self, origin):
-        with pytest.raises(ValueError, match="origin"):
+        """The origin is derived, never passed: zeros, or the lower corner
+        of a constraint, which is refused unless it is finite and
+        ``dims``-dimensional."""
+        with pytest.raises(TypeError, match="origin"):
             SkylineHandler(2, origin=origin)
+        with pytest.raises(ValueError, match="constraint"):
+            SkylineHandler(2, constraint=Rect(origin, (1.0,) * len(origin)))
 
     def test_distributed_skyline_rejects_before_any_peer(self):
         overlay = MidasOverlay(2, size=4, seed=1)
@@ -143,7 +152,7 @@ class TestHandler:
     def test_valid_constraints_and_origins_still_build(self):
         box = Rect((0.1, 0.2), (0.3, 0.9))
         assert SkylineHandler(2, constraint=box).origin == box.lo
-        assert SkylineHandler(2, origin=[1, 0]).origin == (1.0, 0.0)
+        assert SkylineHandler(2).origin == (0.0, 0.0)
 
 
 class TestDistributed:
@@ -177,18 +186,21 @@ class TestDistributed:
         overlay.grow_to(40)
         ref = skyline_reference(data, box)
         assert (0.2, 0.5) in ref and (0.6, 0.2) not in ref
-        for r, seeded in ((0, True), (2, True), (10 ** 6, True), (0, False)):
+        for r in (0, 2, 10 ** 6):
             res = distributed_skyline(overlay.random_peer(), 2,
                                       restriction=overlay.domain(), r=r,
-                                      constraint=box, seeded=seeded)
+                                      constraint=box)
             assert res.answer == ref
+        cold = run_ripple(overlay.random_peer(),
+                          SkylineHandler(2, constraint=box), 0,
+                          restriction=overlay.domain())
+        assert cold.answer == ref
 
     def test_cold_matches_reference(self, network):
         overlay, data = network
         ref = skyline_reference(data)
-        res = distributed_skyline(overlay.random_peer(), 3,
-                                  restriction=overlay.domain(), r=0,
-                                  seeded=False)
+        res = run_ripple(overlay.random_peer(), SkylineHandler(3), 0,
+                         restriction=overlay.domain())
         assert res.answer == ref
 
     def test_boundary_policy_correct_and_cheaper_shipping(self):

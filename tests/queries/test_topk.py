@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import LinearScore, MidasOverlay, NearestScore, SkylineHandler
+from repro import (LinearScore, MidasOverlay, NearestScore, SkylineHandler,
+                   run_ripple)
 from repro.common.store import LocalStore
 from repro.core.regions import RectRegion
 from repro.common.geometry import Rect
@@ -236,9 +237,8 @@ class TestSeededExecution:
         fn = LinearScore([1, 1, 1])
         seeded = distributed_topk(overlay.random_peer(), fn, 5,
                                   restriction=overlay.domain(), r=0)
-        cold = distributed_topk(overlay.random_peer(), fn, 5,
-                                restriction=overlay.domain(), r=0,
-                                seeded=False)
+        cold = run_ripple(overlay.random_peer(), TopKHandler(fn, 5), 0,
+                          restriction=overlay.domain())
         assert seeded.stats.processed < cold.stats.processed
 
     def test_seeded_latency_logarithmic(self, network):
@@ -320,8 +320,12 @@ class TestBadScoringFunctions:
         monkeypatch.setattr(LocalStore, "top_scoring", touched)
         with pytest.raises(ValueError,
                            match="weights|query|p must|-d tuples.*2-d"):
-            distributed_topk(peer, build(), 3, restriction=overlay.domain(),
-                             seeded=seeded)
+            if seeded:
+                distributed_topk(peer, build(), 3,
+                                 restriction=overlay.domain())
+            else:
+                run_ripple(peer, TopKHandler(build(), 3), 0,
+                           restriction=overlay.domain())
 
     def test_the_mismatch_names_both_dimensionalities(self):
         overlay = MidasOverlay(2, size=4, seed=3)

@@ -7,14 +7,16 @@ them (named after the rule it replaced, if any) on small fixtures, so a
 check that silently stops firing fails here.
 """
 
+import dataclasses
 import types
 
 from tests.test_source_invariants import (ad_hoc_cache_writes,
                                           arena_violations,
                                           bad_type_ignores, clock_reads,
-                                          handler_writes,
+                                          handler_writes, option_passes,
                                           package_api_problems,
-                                          simulator_constructions)
+                                          simulator_constructions,
+                                          unpassed_options)
 
 MODULE = "src/repro/somewhere/mod.py"
 NET_MODULE = "src/repro/net/mod.py"
@@ -272,3 +274,52 @@ class TestRPL016:
         assert ad_hoc_cache_writes(source, "src/repro/experiments/x.py") == []
         assert ad_hoc_cache_writes(source, "benchmarks/x.py") == []
         assert ad_hoc_cache_writes(source, "src/repro/baselines/dsl.py") == []
+
+
+# -- every public option has a caller ----------------------------------------
+
+
+def engine(capacity=4, *, budget=100, trace=None):
+    """A fixture export with two options."""
+
+
+@dataclasses.dataclass
+class Spec:
+    queries: int
+    rate: float = 1.0
+    seed: int = dataclasses.field(default=0, kw_only=True)
+    tally: dict = dataclasses.field(init=False, default_factory=dict)
+
+
+def unpassed(source):
+    exports = {"engine": engine, "Spec": Spec, "VERSION": "1"}
+    return unpassed_options(exports, option_passes(source, {}))
+
+
+class TestOptionCensus:
+    def test_bad_nothing_calls(self):
+        assert unpassed("x = 1\n") == [
+            ("engine", "budget"), ("engine", "trace"),
+            ("Spec", "queries"), ("Spec", "rate"), ("Spec", "seed")]
+
+    def test_good_keywords_and_positions(self):
+        assert unpassed("engine(8, budget=5, trace=sink)\n"
+                        "Spec(10, 2.0, seed=1)\n") == []
+
+    def test_positions_never_reach_keyword_only_options(self):
+        assert unpassed("engine(8, 5, sink)\nSpec(1, 2, 3)\n") == [
+            ("engine", "budget"), ("engine", "trace"), ("Spec", "seed")]
+
+    def test_good_callable_handed_to_a_helper(self):
+        # ``rec.call(name, fn, *args, **kwargs)`` calls ``fn`` with them.
+        assert unpassed("rec.call('probe', engine, budget=1, trace=t)\n"
+                        "mod.Spec(queries=1, rate=2, seed=3)\n") == []
+
+    def test_good_cls_inside_its_class(self):
+        assert ("Spec", "seed") not in unpassed(
+            "class Spec:\n"
+            "    @classmethod\n"
+            "    def fast(cls):\n"
+            "        return cls(seed=7)\n")
+        assert ("Spec", "seed") in unpassed(
+            "def fast(cls):\n    return cls(seed=7)\n")

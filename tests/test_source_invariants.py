@@ -9,6 +9,7 @@ test, gate or harness.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import io
@@ -343,3 +344,138 @@ def test_only_the_scheduler_builds_an_event_simulator():
            for line in simulator_constructions(path.read_text(), rel)]
     assert not bad, "EventSimulator built outside " \
         f"{_SIMULATOR_BUILDER}:\n" + "\n".join(bad)
+
+
+# -- every public option has a caller ----------------------------------------
+
+#: ``(export, option)`` -> why it stays although no shipped caller passes
+#: it; ``"*"`` stands for every option of the export.
+_UNPASSED_OPTIONS = {
+    ("QueryJob", "*"): "built only by QueryEngine.submit/submit_at, "
+                       "whose keywords run_workload passes",
+    ("WorkloadReport", "*"): "run_workload fills the report in after "
+                             "construction: its fields are results",
+    ("QueryRejected", "reason"): "an outcome's field, read by reports; "
+                                 "the engine sheds only a full queue",
+    ("QueryEngine", "fanout"): "bench_layers passes it through its "
+                               "engine_class(...) factory",
+    ("WorkloadSpec", "deadline"): "benchmarks/bench_load.py passes it "
+                                  "in a **kwargs dict",
+    ("WorkloadSpec", "priorities"): "benchmarks/bench_load.py passes it "
+                                    "in a **kwargs dict",
+    ("WorkloadSpec", "max_events"): "the per-query event budget of a "
+                                    "workload, kept beside the job's",
+    ("resilient_ripple", "max_events"): "the per-query event budget of "
+                                        "a supervised run, kept beside "
+                                        "the job's",
+    ("event_driven_ripple", "sink"): "the trace hook every engine entry "
+                                     "point takes",
+    ("run_workload", "sink"): "the trace hook every engine entry point "
+                              "takes",
+    **{(name, "strict"): "strictness is set per overlay family; its "
+                         "removal is ROADMAP item 21(d)"
+       for name in ("RippleDiversifier", "distributed_skyline",
+                    "distributed_topk", "event_driven_ripple")},
+}
+
+
+def _caller_files():
+    """Every shipped caller: the package, the per-layer benchmark, the
+    benchmark drivers and the repo scripts, without their tests
+    (``examples/`` do not count)."""
+    for root in (PACKAGE, REPO / "bench_layers", REPO / "benchmarks",
+                 REPO / "tools"):
+        for path in _scripts(root):
+            if not path.name.startswith("test_"):
+                yield path
+
+
+def option_passes(source, passes):
+    """Fold ``source``'s calls into ``passes``: callee name ->
+    ``[keyword names, most positional arguments]``.  A call credits its
+    keywords to the callee and to every callable handed to it as an
+    argument (``rec.call(name, fn, x, k=v)``); ``cls(...)`` inside a
+    class body calls that class."""
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            callee = (_chain(node.func) or [None])[-1]
+            if callee == "cls" and owner is not None:
+                callee = owner
+            named = {k.arg for k in node.keywords if k.arg is not None}
+            for j, name in enumerate([callee] + [
+                    (_chain(arg) or [None])[-1] for arg in node.args]):
+                if name is not None:
+                    entry = passes.setdefault(name, [set(), 0])
+                    entry[0] |= named
+                    if j == 0:
+                        entry[1] = max(entry[1], len(node.args))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return passes
+
+
+def public_options(obj):
+    """``(option, position or None)`` that a caller of ``obj`` may set:
+    a dataclass's init fields (positional unless keyword-only), else the
+    keyword-only parameters of the function or constructor."""
+    if dataclasses.is_dataclass(obj):
+        fields = [f for f in dataclasses.fields(obj) if f.init]
+        return [(f.name, None if f.kw_only else i)
+                for i, f in enumerate(fields)]
+    try:
+        parameters = inspect.signature(obj).parameters.values()
+    except (TypeError, ValueError):          # a builtin's constructor
+        return []
+    return [(p.name, None) for p in parameters if p.kind is p.KEYWORD_ONLY]
+
+
+def unpassed_options(exports, passes):
+    """``(export, option)`` for each option of ``exports`` (name ->
+    object) that no call in ``passes`` sets by name or position.  A class
+    also counts the calls of its package subclasses."""
+    missing = []
+    for export, obj in exports.items():
+        if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+            continue
+        names, stack = [], [obj]
+        while stack:
+            cls = stack.pop()
+            names.append(cls.__name__)
+            if inspect.isclass(cls):
+                stack.extend(sub for sub in cls.__subclasses__()
+                             if sub.__module__.startswith("repro"))
+        named = set().union(*(passes.get(n, [set(), 0])[0] for n in names))
+        most = max(passes.get(n, [set(), 0])[1] for n in names)
+        missing += [(export, option)
+                    for option, position in public_options(obj)
+                    if option not in named
+                    and (position is None or position >= most)]
+    return missing
+
+
+def test_every_public_option_has_a_caller():
+    """An option only tests set is a branch no product run takes: make it
+    a constant (docs/STATIC_ANALYSIS.md, "Option census"), or excuse it
+    in ``_UNPASSED_OPTIONS`` with a reason."""
+    import repro
+    passes = {}
+    for path in _caller_files():
+        option_passes(path.read_text(), passes)
+    exports = {name: getattr(repro, name) for name in repro.__all__}
+    unpassed = unpassed_options(exports, passes)
+    missing = [f"{export}.{option}" for export, option in unpassed
+               if (export, option) not in _UNPASSED_OPTIONS
+               and (export, "*") not in _UNPASSED_OPTIONS]
+    assert not missing, "options no shipped caller sets:\n" \
+        + "\n".join(missing)
+    excused = {key for export, option in unpassed
+               for key in ((export, option), (export, "*"))}
+    stale = [f"{export}.{option}" for export, option in _UNPASSED_OPTIONS
+             if (export, option) not in excused]
+    assert not stale, "excused options that a caller sets, or that are " \
+        "gone:\n" + "\n".join(stale)
